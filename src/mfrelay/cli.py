@@ -13,7 +13,8 @@ sweeps:
 Configuration comes from JSON (--config) with per-experiment defaults;
 flags override file values.  Output is CSV with '#' metadata lines and
 12-significant-digit cells; identical (config, seed) pairs produce
-byte-identical files.  Exit codes: 0 ok, 2 invalid config, 3 I/O failure.
+byte-identical files.  Exit codes: 0 ok, 2 invalid config (including a
+library ValueError raised during the run), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def format_table(cfg: dict, header, rows) -> str:
             v = float(v)
             if not np.isfinite(v):
                 raise RuntimeError("non-finite cell in output table")
-            cells.append(f"{v:.12g}")
+            cells.append(f"{v + 0.0:.12g}")  # + 0.0 writes -0.0 as 0
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -321,7 +322,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.experiment, args.config, overrides)
         header, rows = _RUNNERS[args.experiment](cfg)
         text = format_table(cfg, header, rows)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # a library ValueError means the config reached outside a model's domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .channel import ChannelRealization, SystemParams, rng_stream
 
@@ -92,17 +92,28 @@ def residual_variance_bound(params: SystemParams, real: ChannelRealization, alph
             + alpha ** 2 * s2 / real.g2 + beta ** 2 * s2 / real.g1)
 
 
-def _chain_blocks(params, real, cfg, alpha, beta):
-    """Yield (x_r, folded, linear_residual) per deterministic block."""
-    delta = cfg.delta
-    h1, h2 = real.h1, real.h2
+def _uniformity_pvalue(stat: float) -> float:
+    """chi2.sf(stat, bins - 1) of the relay-output histogram.
+
+    Taken from scipy.special: importing scipy.stats for this one call
+    would cost more than the rest of a cold CLI run's imports.
+    """
+    return float(chdtrc(_UNIFORMITY_BINS - 1, stat))
+
+
+def _block_draws(params, real, cfg):
+    """Yield the draws (u, u1, x_d, n_r, n_d) of each deterministic block.
+
+    They do not depend on the scalings, so one set of blocks serves any
+    number of (alpha, beta) pairs.
+    """
     if real.g1 <= 0 or real.g2 <= 0:
         raise ValueError("chain simulation needs g1 > 0 and g2 > 0")
+    delta = cfg.delta
     s_n = np.sqrt(params.sigma2)
     s_d = np.sqrt(params.pd)
-    done, block = 0, 0
     n = int(cfg.n_symbols)
-    while done < n:
+    for block, done in enumerate(range(0, n, _SIM_BLOCK)):
         m = min(_SIM_BLOCK, n - done)
         rng = rng_stream(cfg.seed, block)
         u = rng.uniform(-delta / 2, delta / 2, m)    # source dither; x_s = u at the zero codeword
@@ -110,19 +121,24 @@ def _chain_blocks(params, real, cfg, alpha, beta):
         x_d = s_d * rng.standard_normal(m)
         n_r = s_n * rng.standard_normal(m)
         n_d = s_n * rng.standard_normal(m)
-        x_s = u
-        y_r = h1 * x_s + h2 * x_d + n_r
-        x_r = mod_lattice(beta * y_r / h1 + u1, delta)
-        y_d = h2 * x_r + n_d
-        y = mod_lattice(alpha * y_d / h2 - beta * (h2 / h1) * x_d - u - u1, delta)
-        r = (alpha - 1.0) * x_r + (beta - 1.0) * x_s + beta * n_r / h1 + alpha * n_d / h2
-        # the whole modulo algebra collapses to y == fold(r); enforce it
-        drift = np.max(np.abs(mod_lattice(r - y, delta)))
-        if drift > 1e-9 * delta:
-            raise RuntimeError(f"modulo-chain identity violated (drift {drift:.3e})")
-        yield x_r, y, r
-        done += m
-        block += 1
+        yield u, u1, x_d, n_r, n_d
+
+
+def _chain_block(real, delta, draws, alpha, beta):
+    """(x_r, folded, linear_residual) of one block of draws."""
+    u, u1, x_d, n_r, n_d = draws
+    h1, h2 = real.h1, real.h2
+    x_s = u
+    y_r = h1 * x_s + h2 * x_d + n_r
+    x_r = mod_lattice(beta * y_r / h1 + u1, delta)
+    y_d = h2 * x_r + n_d
+    y = mod_lattice(alpha * y_d / h2 - beta * (h2 / h1) * x_d - u - u1, delta)
+    r = (alpha - 1.0) * x_r + (beta - 1.0) * x_s + beta * n_r / h1 + alpha * n_d / h2
+    # the whole modulo algebra collapses to y == fold(r); enforce it
+    drift = np.max(np.abs(mod_lattice(r - y, delta)))
+    if drift > 1e-9 * delta:
+        raise RuntimeError(f"modulo-chain identity violated (drift {drift:.3e})")
+    return x_r, y, r
 
 
 def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeConfig,
@@ -143,7 +159,8 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     sum_xr2 = sum_y2 = sum_r2 = 0.0
     hist = np.zeros(_UNIFORMITY_BINS, dtype=np.int64)
     edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
-    for x_r, y, r in _chain_blocks(params, real, cfg, alpha, beta):
+    for draws in _block_draws(params, real, cfg):
+        x_r, y, r = _chain_block(real, delta, draws, alpha, beta)
         sum_xr2 += float(np.sum(x_r * x_r))
         sum_y2 += float(np.sum(y * y))
         sum_r2 += float(np.sum(r * r))
@@ -151,7 +168,7 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     n = int(cfg.n_symbols)
     expected = n / _UNIFORMITY_BINS
     stat = float(np.sum((hist - expected) ** 2) / expected)
-    pvalue = float(chi2.sf(stat, _UNIFORMITY_BINS - 1))
+    pvalue = _uniformity_pvalue(stat)
     se2 = params.ps * params.sigma2 / (real.g1 * params.ps + params.sigma2) \
         + params.ps * params.sigma2 / (real.g2 * params.ps + params.sigma2)
     return ChainReport(
@@ -169,8 +186,10 @@ def scan_scaling(params: SystemParams, real: ChannelRealization, cfg: LatticeCon
                  alpha_grid, beta_grid) -> np.ndarray:
     """Measured linear-residual variance over a grid of scaling pairs.
 
-    Reuses the same draws (common random numbers) at every grid point, so
-    the empirical argmin lands within one grid step of the MMSE pair.
+    Draws each block once and evaluates every grid point on it (common
+    random numbers), so the empirical argmin lands within one grid step
+    of the MMSE pair.  Each point sums its blocks in index order and
+    equals ``simulate_chain(..., alpha, beta).measured_residual_var``.
     Returns an array of shape (len(alpha_grid), len(beta_grid)).
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
@@ -178,11 +197,11 @@ def scan_scaling(params: SystemParams, real: ChannelRealization, cfg: LatticeCon
     for grid in (alpha_grid, beta_grid):
         if np.any(grid <= 0) or np.any(grid > 1.5):
             raise ValueError("scaling grids must lie in (0, 1.5]")
-    out = np.zeros((alpha_grid.size, beta_grid.size))
-    for i, a in enumerate(alpha_grid):
-        for j, b in enumerate(beta_grid):
-            sum_r2 = 0.0
-            for _, _, r in _chain_blocks(params, real, cfg, a, b):
-                sum_r2 += float(np.sum(r * r))
-            out[i, j] = sum_r2 / int(cfg.n_symbols)
-    return out
+    delta = cfg.delta
+    sums = np.zeros((alpha_grid.size, beta_grid.size))
+    for draws in _block_draws(params, real, cfg):
+        for i, a in enumerate(alpha_grid):
+            for j, b in enumerate(beta_grid):
+                _, _, r = _chain_block(real, delta, draws, a, b)
+                sums[i, j] += float(np.sum(r * r))
+    return sums / int(cfg.n_symbols)

@@ -95,6 +95,15 @@ class TestFig5:
         assert np.max(np.abs(col["dg_mf_numeric"] - col["dg_mf"])) <= 0.1
         assert np.max(np.abs(col["dg_af_numeric"] - col["dg_af"])) <= 0.1
 
+    def test_no_negative_zero_cells(self, tmp_path):
+        # at the defaults dg_af_numeric is -0.0 on the rows rho >= 2.25
+        out = tmp_path / "fig5.csv"
+        assert run_cli(["fig5", "--out", str(out)]) == 0
+        _, header, rows = read_table(out)
+        assert np.any(rows == 0.0)
+        cells = [c for line in out.read_text().splitlines()[5:] for c in line.split(",")]
+        assert "-0" not in cells
+
 
 class TestSweep:
     def test_outage_columns_with_mc(self, tmp_path):
@@ -185,6 +194,17 @@ class TestPlumbing:
         unknown.write_text(json.dumps({"no_such_key": 1}))
         assert run_cli(["fig2", "--config", str(unknown)]) == 2
 
+    def test_library_value_error_exits_2(self):
+        # the fig4 axis is rd whatever --axis says; rd up to 1e4 leaves K1's domain
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfrelay", "fig4", "--axis", "ps", "--axis-min", "1",
+             "--axis-max", "1e4", "--mc-samples", "0"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert proc.stdout == ""
+
     def test_io_failure_exits_3(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "t.csv"
         assert run_cli(["fig2", "--axis-points", "3", "--out", str(missing_dir)]) == 3
@@ -200,3 +220,11 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "rs_mf" in proc.stdout
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mfrelay; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

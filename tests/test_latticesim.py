@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfrelay.channel import ChannelRealization, SystemParams
-from mfrelay.latticesim import (ChainReport, LatticeConfig, mmse_scalings,
-                                mod_lattice, residual_variance_bound,
-                                scan_scaling, simulate_chain)
+from mfrelay.latticesim import (ChainReport, LatticeConfig, _uniformity_pvalue,
+                                mmse_scalings, mod_lattice,
+                                residual_variance_bound, scan_scaling,
+                                simulate_chain)
 
 
 def setup(g1=3.0, g2=3.0, ps=1.0, pd=10.0, n=10 ** 6, seed=42):
@@ -107,6 +110,13 @@ class TestSimulateChain:
         with pytest.raises(ValueError):
             simulate_chain(params, dead, cfg)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e4))
+    def test_uniformity_pvalue_is_chi2_sf(self, stat):
+        from scipy.stats import chi2
+
+        assert _uniformity_pvalue(stat) == pytest.approx(chi2.sf(stat, 63), rel=1e-12, abs=0)
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             ChainReport(measured_relay_power=1.0, measured_residual_var=0.5,
@@ -142,6 +152,15 @@ class TestScanScaling:
         analytic_gap = (residual_variance_bound(params, real, 1.0, 1.0)
                         - residual_variance_bound(params, real, 0.75, 0.75))
         assert gap == pytest.approx(analytic_gap, rel=0.15)
+
+    def test_points_equal_simulate_chain(self):
+        # 3 blocks, the last one partial; one draw per block serves the grid
+        params, real, cfg = setup(n=300001)
+        alphas, betas = np.array([0.6, 0.75, 1.0]), np.array([0.7, 0.9])
+        surface = scan_scaling(params, real, cfg, alphas, betas)
+        for i, j in ((0, 1), (2, 0)):
+            rep = simulate_chain(params, real, cfg, alpha=alphas[i], beta=betas[j])
+            assert surface[i, j] == rep.measured_residual_var
 
     def test_grid_validation(self):
         params, real, cfg = setup(n=10)
