@@ -90,8 +90,16 @@ class Thresholds:
     gamma_s: float
 
 
+def _exp2_2rd(rd):
+    """2^(2 rd), the base of every threshold; a ValueError names rd where
+    the power would overflow a double (rd >= 512)."""
+    if np.any(np.asarray(rd) >= 512.0):
+        raise ValueError("rd must be below 512 bits: 2^(2 rd) overflows a double")
+    return 2.0 ** (2.0 * rd)
+
+
 def thresholds(config: RateConfig) -> Thresholds:
-    gamma_o = 2.0 ** (2.0 * config.rd) - 1.0
+    gamma_o = _exp2_2rd(config.rd) - 1.0
     return Thresholds(
         gamma_o=gamma_o,
         gamma_1=gamma_o + 0.5,

@@ -11,7 +11,9 @@ sweeps:
   chain  modulo signal-chain validation grid
 
 Configuration comes from JSON (--config) with per-experiment defaults;
-flags override file values.  Output is CSV with '#' metadata lines and
+flags override file values.  A flag or key the experiment would ignore
+(one it does not read, its own axis, or pd together with rho) and a value
+of the wrong type are rejected.  Output is CSV with '#' metadata lines and
 12-significant-digit cells; identical (config, seed) pairs produce
 byte-identical files.  Exit codes: 0 ok, 2 invalid config (including a
 library ValueError raised during the run), 3 I/O failure.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,14 +33,16 @@ from .asymptotics import (Scheme, estimate_gsdof, estimate_gsdg,
                           gsdg_closed_form, gsdof_closed_form)
 from .channel import ChannelRealization, RateConfig, SystemParams, thresholds
 from .latticesim import LatticeConfig, simulate_chain
-from .outage import mc_outage, outage_probs, p_conn_af, p_conn_cutset_lower
+from .outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
 from .rates import af_rates, mf_gap, mf_rates, secrecy_upper_bound
 
-EXPERIMENTS = ("fig2", "fig3", "fig4", "fig5", "sweep", "chain")
-
 PARAM_KEYS = ("ps", "pd", "sigma2", "eps1", "eps2", "rd", "rs", "rho")
-AXIS_KEYS = ("axis", "axis_min", "axis_max", "axis_points", "axis_scale")
 SWEEPABLE = ("ps", "pd", "sigma2", "eps1", "eps2", "rd", "rs")
+_SYSTEM_KEYS = ("ps", "pd", "sigma2", "eps1", "eps2")
+_RANGE = ("axis_min", "axis_max", "axis_points", "axis_scale")
+_INTEGRAL = ("seed", "mc_samples", "axis_points")
+_CHOICES = {"axis": SWEEPABLE + ("rho",), "axis_scale": ("linear", "log")}
+_MINIMUM = {"mc_samples": 0, "axis_points": 1, "rho": 0.0}
 
 _DEFAULTS = {
     "ps": 10.0, "pd": 10.0, "sigma2": 1.0, "eps1": 1.0, "eps2": 1.0,
@@ -45,20 +50,6 @@ _DEFAULTS = {
     "axis": None, "axis_min": None, "axis_max": None,
     "axis_points": None, "axis_scale": None,
     "mc_samples": 0, "seed": 1234, "out": None,
-}
-
-_EXPERIMENT_DEFAULTS = {
-    "fig2": {"axis": "pd", "axis_min": 1.0, "axis_max": 1e8,
-             "axis_points": 33, "axis_scale": "log"},
-    "fig3": {"axis": "rho", "axis_min": 0.0, "axis_max": 3.0,
-             "axis_points": 25, "axis_scale": "linear"},
-    "fig4": {"axis": "rd", "axis_min": 0.5, "axis_max": 15.0,
-             "axis_points": 30, "axis_scale": "linear", "mc_samples": 100000},
-    "fig5": {"axis": "rho", "axis_min": 0.0, "axis_max": 3.0,
-             "axis_points": 25, "axis_scale": "linear"},
-    "sweep": {"axis": "ps", "axis_min": 1.0, "axis_max": 1e4,
-              "axis_points": 25, "axis_scale": "log"},
-    "chain": {"ps": 1.0, "mc_samples": 1000000},
 }
 
 
@@ -69,56 +60,69 @@ class ConfigError(Exception):
 def load_config(experiment: str, config_path: str | None, overrides: dict) -> dict:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    cfg = dict(_DEFAULTS)
-    cfg.update(_EXPERIMENT_DEFAULTS.get(experiment, {}))
-    cfg["experiment"] = experiment
+    given = {}
     if config_path is not None:
         try:
             with open(config_path) as fh:
-                data = json.load(fh)
+                given = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(given, dict):
             raise ConfigError("config JSON must be an object")
-        unknown = set(data) - set(_DEFAULTS) - {"experiment"}
+        unknown = set(given) - set(_DEFAULTS) - {"experiment"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        file_experiment = data.pop("experiment", experiment)
+        file_experiment = given.pop("experiment", experiment)
         if file_experiment != experiment:
-            raise ConfigError(
-                f"config file is for {file_experiment!r}, not {experiment!r}")
-        cfg.update(data)
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    _validate(cfg)
+            raise ConfigError(f"config file is for {file_experiment!r}, not {experiment!r}")
+    given.update({k: v for k, v in overrides.items() if v is not None})
+    cfg = {**_DEFAULTS, **_TABLE[experiment].defaults, "experiment": experiment, **given}
+    _validate(cfg, given)
     return cfg
 
 
-def _validate(cfg: dict):
+def _validate(cfg: dict, given: dict):
+    """Check the types of the keys set by flags or JSON, reject those the
+    experiment would ignore, then check the ranges of the merged config."""
+    for key, value in given.items():
+        if key == "out":
+            ok, kind = isinstance(value, str), "a path"
+        elif key in _CHOICES:
+            ok, kind = isinstance(value, str) and value in _CHOICES[key], f"one of {_CHOICES[key]}"
+        else:  # a bool is an int to Python, and an int may be too large for a double
+            ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+                  and abs(value) <= sys.float_info.max
+                  and (key not in _INTEGRAL or value == int(value)))
+            kind = "an integer" if key in _INTEGRAL else "a finite number"
+        if not ok:
+            raise ConfigError(f"{key} must be {kind}, not {value!r}")
+        if key in _MINIMUM and value < _MINIMUM[key]:
+            raise ConfigError(f"{key} must be >= {_MINIMUM[key]}")
+    experiment, axis = cfg["experiment"], cfg["axis"]
+    spec = _TABLE[experiment]
+    if spec.axes and axis not in spec.axes:
+        raise ConfigError(f"{experiment} runs along {' or '.join(spec.axes)}, not {axis}")
+    reads = {"seed", "out", *spec.reads, *(("axis",) + _RANGE if spec.axes else ())} - {axis}
+    ignored = sorted(set(given) - reads)
+    if ignored:
+        along = f" along {axis}" if spec.axes else ""
+        raise ConfigError(f"{experiment}{along} ignores {', '.join(ignored)}; "
+                          f"it reads {', '.join(sorted(reads))}")
+    if "rho" in given and (axis == "pd" or "pd" in given):
+        raise ConfigError("rho and pd cannot both be set: rho derives pd = snr^rho * sigma2")
     try:
-        SystemParams(ps=float(cfg["ps"]), pd=float(cfg["pd"]), sigma2=float(cfg["sigma2"]),
-                     eps1=float(cfg["eps1"]), eps2=float(cfg["eps2"]))
+        SystemParams(**{k: float(cfg[k]) for k in _SYSTEM_KEYS})
         RateConfig(rd=float(cfg["rd"]), rs=float(cfg["rs"]))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg["mc_samples"] is not None and int(cfg["mc_samples"]) < 0:
-        raise ConfigError("mc_samples must be >= 0")
-    if cfg.get("axis") is not None:
-        if cfg["axis"] not in SWEEPABLE + ("rho",):
-            raise ConfigError(f"axis must be one of {SWEEPABLE + ('rho',)}")
+    if axis is not None:
         lo, hi = float(cfg["axis_min"]), float(cfg["axis_max"])
-        pts = int(cfg["axis_points"])
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-            raise ConfigError("sweep bounds must be finite with min <= max")
-        if pts < 1:
-            raise ConfigError("axis_points must be >= 1")
-        if cfg["axis_scale"] not in ("linear", "log"):
-            raise ConfigError("axis_scale must be 'linear' or 'log'")
+        if lo > hi:
+            raise ConfigError("axis_min must not exceed axis_max")
         if cfg["axis_scale"] == "log" and lo <= 0:
             raise ConfigError("log-scaled axis needs positive bounds")
-    if cfg.get("rho") is not None and float(cfg["rho"]) < 0:
-        raise ConfigError("rho must be nonnegative")
 
 
 def _axis_values(cfg: dict) -> np.ndarray:
@@ -128,16 +132,6 @@ def _axis_values(cfg: dict) -> np.ndarray:
     if cfg["axis_scale"] == "log":
         return np.logspace(np.log10(lo), np.log10(hi), pts)
     return np.linspace(lo, hi, pts)
-
-
-def _row_params(cfg: dict, axis: str | None = None, value: float | None = None) -> SystemParams:
-    fields = {k: float(cfg[k]) for k in ("ps", "pd", "sigma2", "eps1", "eps2")}
-    if axis in fields:
-        fields[axis] = float(value)
-    if cfg.get("rho") is not None and axis != "pd":
-        snr = fields["ps"] / fields["sigma2"]
-        fields["pd"] = snr ** float(cfg["rho"]) * fields["sigma2"]
-    return SystemParams(**fields)
 
 
 def run_fig2(cfg: dict):
@@ -153,63 +147,42 @@ def run_fig2(cfg: dict):
     return header, rows
 
 
-def run_fig3(cfg: dict):
-    header = ["rho", "sd_upper", "sd_mf", "sd_af", "sd_mf_numeric", "sd_af_numeric"]
+def _run_rho(cfg: dict, prefix: str, closed_form, estimate):
+    """A rho law per row: upper/MF/AF closed forms, then MF/AF estimates."""
+    header = ["rho"] + [f"{prefix}_{col}" for col in
+                        ("upper", "mf", "af", "mf_numeric", "af_numeric")]
     rows = []
     for rho in _axis_values(cfg):
         rho = float(rho)
-        rows.append([rho,
-                     gsdof_closed_form(Scheme.UPPER, rho),
-                     gsdof_closed_form(Scheme.MF, rho),
-                     gsdof_closed_form(Scheme.AF, rho),
-                     estimate_gsdof(Scheme.MF, rho),
-                     estimate_gsdof(Scheme.AF, rho)])
+        rows.append([rho, *(closed_form(s, rho) for s in (Scheme.UPPER, Scheme.MF, Scheme.AF)),
+                     *(estimate(s, rho) for s in (Scheme.MF, Scheme.AF))])
     return header, rows
 
 
-def run_fig4(cfg: dict):
-    mc_n = int(cfg["mc_samples"])
-    header = ["rd", "p_conn_mf", "p_conn_af", "p_secrecy",
-              "p_total_lower", "p_total_upper"]
-    if mc_n > 0:
-        header += ["p_conn_mf_mc", "p_conn_af_mc", "p_secrecy_mc",
-                   "se_conn_mf_mc", "se_conn_af_mc", "se_secrecy_mc"]
-    rows = []
-    for idx, rd in enumerate(_axis_values(cfg)):
-        rd = float(rd)
-        params = _row_params(cfg)
-        rc = RateConfig(rd=rd, rs=min(float(cfg["rs"]), rd))
-        probs = outage_probs(params, rc)
-        row = [rd, probs.p_conn, p_conn_af(params, rd), probs.p_secrecy,
-               probs.p_total_lower, probs.p_total_upper]
-        if mc_n > 0:
-            conn_mf, sec, _ = mc_outage(params, rc, Scheme.MF, mc_n, int(cfg["seed"]), stream=idx)
-            conn_af, _, _ = mc_outage(params, rc, Scheme.AF, mc_n, int(cfg["seed"]), stream=idx)
-            row += [conn_mf.p_hat, conn_af.p_hat, sec.p_hat,
-                    conn_mf.std_err, conn_af.std_err, sec.std_err]
-        rows.append(row)
-    return header, rows
+def run_fig3(cfg: dict):
+    return _run_rho(cfg, "sd", gsdof_closed_form, estimate_gsdof)
 
 
 def run_fig5(cfg: dict):
     rc = RateConfig(rd=float(cfg["rd"]), rs=float(cfg["rs"]))
-    header = ["rho", "dg_upper", "dg_mf", "dg_af", "dg_mf_numeric", "dg_af_numeric"]
-    rows = []
-    for rho in _axis_values(cfg):
-        rho = float(rho)
-        rows.append([rho,
-                     gsdg_closed_form(Scheme.UPPER, rho),
-                     gsdg_closed_form(Scheme.MF, rho),
-                     gsdg_closed_form(Scheme.AF, rho),
-                     estimate_gsdg(Scheme.MF, rho, config=rc),
-                     estimate_gsdg(Scheme.AF, rho, config=rc)])
-    return header, rows
+    return _run_rho(cfg, "dg", gsdg_closed_form,
+                    lambda scheme, rho: estimate_gsdg(scheme, rho, config=rc))
+
+
+_FIG4_COLUMNS = ("rd", "p_conn_mf", "p_conn_af", "p_secrecy", "p_total_lower", "p_total_upper",
+                 "p_conn_mf_mc", "p_conn_af_mc", "p_secrecy_mc",
+                 "se_conn_mf_mc", "se_conn_af_mc", "se_secrecy_mc")
+
+
+def run_fig4(cfg: dict):
+    """Outage versus rd: the columns of the rd sweep that Fig. 4 plots."""
+    header, rows = run_sweep(cfg)
+    keep = [header.index(name) for name in _FIG4_COLUMNS if name in header]
+    return [header[i] for i in keep], [[row[i] for i in keep] for row in rows]
 
 
 def run_sweep(cfg: dict):
     axis = cfg["axis"]
-    if axis == "rho":
-        raise ConfigError("sweep over rho is covered by fig3/fig5")
     mc_n = int(cfg["mc_samples"])
     header = [axis, "gamma_o", "gamma_1", "gamma_s",
               "p_conn_cutset", "p_conn_mf", "p_conn_af", "p_secrecy",
@@ -219,11 +192,12 @@ def run_sweep(cfg: dict):
                    "se_conn_mf_mc", "se_conn_af_mc", "se_secrecy_mc", "se_total_mf_mc"]
     rows = []
     for idx, val in enumerate(_axis_values(cfg)):
-        val = float(val)
-        rd = val if axis == "rd" else float(cfg["rd"])
-        rs = val if axis == "rs" else float(cfg["rs"])
-        rc = RateConfig(rd=rd, rs=min(rs, rd))
-        params = _row_params(cfg, axis if axis in ("ps", "pd", "sigma2", "eps1", "eps2") else None, val)
+        point = {k: float(cfg[k]) for k in SWEEPABLE}
+        point[axis] = val = float(val)
+        if cfg["rho"] is not None:  # pd follows the row's snr
+            point["pd"] = (point["ps"] / point["sigma2"]) ** float(cfg["rho"]) * point["sigma2"]
+        params = SystemParams(**{k: point[k] for k in _SYSTEM_KEYS})
+        rc = RateConfig(rd=point["rd"], rs=min(point["rs"], point["rd"]))
         th = thresholds(rc)
         probs = outage_probs(params, rc)
         row = [val, th.gamma_o, th.gamma_1, th.gamma_s,
@@ -231,8 +205,10 @@ def run_sweep(cfg: dict):
                p_conn_af(params, rc.rd), probs.p_secrecy,
                probs.p_total_lower, probs.p_total_upper]
         if mc_n > 0:
-            conn_mf, sec, joint = mc_outage(params, rc, Scheme.MF, mc_n, int(cfg["seed"]), stream=idx)
-            conn_af, _, _ = mc_outage(params, rc, Scheme.AF, mc_n, int(cfg["seed"]), stream=idx)
+            # one pass: MF and AF see the same draws, as do secrecy and joint
+            mf, af = _mc_counts(params, rc, (Scheme.MF, Scheme.AF), mc_n, int(cfg["seed"]),
+                                stream=idx)
+            conn_mf, sec, joint, conn_af = (MCEstimate.from_counts(h, mc_n) for h in (*mf, af[0]))
             row += [conn_mf.p_hat, conn_af.p_hat, sec.p_hat, joint.p_hat,
                     conn_mf.std_err, conn_af.std_err, sec.std_err, joint.std_err]
         rows.append(row)
@@ -262,8 +238,35 @@ def run_chain(cfg: dict):
     return header, rows
 
 
-_RUNNERS = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4,
-            "fig5": run_fig5, "sweep": run_sweep, "chain": run_chain}
+class _Experiment(NamedTuple):
+    run: Callable
+    axes: tuple      # the axis values it accepts; () for none
+    reads: tuple     # keys it reads besides seed, out and the axis keys
+    defaults: dict
+
+
+_RHO_AXIS = {"axis": "rho", "axis_min": 0.0, "axis_max": 3.0,
+             "axis_points": 25, "axis_scale": "linear"}
+_SWEEP_READS = PARAM_KEYS + ("mc_samples",)
+
+# The one place an experiment's policy lives: defaults, axis and the keys
+# load_config accepts.  A key is read unless it is the row's axis.
+_TABLE = {
+    "fig2": _Experiment(run_fig2, ("pd",), ("sigma2", "eps1", "eps2"),
+                        {"axis": "pd", "axis_min": 1.0, "axis_max": 1e8,
+                         "axis_points": 33, "axis_scale": "log"}),
+    "fig3": _Experiment(run_fig3, ("rho",), (), _RHO_AXIS),
+    "fig4": _Experiment(run_fig4, ("rd",), _SWEEP_READS,
+                        {"axis": "rd", "axis_min": 0.5, "axis_max": 15.0, "axis_points": 30,
+                         "axis_scale": "linear", "mc_samples": 100000}),
+    "fig5": _Experiment(run_fig5, ("rho",), ("rd", "rs"), _RHO_AXIS),
+    "sweep": _Experiment(run_sweep, SWEEPABLE, _SWEEP_READS,
+                         {"axis": "ps", "axis_min": 1.0, "axis_max": 1e4,
+                          "axis_points": 25, "axis_scale": "log"}),
+    "chain": _Experiment(run_chain, (), ("ps", "sigma2", "eps1", "eps2", "mc_samples"),
+                         {"ps": 1.0, "mc_samples": 1000000}),
+}
+EXPERIMENTS = tuple(_TABLE)
 
 
 def format_table(cfg: dict, header, rows) -> str:
@@ -316,21 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k) for k in
-                 PARAM_KEYS + AXIS_KEYS + ("mc_samples", "seed", "out")}
+    overrides = {k: v for k, v in vars(args).items() if k not in ("experiment", "config")}
     try:
         cfg = load_config(args.experiment, args.config, overrides)
-        header, rows = _RUNNERS[args.experiment](cfg)
-        text = format_table(cfg, header, rows)
+        header, rows = _TABLE[args.experiment].run(cfg)
+        write_output(format_table(cfg, header, rows), cfg.get("out"))
     except (ConfigError, ValueError) as exc:
         # a library ValueError means the config reached outside a model's domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        write_output(text, cfg.get("out"))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

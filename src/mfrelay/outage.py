@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import Scheme
-from .channel import RateConfig, SystemParams, Thresholds, rng_stream, sample_gains, thresholds
+from .channel import (RateConfig, SystemParams, Thresholds, _exp2_2rd, rng_stream,
+                      sample_gains, thresholds)
 from .numerics import Interval, bessel_k1
 
 _MC_BLOCK = 1 << 17  # fixed block size keeps merged estimates worker-count independent
@@ -61,7 +62,7 @@ class OutageProbs:
 def p_conn_cutset_lower(params: SystemParams, rd: float):
     """Connection-outage lower bound from the cut-set capacity:
     1 - exp(-(1/eps1 + 1/eps2) * gamma_o * sigma2 / ps)."""
-    gamma_o = 2.0 ** (2.0 * np.asarray(rd, dtype=float)) - 1.0
+    gamma_o = _exp2_2rd(np.asarray(rd, dtype=float)) - 1.0
     expo = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_o * params.sigma2 / params.ps
     out = -np.expm1(-expo)
     return float(out) if np.ndim(out) == 0 else out
@@ -92,7 +93,7 @@ def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
     Returns 0 at rd = 0 by the zero-rate convention.
     """
     rd = np.asarray(rd, dtype=float)
-    gamma_1 = 2.0 ** (2.0 * rd) - 0.5
+    gamma_1 = _exp2_2rd(rd) - 0.5
     a = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_1 * params.sigma2 / params.ps
     if asymptotic:
         out = np.where(rd > 0, a, 0.0)
@@ -108,7 +109,7 @@ def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
     where the closed form's 1/gamma_o is singular.
     """
     rd = np.asarray(rd, dtype=float)
-    gamma_o = 2.0 ** (2.0 * rd) - 1.0
+    gamma_o = _exp2_2rd(rd) - 1.0
     safe = np.where(gamma_o > 0, gamma_o, 1.0)
     ratio = (params.ps + params.pd) / params.ps
     a = (safe * params.sigma2 / params.ps) * (ratio / params.eps1 + 1.0 / params.eps2)
@@ -161,6 +162,36 @@ def _conn_event(scheme: Scheme, params: SystemParams, th: Thresholds, g1, g2):
     return np.minimum(g1, g2) * snr < th.gamma_o  # cut-set capacity
 
 
+def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: int,
+               stream: int = 0):
+    """Hit counts [(connection, secrecy, joint) per scheme] over n draws.
+
+    Each block is drawn once and every scheme's connection event is
+    evaluated on it, so the schemes are compared on the same fading.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("mc_outage needs n >= 1 samples")
+    th = thresholds(config)
+    hits_conn = [0] * len(schemes)
+    hits_joint = [0] * len(schemes)
+    hits_sec = 0
+    done = 0
+    block = 0
+    while done < n:
+        m = min(_MC_BLOCK, n - done)
+        g1, g2 = sample_gains(params, rng_stream(seed, (stream, block)), m)
+        sec = params.ps * g1 / (params.pd * g2 + params.sigma2) > th.gamma_s
+        hits_sec += int(np.count_nonzero(sec))
+        for k, scheme in enumerate(schemes):
+            conn = _conn_event(scheme, params, th, g1, g2)
+            hits_conn[k] += int(np.count_nonzero(conn))
+            hits_joint[k] += int(np.count_nonzero(conn | sec))
+        done += m
+        block += 1
+    return [(c, hits_sec, j) for c, j in zip(hits_conn, hits_joint)]
+
+
 def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme, n: int, seed: int,
               stream: int = 0):
     """Monte Carlo (connection, secrecy, joint) outage estimates.
@@ -172,23 +203,5 @@ def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme, n: int, 
     through the gains).  ``stream`` namespaces independent runs under one
     seed (e.g. one stream per sweep row).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("mc_outage needs n >= 1 samples")
-    th = thresholds(config)
-    hits_conn = hits_sec = hits_joint = 0
-    done = 0
-    block = 0
-    while done < n:
-        m = min(_MC_BLOCK, n - done)
-        g1, g2 = sample_gains(params, rng_stream(seed, (stream, block)), m)
-        conn = _conn_event(scheme, params, th, g1, g2)
-        sec = params.ps * g1 / (params.pd * g2 + params.sigma2) > th.gamma_s
-        hits_conn += int(np.count_nonzero(conn))
-        hits_sec += int(np.count_nonzero(sec))
-        hits_joint += int(np.count_nonzero(conn | sec))
-        done += m
-        block += 1
-    return (MCEstimate.from_counts(hits_conn, n),
-            MCEstimate.from_counts(hits_sec, n),
-            MCEstimate.from_counts(hits_joint, n))
+    (counts,) = _mc_counts(params, config, (scheme,), n, seed, stream)
+    return tuple(MCEstimate.from_counts(hits, int(n)) for hits in counts)

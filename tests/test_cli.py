@@ -1,11 +1,16 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from mfrelay.cli import main
+from mfrelay.cli import SWEEPABLE, main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(args):
@@ -195,7 +200,7 @@ class TestPlumbing:
         assert run_cli(["fig2", "--config", str(unknown)]) == 2
 
     def test_library_value_error_exits_2(self):
-        # the fig4 axis is rd whatever --axis says; rd up to 1e4 leaves K1's domain
+        # fig4 runs along rd only, so --axis ps is rejected before the run starts
         proc = subprocess.run(
             [sys.executable, "-m", "mfrelay", "fig4", "--axis", "ps", "--axis-min", "1",
              "--axis-max", "1e4", "--mc-samples", "0"],
@@ -204,6 +209,26 @@ class TestPlumbing:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("error: ")
         assert proc.stdout == ""
+
+    def test_library_value_error_mid_run_exits_2(self):
+        # the config is valid, but the row sigma2 = 0 leaves SystemParams' domain
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfrelay", "sweep", "--axis", "sigma2", "--axis-min", "0",
+             "--axis-max", "1", "--axis-scale", "linear", "--axis-points", "2"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["error: ps and sigma2 must be positive"]
+        assert proc.stdout == ""
+
+    def test_rd_overflow_exits_2(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfrelay", "sweep", "--axis", "rd", "--axis-min", "600",
+             "--axis-max", "600", "--axis-points", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1  # no overflow warning, no traceback
+        assert proc.stderr.startswith("error: rd must be below 512")
 
     def test_io_failure_exits_3(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "t.csv"
@@ -228,3 +253,115 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+
+# Small configs whose CSV bytes were recorded in tests/data/<name>.csv before
+# fig4 became a projection of sweep and sweep rows drew MF and AF together;
+# the MC runs use n = 140000, two blocks per row.
+GOLDEN = {
+    "fig2": ["fig2", "--axis-points", "9"],
+    "fig3": ["fig3", "--axis-points", "7"],
+    "fig4": ["fig4", "--axis-points", "6", "--mc-samples", "140000", "--seed", "7"],
+    "fig5": ["fig5", "--axis-points", "7"],
+    "sweep": ["sweep", "--axis-min", "2", "--axis-max", "200", "--axis-points", "4",
+              "--rho", "1.5", "--mc-samples", "140000", "--seed", "3"],
+    "chain": ["chain", "--mc-samples", "20000", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_csv_bytes(name, tmp_path):
+    out = tmp_path / "t.csv"
+    assert run_cli(GOLDEN[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+def assert_one_error_line(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--axis", "ps", "--axis-min", "1", "--axis-max", "1e4"],  # not its axis
+    ["fig3", "--axis", "pd"],
+    ["fig3", "--rho", "2"],              # its axis, not a key
+    ["fig2", "--ps", "5"],               # fig2 ties ps to sqrt(pd)
+    ["fig2", "--mc-samples", "10"],
+    ["fig4", "--rd", "3"],
+    ["sweep", "--axis", "pd", "--rho", "1.5"],
+    ["sweep", "--pd", "3", "--rho", "1.5"],
+    ["sweep", "--axis", "ps", "--ps", "5"],
+    ["chain", "--axis", "rd"],
+    ["chain", "--pd", "3"],
+    ["sweep", "--ps", "nan"],
+    ["sweep", "--mc-samples", "-1"],
+    ["sweep", "--axis-points", "0"],
+    ["sweep", "--axis", "rd", "--axis-min", "600", "--axis-max", "600", "--axis-points", "1"],
+    ["fig5", "--rd", "600"],
+])
+def test_ignored_or_invalid_flags_rejected(argv, capsys):
+    assert_one_error_line(run_cli(argv), capsys)
+
+
+@pytest.mark.parametrize("experiment, data", [
+    ("fig2", {"seed": [1]}),
+    ("fig2", {"seed": "abc"}),
+    ("sweep", {"axis_points": "x"}),
+    ("fig4", {"mc_samples": 2.5}),
+    ("sweep", {"ps": True}),
+    ("sweep", {"ps": 10 ** 400}),
+    ("fig4", {"rho": None}),
+    ("fig2", {"out": 3}),
+    ("fig3", {"axis_scale": "cubic"}),
+    ("sweep", {"axis": "rho"}),
+    ("fig5", {"axis": "rho", "rho": 1.0}),
+])
+def test_ignored_or_mistyped_json_rejected(experiment, data, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert_one_error_line(run_cli([experiment, "--config", str(cfg)]), capsys)
+
+
+@pytest.mark.parametrize("experiment, data", [
+    ("fig2", {"axis": "pd", "axis_points": 3, "seed": 4}),
+    ("fig3", {"axis": "rho", "axis_points": 3}),
+    ("fig4", {"axis": "rd", "axis_points": 3, "mc_samples": 100, "rho": 1.5}),
+    ("sweep", {"axis": "rd", "axis_max": 3, "axis_points": 3, "rs": 0.25, "mc_samples": 1e2}),
+    ("chain", {"ps": 2, "mc_samples": 1000}),
+])
+def test_keys_the_run_reads_accepted(experiment, data, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**data, "out": str(tmp_path / "t.csv")}))
+    assert run_cli([experiment, "--config", str(cfg)]) == 0
+
+
+_FUZZ_KEYS = ("ps", "pd", "sigma2", "eps1", "eps2", "rd", "rs", "rho", "axis", "axis_min",
+              "axis_max", "axis_points", "axis_scale", "mc_samples", "seed")
+# magnitudes stay small so that every accepted config runs in milliseconds
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.floats(-9.0, 9.0),
+    st.sampled_from([float("nan"), float("inf"), 600.5, 10 ** 400]),
+    st.sampled_from(SWEEPABLE + ("rho", "linear", "log", "")),
+    st.lists(st.integers(0, 2), max_size=2))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiment=st.sampled_from(("fig2", "fig3", "fig4", "fig5", "sweep", "chain")),
+       data=st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, max_size=4))
+def test_fuzzed_json_config_exits_0_or_2(experiment, data, tmp_path, capsys):
+    # chain reads mc_samples = 0 as its 1e6-symbol default
+    assume(not (experiment == "chain" and data.get("mc_samples") == 0))
+    small = {"axis_points": 3} if experiment != "chain" else {}
+    if experiment in ("fig4", "sweep", "chain"):
+        small["mc_samples"] = 50
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps({**small, **data}))
+    code = run_cli([experiment, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == "" and out.startswith("# mfrelay ")

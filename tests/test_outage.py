@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mfrelay.asymptotics import Scheme
-from mfrelay.channel import RateConfig, SystemParams, rng_stream
-from mfrelay.outage import (MCEstimate, OutageProbs, mc_outage, outage_probs,
-                            p_conn_af, p_conn_cutset_lower, p_conn_mf,
+from mfrelay.channel import RateConfig, SystemParams, rng_stream, sample_gains, thresholds
+from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _mc_counts, mc_outage,
+                            outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
                             p_secrecy, p_secrecy_threshold, tradeoff_residual)
 
 
@@ -144,6 +146,31 @@ class TestClosedFormRanges:
         assert np.all(np.diff(conn) > 0)
 
 
+    def test_rd_overflow_names_rd(self):
+        # 2^(2 rd) overflows a double from rd = 512 on; every user of the
+        # power says so before numpy can warn or K1 sees inf
+        p = params()
+        calls = (lambda rd: thresholds(RateConfig(rd=rd, rs=0.5)),
+                 lambda rd: p_conn_mf(p, rd), lambda rd: p_conn_af(p, rd),
+                 lambda rd: p_conn_cutset_lower(p, rd),
+                 lambda rd: p_conn_mf(p, np.array([1.0, rd])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="rd must be below 512"):
+                    call(512.0)
+                call(500.0)
+
+    def test_threshold_powers_unchanged(self):
+        rd = np.array([0.0, 0.25, 1.0, 3.7, 15.0, 100.0])
+        p = params()
+        expo = (1.0 / p.eps1 + 1.0 / p.eps2) * (2.0 ** (2.0 * rd) - 1.0) * p.sigma2 / p.ps
+        assert np.array_equal(p_conn_cutset_lower(p, rd), -np.expm1(-expo))
+        for r in rd:
+            th = thresholds(RateConfig(rd=float(r), rs=0.0))
+            assert th.gamma_o == 2.0 ** (2.0 * float(r)) - 1.0
+
+
 class TestTotalOutageBounds:
     def test_bound_pair(self):
         probs = outage_probs(params(), RateConfig(rd=1.0, rs=0.5))
@@ -215,6 +242,26 @@ class TestMonteCarlo:
         assert all(x.p_hat == y.p_hat for x, y in zip(a, b))
         c = mc_outage(p, rc, Scheme.MF, 300001, 16)
         assert c[0].p_hat != a[0].p_hat
+
+    def test_one_pass_equals_one_pass_per_scheme(self):
+        # n spans two blocks; drawing once for (MF, AF) must count exactly
+        # what one block loop per scheme counts
+        p = params(ps=4.0, pd=8.0)
+        rc = RateConfig(rd=1.0, rs=0.5)
+        n, seed, stream = (1 << 17) + 5, 21, 3
+        both = _mc_counts(p, rc, (Scheme.MF, Scheme.AF), n, seed, stream)
+        th = thresholds(rc)
+        for scheme, counts in zip((Scheme.MF, Scheme.AF), both):
+            ref = [0, 0, 0]
+            for block, m in enumerate((1 << 17, 5)):
+                g1, g2 = sample_gains(p, rng_stream(seed, (stream, block)), m)
+                conn = _conn_event(scheme, p, th, g1, g2)
+                sec = p.ps * g1 / (p.pd * g2 + p.sigma2) > th.gamma_s
+                for k, event in enumerate((conn, sec, conn | sec)):
+                    ref[k] += int(np.count_nonzero(event))
+            assert list(counts) == ref
+            assert mc_outage(p, rc, scheme, n, seed, stream) == tuple(
+                MCEstimate.from_counts(h, n) for h in counts)
 
     def test_streams_are_disjoint(self):
         p = params()
