@@ -5,8 +5,7 @@ sample-level modulo-lattice signal chain, all cross-validated by Monte
 Carlo.
 """
 
-from .asymptotics import (Scheme, estimate_gsdof, estimate_gsdg,
-                          gsdg_closed_form, gsdof_closed_form)
+from .asymptotics import estimate_gsdof, estimate_gsdg, gsdg_closed_form, gsdof_closed_form
 from .channel import (ChannelRealization, RateConfig, SystemParams, Thresholds,
                       derived_ratios, rng_stream, sample_realization, thresholds)
 from .latticesim import (ChainReport, LatticeConfig, mmse_scalings, mod_lattice,
@@ -15,7 +14,7 @@ from .numerics import Interval, bessel_k1, slope_fit
 from .outage import (MCEstimate, OutageProbs, mc_outage, outage_probs, p_conn_af,
                      p_conn_cutset_lower, p_conn_mf, p_secrecy,
                      p_secrecy_threshold, tradeoff_residual)
-from .rates import (AfRates, DfComparison, MfRates, RateReport, af_rates,
+from .rates import (AfRates, DfComparison, MfRates, RateReport, Scheme, af_rates,
                     cutset_capacity, df_comparison, mf_gap, mf_rates,
                     rate_report, relay_capacity, secrecy_upper_bound,
                     sigma_e_sq)

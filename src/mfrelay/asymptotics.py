@@ -7,22 +7,14 @@ them.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .channel import ChannelRealization, RateConfig, SystemParams
 from .numerics import slope_fit
-from .rates import af_rates, mf_rates, secrecy_upper_bound
+from .outage import p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy
+from .rates import Scheme, af_rates, mf_rates, secrecy_upper_bound
 
 DEFAULT_SNR_GRID = tuple(np.logspace(6, 12, 10))
-
-
-class Scheme(Enum):
-    UPPER = "upper"
-    MF = "mf"
-    AF = "af"
-    CUTSET = "upper"  # alias: the cut-set law backs the upper bound
 
 
 def _check_rho(rho):
@@ -61,42 +53,34 @@ def gsdg_closed_form(scheme: Scheme, rho: float) -> float:
     return 0.0
 
 
-def _check_grid(snr_grid):
+def _snr_points(rho, snr_grid):
+    """The validated grid and one SystemParams holding all of its points:
+    ps = snr*sigma2 and pd = snr^rho*sigma2 with sigma2 = 1."""
+    _check_rho(rho)
     grid = np.asarray(snr_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("snr_grid must be a 1-d grid with >= 2 points")
     if np.any(np.diff(grid) <= 0) or grid[0] < 1e4:
         raise ValueError("snr_grid must be increasing with min >= 1e4")
-    return grid
-
-
-def _rate_fn(scheme: Scheme):
-    if scheme is Scheme.UPPER:
-        return secrecy_upper_bound
-    if scheme is Scheme.MF:
-        return lambda p, r: mf_rates(p, r).rs
-    return lambda p, r: af_rates(p, r).rs_af
+    # float_power rounds as the scalar pow does; np.power's SIMD loop may not
+    return grid, SystemParams(ps=grid, pd=np.float_power(grid, rho), sigma2=1.0)
 
 
 def estimate_gsdof(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,
                    real: ChannelRealization | None = None) -> float:
     """Finite-SNR slope estimate of the secure DoF at a given rho.
 
-    Walks the grid with ps = snr*sigma2 and pd = snr^rho*sigma2, then fits
-    the rate (in nats) against ln(snr).  The limit is independent of the
-    fixed realization, which defaults to g1 = g2 = 1.
+    Evaluates the grid with ps = snr*sigma2 and pd = snr^rho*sigma2, then
+    fits the rate (in nats) against ln(snr).  The limit is independent of
+    the fixed scalar realization, which defaults to g1 = g2 = 1.
     """
-    _check_rho(rho)
-    grid = _check_grid(snr_grid)
+    grid, params = _snr_points(rho, snr_grid)
     if real is None:
         real = ChannelRealization.from_gains(1.0, 1.0)
-    fn = _rate_fn(scheme)
-    pts = []
-    for snr in grid:
-        params = SystemParams(ps=snr, pd=snr ** rho, sigma2=1.0)
-        rate_bits = fn(params, real)
-        pts.append((np.log(snr), rate_bits * np.log(2.0)))
-    return slope_fit(pts)
+    # built per call, so a tracer that rebinds these names sees the calls
+    rate = {Scheme.MF: lambda p, r: mf_rates(p, r).rs,
+            Scheme.AF: lambda p, r: af_rates(p, r).rs_af}.get(scheme, secrecy_upper_bound)
+    return slope_fit(zip(np.log(grid), rate(params, real) * np.log(2.0)))
 
 
 def estimate_gsdg(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,
@@ -107,23 +91,12 @@ def estimate_gsdg(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,
     proxied by max(connection, secrecy) (the two bounds share the
     exponent).
     """
-    from . import outage  # deferred: outage imports Scheme from here
-
-    _check_rho(rho)
-    grid = _check_grid(snr_grid)
+    grid, params = _snr_points(rho, snr_grid)
     if config is None:
         config = RateConfig(rd=1.0, rs=0.5)
-    if scheme in (Scheme.UPPER, Scheme.CUTSET):
-        conn = lambda p: outage.p_conn_cutset_lower(p, config.rd)
-    elif scheme is Scheme.MF:
-        conn = lambda p: outage.p_conn_mf(p, config.rd)
-    else:
-        conn = lambda p: outage.p_conn_af(p, config.rd)
-    pts = []
-    for snr in grid:
-        params = SystemParams(ps=snr, pd=snr ** rho, sigma2=1.0)
-        p_t = max(conn(params), outage.p_secrecy(params, config))
-        if p_t <= 0.0:
-            raise ValueError("total outage proxy underflowed to 0 on the grid")
-        pts.append((np.log(snr), np.log(p_t)))
-    return -slope_fit(pts)
+    # built per call, as in estimate_gsdof
+    conn = {Scheme.MF: p_conn_mf, Scheme.AF: p_conn_af}.get(scheme, p_conn_cutset_lower)
+    p_t = np.maximum(conn(params, config.rd), p_secrecy(params, config))
+    if np.any(p_t <= 0.0):
+        raise ValueError("total outage proxy underflowed to 0 on the grid")
+    return -slope_fit(zip(np.log(grid), np.log(p_t)))

@@ -29,12 +29,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .asymptotics import (Scheme, estimate_gsdof, estimate_gsdg,
-                          gsdg_closed_form, gsdof_closed_form)
+from .asymptotics import estimate_gsdof, estimate_gsdg, gsdg_closed_form, gsdof_closed_form
 from .channel import ChannelRealization, RateConfig, SystemParams, thresholds
 from .latticesim import LatticeConfig, simulate_chain
 from .outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
-from .rates import af_rates, mf_gap, mf_rates, secrecy_upper_bound
+from .rates import Scheme, af_rates, mf_gap, mf_rates, secrecy_upper_bound
 
 PARAM_KEYS = ("ps", "pd", "sigma2", "eps1", "eps2", "rd", "rs", "rho")
 SWEEPABLE = ("ps", "pd", "sigma2", "eps1", "eps2", "rd", "rs")
@@ -43,6 +42,7 @@ _RANGE = ("axis_min", "axis_max", "axis_points", "axis_scale")
 _INTEGRAL = ("seed", "mc_samples", "axis_points")
 _CHOICES = {"axis": SWEEPABLE + ("rho",), "axis_scale": ("linear", "log")}
 _MINIMUM = {"mc_samples": 0, "axis_points": 1, "rho": 0.0}
+_MAXIMUM = {"axis_points": 10 ** 6, "mc_samples": 10 ** 10}
 
 _DEFAULTS = {
     "ps": 10.0, "pd": 10.0, "sigma2": 1.0, "eps1": 1.0, "eps2": 1.0,
@@ -100,6 +100,8 @@ def _validate(cfg: dict, given: dict):
             raise ConfigError(f"{key} must be {kind}, not {value!r}")
         if key in _MINIMUM and value < _MINIMUM[key]:
             raise ConfigError(f"{key} must be >= {_MINIMUM[key]}")
+        if key in _MAXIMUM and value > _MAXIMUM[key]:
+            raise ConfigError(f"{key} must be <= {_MAXIMUM[key]}")
     experiment, axis = cfg["experiment"], cfg["axis"]
     spec = _TABLE[experiment]
     if spec.axes and axis not in spec.axes:
@@ -194,8 +196,9 @@ def run_sweep(cfg: dict):
     for idx, val in enumerate(_axis_values(cfg)):
         point = {k: float(cfg[k]) for k in SWEEPABLE}
         point[axis] = val = float(val)
-        if cfg["rho"] is not None:  # pd follows the row's snr
-            point["pd"] = (point["ps"] / point["sigma2"]) ** float(cfg["rho"]) * point["sigma2"]
+        if cfg["rho"] is not None:  # pd follows the row's snr; an overflow to inf is refused
+            snr = point["ps"] / point["sigma2"]
+            point["pd"] = float(np.float_power(snr, cfg["rho"])) * point["sigma2"]
         params = SystemParams(**{k: point[k] for k in _SYSTEM_KEYS})
         rc = RateConfig(rd=point["rd"], rs=min(point["rs"], point["rd"]))
         th = thresholds(rc)
@@ -322,7 +325,8 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("experiment", "config")}
     try:
         cfg = load_config(args.experiment, args.config, overrides)
-        header, rows = _TABLE[args.experiment].run(cfg)
+        with np.errstate(all="ignore"):  # stderr is for error lines; cells are checked finite
+            header, rows = _TABLE[args.experiment].run(cfg)
         write_output(format_table(cfg, header, rows), cfg.get("out"))
     except (ConfigError, ValueError) as exc:
         # a library ValueError means the config reached outside a model's domain

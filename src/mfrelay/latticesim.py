@@ -4,7 +4,7 @@ scalar coarse lattice delta*Z with cell [-delta/2, delta/2).
 The scalar cell preserves the second-moment identities the rate analysis
 rests on (dither uniformity, relay power, MMSE residual variance) while
 forgoing the shaping gain of high-dimensional cells.  Because a scalar
-cell folds a nonneglible tail of the residual at these operating points,
+cell folds a non-negligible tail of the residual at these operating points,
 the report carries both the linear residual variance (the quantity the
 equivalent-noise formula describes; validated against it) and the folded
 variance of the cell-reduced output.  The exact modulo-algebra identity
@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .channel import ChannelRealization, SystemParams, rng_stream
+from .rates import sigma_e_sq
 
 _SIM_BLOCK = 1 << 17
 _UNIFORMITY_BINS = 64
@@ -169,13 +170,11 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     expected = n / _UNIFORMITY_BINS
     stat = float(np.sum((hist - expected) ** 2) / expected)
     pvalue = _uniformity_pvalue(stat)
-    se2 = params.ps * params.sigma2 / (real.g1 * params.ps + params.sigma2) \
-        + params.ps * params.sigma2 / (real.g2 * params.ps + params.sigma2)
     return ChainReport(
         measured_relay_power=sum_xr2 / n,
         measured_residual_var=sum_r2 / n,
         measured_folded_var=sum_y2 / n,
-        analytic_sigma_e2=min(params.ps, se2),
+        analytic_sigma_e2=float(sigma_e_sq(params, real)),
         uniformity_pvalue=pvalue,
         alpha=alpha,
         beta=beta,

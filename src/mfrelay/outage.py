@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import Scheme
 from .channel import (RateConfig, SystemParams, Thresholds, _exp2_2rd, rng_stream,
                       sample_gains, thresholds)
 from .numerics import Interval, bessel_k1
+from .rates import Scheme, _e2e_snr, _relay_sinr
 
 _MC_BLOCK = 1 << 17  # fixed block size keeps merged estimates worker-count independent
 
@@ -86,6 +86,13 @@ def p_secrecy(params: SystemParams, config: RateConfig, asymptotic: bool = False
     return p_secrecy_threshold(params, thresholds(config).gamma_s, asymptotic)
 
 
+def _k1_outage(live, a, x, asymptotic: bool):
+    """The MF and AF connection outage 1 - exp(-a)*x*K1(x), or its first
+    order a, where ``live``; 0 elsewhere (the zero-rate convention)."""
+    out = np.where(live, a if asymptotic else 1.0 - np.exp(-a) * x * bessel_k1(x), 0.0)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
     """Connection outage of the modulo-forward achievable rate (independent
     of pd).  Exact form uses gamma_1 = 2^(2 rd) - 1/2 and K1; the
@@ -95,12 +102,8 @@ def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
     rd = np.asarray(rd, dtype=float)
     gamma_1 = _exp2_2rd(rd) - 0.5
     a = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_1 * params.sigma2 / params.ps
-    if asymptotic:
-        out = np.where(rd > 0, a, 0.0)
-    else:
-        x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(params.eps1 * params.eps2))
-        out = np.where(rd > 0, 1.0 - np.exp(-a) * x * bessel_k1(x), 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(params.eps1 * params.eps2))
+    return _k1_outage(rd > 0, a, x, asymptotic)
 
 
 def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
@@ -113,13 +116,9 @@ def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
     safe = np.where(gamma_o > 0, gamma_o, 1.0)
     ratio = (params.ps + params.pd) / params.ps
     a = (safe * params.sigma2 / params.ps) * (ratio / params.eps1 + 1.0 / params.eps2)
-    if asymptotic:
-        out = np.where(gamma_o > 0, a, 0.0)
-    else:
-        x = (2.0 * safe * params.sigma2 / params.ps) * np.sqrt(
-            (ratio + 1.0 / safe) / (params.eps1 * params.eps2))
-        out = np.where(gamma_o > 0, 1.0 - np.exp(-a) * x * bessel_k1(x), 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    x = (2.0 * safe * params.sigma2 / params.ps) * np.sqrt(
+        (ratio + 1.0 / safe) / (params.eps1 * params.eps2))
+    return _k1_outage(gamma_o > 0, a, x, asymptotic)
 
 
 def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:
@@ -152,14 +151,9 @@ def tradeoff_residual(params: SystemParams, config: RateConfig, exact: bool = Tr
 
 
 def _conn_event(scheme: Scheme, params: SystemParams, th: Thresholds, g1, g2):
-    snr = params.snr
-    if scheme is Scheme.MF:
-        return snr * g1 * g2 / (g1 + g2) < th.gamma_1
-    if scheme is Scheme.AF:
-        snr_af = params.ps ** 2 * g1 * g2 / (
-            params.sigma2 * (params.ps * g1 + (params.ps + params.pd) * g2 + params.sigma2))
-        return snr_af < th.gamma_o
-    return np.minimum(g1, g2) * snr < th.gamma_o  # cut-set capacity
+    """Connection outage: the scheme's rate below rd, i.e. its end-to-end
+    SNR below gamma_1 (MF) or gamma_o (AF, cut-set)."""
+    return _e2e_snr(scheme, params, g1, g2) < (th.gamma_1 if scheme is Scheme.MF else th.gamma_o)
 
 
 def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: int,
@@ -178,17 +172,18 @@ def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: 
     hits_sec = 0
     done = 0
     block = 0
-    while done < n:
-        m = min(_MC_BLOCK, n - done)
-        g1, g2 = sample_gains(params, rng_stream(seed, (stream, block)), m)
-        sec = params.ps * g1 / (params.pd * g2 + params.sigma2) > th.gamma_s
-        hits_sec += int(np.count_nonzero(sec))
-        for k, scheme in enumerate(schemes):
-            conn = _conn_event(scheme, params, th, g1, g2)
-            hits_conn[k] += int(np.count_nonzero(conn))
-            hits_joint[k] += int(np.count_nonzero(conn | sec))
-        done += m
-        block += 1
+    with np.errstate(over="ignore"):  # an SNR of inf compares as its limit does
+        while done < n:
+            m = min(_MC_BLOCK, n - done)
+            g1, g2 = sample_gains(params, rng_stream(seed, (stream, block)), m)
+            sec = _relay_sinr(params, g1, g2) > th.gamma_s
+            hits_sec += int(np.count_nonzero(sec))
+            for k, scheme in enumerate(schemes):
+                conn = _conn_event(scheme, params, th, g1, g2)
+                hits_conn[k] += int(np.count_nonzero(conn))
+                hits_joint[k] += int(np.count_nonzero(conn | sec))
+            done += m
+            block += 1
     return [(c, hits_sec, j) for c, j in zip(hits_conn, hits_joint)]
 
 

@@ -1,6 +1,7 @@
 """Per-realization rate formulas: capacities, bounds, and the secrecy
 rates of the modulo-forward (MF), amplify-forward (AF), and lattice
-decode-forward (DF) relaying schemes.
+decode-forward (DF) relaying schemes.  The Monte Carlo outage events
+reuse the end-to-end and relay SNRs written here.
 
 Every function broadcasts over array-valued parameter/realization fields.
 All logarithms are base 2, so rates are in bits per real dimension;
@@ -10,15 +11,41 @@ negative-rate clips return exactly 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .channel import ChannelRealization, SystemParams
 
 
+class Scheme(Enum):
+    UPPER = "upper"
+    MF = "mf"
+    AF = "af"
+    CUTSET = "upper"  # alias: the cut-set law backs the upper bound
+
+
 def _pos(x):
     """[x]^+ clip, preserving scalarness."""
     return np.maximum(x, 0.0)
+
+
+def _e2e_snr(scheme: Scheme, params: SystemParams, g1, g2):
+    """End-to-end SNR at gains (g1, g2); the scheme's rate is
+    (1/2)log2(1/2 + snr) for MF and (1/2)log2(1 + snr) otherwise.  The
+    smallest subnormal added to MF's g1 + g2 gives 0 for two dead hops and
+    changes no sum that a nonzero product is divided by."""
+    if scheme is Scheme.MF:
+        return params.snr * (g1 * g2 / (g1 + g2 + 5e-324))
+    if scheme is Scheme.AF:
+        ps, s2 = params.ps, params.sigma2
+        return ps * ps * g1 * g2 / (s2 * (ps * g1 + ps * g2 + params.pd * g2 + s2))
+    return np.minimum(g1, g2) * params.snr  # cut-set
+
+
+def _relay_sinr(params: SystemParams, g1, g2):
+    """SINR at the relay, which decodes with the jamming as noise."""
+    return params.ps * g1 / (params.pd * g2 + params.sigma2)
 
 
 def sigma_e_sq(params: SystemParams, real: ChannelRealization):
@@ -34,12 +61,12 @@ def sigma_e_sq(params: SystemParams, real: ChannelRealization):
 
 def cutset_capacity(params: SystemParams, real: ChannelRealization):
     """Two-hop cut-set capacity bound (1/2)log2(1 + min(g1,g2) ps/sigma2)."""
-    return 0.5 * np.log2(1.0 + np.minimum(real.g1, real.g2) * params.snr)
+    return 0.5 * np.log2(1.0 + _e2e_snr(Scheme.UPPER, params, real.g1, real.g2))
 
 
 def relay_capacity(params: SystemParams, real: ChannelRealization):
     """Rate the (untrusted) relay can decode at, with jamming as noise."""
-    return 0.5 * np.log2(1.0 + real.g1 * params.ps / (real.g2 * params.pd + params.sigma2))
+    return 0.5 * np.log2(1.0 + _relay_sinr(params, real.g1, real.g2))
 
 
 def secrecy_upper_bound(params: SystemParams, real: ChannelRealization):
@@ -61,13 +88,7 @@ def mf_rates(params: SystemParams, real: ChannelRealization) -> MfRates:
     """
     se2 = sigma_e_sq(params, real)
     rd_exact = _pos(0.5 * np.log2(params.ps / se2))
-    g1, g2 = real.g1, real.g2
-    gsum = g1 + g2
-    # harmonic-mean gain; 0 when both hops are dead
-    gh = np.divide(g1 * g2, gsum, out=np.zeros_like(np.asarray(gsum, dtype=float)), where=np.asarray(gsum) > 0)
-    if np.ndim(gsum) == 0:
-        gh = float(gh)
-    rd_lower = _pos(0.5 * np.log2(0.5 + params.snr * gh))
+    rd_lower = _pos(0.5 * np.log2(0.5 + _e2e_snr(Scheme.MF, params, real.g1, real.g2)))
     rr = relay_capacity(params, real)
     return MfRates(rd_exact=rd_exact, rd_lower=rd_lower, rr=rr, rs=_pos(rd_lower - rr))
 
@@ -80,9 +101,7 @@ class AfRates:
 
 def af_rates(params: SystemParams, real: ChannelRealization) -> AfRates:
     """Post-cancellation SNR and secrecy rate of amplify-and-forward."""
-    ps, pd, s2 = params.ps, params.pd, params.sigma2
-    g1, g2 = real.g1, real.g2
-    snr_af = ps * ps * g1 * g2 / (s2 * (ps * g1 + ps * g2 + pd * g2 + s2))
+    snr_af = _e2e_snr(Scheme.AF, params, real.g1, real.g2)
     rs_af = _pos(0.5 * np.log2(1.0 + snr_af) - relay_capacity(params, real))
     return AfRates(snr_af=snr_af, rs_af=rs_af)
 

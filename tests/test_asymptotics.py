@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from mfrelay.asymptotics import (Scheme, estimate_gsdof, estimate_gsdg,
+from mfrelay.asymptotics import (DEFAULT_SNR_GRID, Scheme, estimate_gsdof, estimate_gsdg,
                                  gsdg_closed_form, gsdof_closed_form)
-from mfrelay.channel import ChannelRealization, RateConfig
+from mfrelay.channel import ChannelRealization, RateConfig, SystemParams
+from mfrelay.numerics import slope_fit
+from mfrelay.outage import p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy
+from mfrelay.rates import af_rates, mf_rates, secrecy_upper_bound
 
 RHO_GRID = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
 
@@ -84,3 +87,37 @@ class TestNumericEstimators:
             estimate_gsdof(Scheme.MF, 1.0, snr_grid=[1e6, 1e6])  # not increasing
         with pytest.raises(ValueError):
             estimate_gsdof(Scheme.MF, -1.0)
+
+
+def _gsdof_per_snr(scheme, rho, real):
+    """Reference: one scalar SystemParams per grid point."""
+    rate = {Scheme.UPPER: secrecy_upper_bound, Scheme.MF: lambda p, r: mf_rates(p, r).rs,
+            Scheme.AF: lambda p, r: af_rates(p, r).rs_af}[scheme]
+    pts = []
+    for snr in DEFAULT_SNR_GRID:
+        params = SystemParams(ps=snr, pd=snr ** rho, sigma2=1.0)
+        pts.append((np.log(snr), rate(params, real) * np.log(2.0)))
+    return slope_fit(pts)
+
+
+def _gsdg_per_snr(scheme, rho, config):
+    conn = {Scheme.UPPER: p_conn_cutset_lower, Scheme.MF: p_conn_mf,
+            Scheme.AF: p_conn_af}[scheme]
+    pts = []
+    for snr in DEFAULT_SNR_GRID:
+        params = SystemParams(ps=snr, pd=snr ** rho, sigma2=1.0)
+        p_t = max(conn(params, config.rd), p_secrecy(params, config))
+        pts.append((np.log(snr), np.log(p_t)))
+    return -slope_fit(pts)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.UPPER, Scheme.MF, Scheme.AF])
+@pytest.mark.parametrize("rho", [0.5, 1.25, 1.75, 3.0])
+def test_estimators_equal_per_snr_loop(scheme, rho):
+    # one array-valued evaluation of the grid matches a walk over its points
+    real = ChannelRealization.from_gains(0.3, 2.0)
+    config = RateConfig(rd=1.5, rs=0.25)
+    assert estimate_gsdof(scheme, rho, real=real) == pytest.approx(
+        _gsdof_per_snr(scheme, rho, real), rel=1e-12, abs=0)
+    assert estimate_gsdg(scheme, rho, config=config) == pytest.approx(
+        _gsdg_per_snr(scheme, rho, config), rel=1e-12, abs=0)

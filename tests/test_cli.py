@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,10 @@ def assert_one_error_line(code, capsys):
     ["sweep", "--axis-points", "0"],
     ["sweep", "--axis", "rd", "--axis-min", "600", "--axis-max", "600", "--axis-points", "1"],
     ["fig5", "--rd", "600"],
+    ["fig3", "--axis-points", "1000000000000"],
+    ["sweep", "--mc-samples", "10000000001"],
+    ["fig4", "--rho", "600.5"],          # pd = snr^rho overflows a double
+    ["fig3", "--axis-max", "600.5"],
 ])
 def test_ignored_or_invalid_flags_rejected(argv, capsys):
     assert_one_error_line(run_cli(argv), capsys)
@@ -316,11 +321,28 @@ def test_ignored_or_invalid_flags_rejected(argv, capsys):
     ("fig3", {"axis_scale": "cubic"}),
     ("sweep", {"axis": "rho"}),
     ("fig5", {"axis": "rho", "rho": 1.0}),
+    ("fig4", {"mc_samples": 1e18}),
+    ("fig2", {"axis_points": 1000001}),
 ])
 def test_ignored_or_mistyped_json_rejected(experiment, data, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     assert_one_error_line(run_cli([experiment, "--config", str(cfg)]), capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "pd", "--axis-min", "1e300", "--axis-max", "1e308", "--axis-points", "2",
+     "--mc-samples", "10"],
+    ["fig4", "--eps1", "2.2250738585072014e-308", "--axis-points", "2", "--mc-samples", "10"],
+    ["fig4", "--sigma2", "2.2250738585072014e-308", "--axis-points", "2", "--mc-samples", "10"],
+])
+def test_extreme_values_run_without_warnings(argv, capsys):
+    # intermediate overflows to inf, yet every cell stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("# mfrelay ")
 
 
 @pytest.mark.parametrize("experiment, data", [

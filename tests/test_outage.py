@@ -2,12 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mfrelay.asymptotics import Scheme
-from mfrelay.channel import RateConfig, SystemParams, rng_stream, sample_gains, thresholds
+from mfrelay.channel import (ChannelRealization, RateConfig, SystemParams, rng_stream,
+                             sample_gains, thresholds)
 from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _mc_counts, mc_outage,
                             outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
                             p_secrecy, p_secrecy_threshold, tradeoff_residual)
+from mfrelay.rates import _relay_sinr, af_rates, cutset_capacity, mf_rates, relay_capacity
 
 
 def params(ps=10.0, pd=10.0, sigma2=1.0, eps1=1.0, eps2=1.0):
@@ -263,6 +267,15 @@ class TestMonteCarlo:
             assert mc_outage(p, rc, scheme, n, seed, stream) == tuple(
                 MCEstimate.from_counts(h, n) for h in counts)
 
+    def test_extreme_jamming_raises_no_warning(self):
+        # pd*g2 overflows to inf, which both events compare exactly
+        p = params(pd=1e308)
+        rc = RateConfig(rd=1.0, rs=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (af,) = _mc_counts(p, rc, (Scheme.AF,), 1000, 3)
+        assert af[1] == 0 and af[0] == af[2]  # the relay hears only jamming
+
     def test_streams_are_disjoint(self):
         p = params()
         rc = RateConfig(rd=1.0, rs=0.5)
@@ -280,3 +293,26 @@ class TestMonteCarlo:
         assert est.std_err == pytest.approx(np.sqrt(0.25 * 0.75 / 1000))
         assert est.ci95.lo == pytest.approx(0.25 - 1.96 * est.std_err)
         assert est.ci95.contains(0.25)
+
+
+_LOG_UNIFORM = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ps=_LOG_UNIFORM, pd=_LOG_UNIFORM, sigma2=_LOG_UNIFORM, g1=_LOG_UNIFORM, g2=_LOG_UNIFORM,
+       rd=st.floats(0.0, 12.0), rs_frac=st.floats(0.0, 1.0))
+def test_events_are_rates_below_rd(ps, pd, sigma2, g1, g2, rd, rs_frac):
+    # each Monte Carlo event is its scheme's rate compared with rd, away from ties
+    p = SystemParams(ps=ps, pd=pd, sigma2=sigma2)
+    rc = RateConfig(rd=rd, rs=rd * rs_frac)
+    th = thresholds(rc)
+    real = ChannelRealization.from_gains(g1, g2)
+    rates = {Scheme.MF: mf_rates(p, real).rd_lower,
+             Scheme.AF: 0.5 * np.log2(1.0 + af_rates(p, real).snr_af),
+             Scheme.UPPER: cutset_capacity(p, real)}
+    for scheme, rate in rates.items():
+        assume(abs(rate - rd) > 1e-9)
+        assert bool(_conn_event(scheme, p, th, g1, g2)) == (rate < rd)
+    rr = relay_capacity(p, real)
+    assume(abs(rr - (rc.rd - rc.rs)) > 1e-9)
+    assert bool(_relay_sinr(p, g1, g2) > th.gamma_s) == (rr > rc.rd - rc.rs)

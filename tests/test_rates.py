@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,14 @@ class TestMfRates:
     def test_dead_first_hop(self):
         mf = mf_rates(params(), gains(0.0, 1.0))
         assert mf.rd_lower == 0.0 and mf.rs == 0.0
+
+    @pytest.mark.parametrize("g", [0.0, np.zeros(3)])
+    def test_both_hops_dead(self, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mf = mf_rates(params(), gains(g, g))
+        assert np.all(mf.rd_lower == 0.0) and np.all(mf.rs == 0.0)
+        assert np.shape(mf.rd_lower) == np.shape(g)
 
     def test_exact_at_least_lower(self):
         p, real = random_draws(31)
