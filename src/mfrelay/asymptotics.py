@@ -17,40 +17,30 @@ from .rates import Scheme, af_rates, mf_rates, secrecy_upper_bound
 DEFAULT_SNR_GRID = tuple(np.logspace(6, 12, 10))
 
 
-def _check_rho(rho):
-    if not np.isfinite(rho) or rho < 0:
+def _check_rho(rho) -> np.ndarray:
+    rho = np.asarray(rho, dtype=float)
+    if not np.all(np.isfinite(rho) & (rho >= 0.0)):
         raise ValueError("rho must be finite and nonnegative")
+    return rho
 
 
-def gsdof_closed_form(scheme: Scheme, rho: float) -> float:
+def gsdof_closed_form(scheme: Scheme, rho):
     """Secure-DoF law: rho/2 capped at 1/2 for the bound and MF; AF falls
-    back to 1 - rho/2 on [1, 2) and to 0 beyond."""
-    _check_rho(rho)
-    if scheme in (Scheme.UPPER, Scheme.MF):
-        return rho / 2.0 if rho < 1.0 else 0.5
-    if rho < 1.0:
-        return rho / 2.0
-    if rho < 2.0:
-        return 1.0 - rho / 2.0
-    return 0.0
+    back to 1 - rho/2 on [1, 2) and to 0 beyond.  Broadcasts over rho."""
+    half = _check_rho(rho) / 2.0
+    out = (np.minimum(half, 0.5) if scheme in (Scheme.UPPER, Scheme.MF)
+           else np.maximum(0.0, np.minimum(half, 1.0 - half)))
+    return float(out) if out.ndim == 0 else out
 
 
-def gsdg_closed_form(scheme: Scheme, rho: float) -> float:
+def gsdg_closed_form(scheme: Scheme, rho):
     """Secure diversity law: 0 up to rho=1, then rho-1, saturating at 1
     for the bound and MF; AF peaks at 1/2 (rho=3/2) and collapses to 0
-    for rho >= 2."""
-    _check_rho(rho)
-    if scheme in (Scheme.UPPER, Scheme.MF):
-        if rho <= 1.0:
-            return 0.0
-        return rho - 1.0 if rho <= 2.0 else 1.0
-    if rho <= 1.0:
-        return 0.0
-    if rho <= 1.5:
-        return rho - 1.0
-    if rho <= 2.0:
-        return 2.0 - rho
-    return 0.0
+    for rho >= 2.  Broadcasts over rho."""
+    rho = _check_rho(rho)
+    out = (np.clip(rho - 1.0, 0.0, 1.0) if scheme in (Scheme.UPPER, Scheme.MF)
+           else np.maximum(0.0, np.minimum(rho - 1.0, 2.0 - rho)))
+    return float(out) if out.ndim == 0 else out
 
 
 def _snr_points(rho, snr_grid):

@@ -95,7 +95,9 @@ def _exp2_2rd(rd):
     the power would overflow a double (rd >= 512)."""
     if np.any(np.asarray(rd) >= 512.0):
         raise ValueError("rd must be below 512 bits: 2^(2 rd) overflows a double")
-    return 2.0 ** (2.0 * rd)
+    # float_power rounds as the scalar pow does, so a point gets the same bits
+    # alone or inside an array; np.power's SIMD loop may differ in the last bit
+    return np.float_power(2.0, 2.0 * rd)
 
 
 def thresholds(config: RateConfig) -> Thresholds:
@@ -103,7 +105,7 @@ def thresholds(config: RateConfig) -> Thresholds:
     return Thresholds(
         gamma_o=gamma_o,
         gamma_1=gamma_o + 0.5,
-        gamma_s=2.0 ** (2.0 * (config.rd - config.rs)) - 1.0,
+        gamma_s=_exp2_2rd(config.rd - config.rs) - 1.0,
     )
 
 

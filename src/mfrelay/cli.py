@@ -11,12 +11,12 @@ sweeps:
   chain  modulo signal-chain validation grid
 
 Configuration comes from JSON (--config) with per-experiment defaults;
-flags override file values.  A flag or key the experiment would ignore
-(one it does not read, its own axis, or pd together with rho) and a value
-of the wrong type are rejected.  Output is CSV with '#' metadata lines and
-12-significant-digit cells; identical (config, seed) pairs produce
-byte-identical files.  Exit codes: 0 ok, 2 invalid config (including a
-library ValueError raised during the run), 3 I/O failure.
+flags take the values JSON keys take and override them.  A flag or key
+the experiment would ignore (one it does not read, its own axis, or pd
+with rho) or of the wrong type is refused with one error line.  Output is
+CSV with '#' metadata lines and 12-significant-digit cells; identical
+(config, seed) pairs produce byte-identical files.  Exit codes: 0 ok, 2
+invalid config (a library ValueError during the run too), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .asymptotics import estimate_gsdof, estimate_gsdg, gsdg_closed_form, gsdof_
 from .channel import ChannelRealization, RateConfig, SystemParams, thresholds
 from .latticesim import LatticeConfig, simulate_chain
 from .outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
-from .rates import Scheme, af_rates, mf_gap, mf_rates, secrecy_upper_bound
+from .rates import Scheme, rate_report
 
 PARAM_KEYS = ("ps", "pd", "sigma2", "eps1", "eps2", "rd", "rs", "rho")
 SWEEPABLE = ("ps", "pd", "sigma2", "eps1", "eps2", "rd", "rs")
@@ -138,27 +138,22 @@ def _axis_values(cfg: dict) -> np.ndarray:
 
 def run_fig2(cfg: dict):
     """Rates versus pd with ps = sqrt(pd), unit gains and noise."""
-    real = ChannelRealization.from_gains(1.0, 1.0)
-    header = ["pd", "rs_mf", "rs_af", "upper_bound", "gap"]
-    rows = []
-    for pd in _axis_values(cfg):
-        params = SystemParams(ps=float(np.sqrt(pd)), pd=float(pd), sigma2=float(cfg["sigma2"]),
-                              eps1=float(cfg["eps1"]), eps2=float(cfg["eps2"]))
-        rows.append([pd, mf_rates(params, real).rs, af_rates(params, real).rs_af,
-                     secrecy_upper_bound(params, real), mf_gap(params, real)])
-    return header, rows
+    pd = _axis_values(cfg)
+    params = SystemParams(ps=np.sqrt(pd), pd=pd, sigma2=float(cfg["sigma2"]),
+                          eps1=float(cfg["eps1"]), eps2=float(cfg["eps2"]))
+    rep = rate_report(params, ChannelRealization.from_gains(1.0, 1.0))
+    return (["pd", "rs_mf", "rs_af", "upper_bound", "gap"],
+            np.column_stack([pd, rep.rs_mf, rep.rs_af, rep.upper_bound_u, rep.gap]))
 
 
 def _run_rho(cfg: dict, prefix: str, closed_form, estimate):
-    """A rho law per row: upper/MF/AF closed forms, then MF/AF estimates."""
+    """Upper/MF/AF closed forms, one call per column, then MF/AF estimates per rho."""
     header = ["rho"] + [f"{prefix}_{col}" for col in
                         ("upper", "mf", "af", "mf_numeric", "af_numeric")]
-    rows = []
-    for rho in _axis_values(cfg):
-        rho = float(rho)
-        rows.append([rho, *(closed_form(s, rho) for s in (Scheme.UPPER, Scheme.MF, Scheme.AF)),
-                     *(estimate(s, rho) for s in (Scheme.MF, Scheme.AF))])
-    return header, rows
+    rho = _axis_values(cfg)
+    return header, np.column_stack(
+        [rho, *(closed_form(s, rho) for s in (Scheme.UPPER, Scheme.MF, Scheme.AF)),
+         *([estimate(s, float(r)) for r in rho] for s in (Scheme.MF, Scheme.AF))])
 
 
 def run_fig3(cfg: dict):
@@ -178,44 +173,49 @@ _FIG4_COLUMNS = ("rd", "p_conn_mf", "p_conn_af", "p_secrecy", "p_total_lower", "
 
 def run_fig4(cfg: dict):
     """Outage versus rd: the columns of the rd sweep that Fig. 4 plots."""
-    header, rows = run_sweep(cfg)
+    header, table = run_sweep(cfg)
     keep = [header.index(name) for name in _FIG4_COLUMNS if name in header]
-    return [header[i] for i in keep], [[row[i] for i in keep] for row in rows]
+    return [header[i] for i in keep], table[:, keep]
+
+
+def _row(record, idx: int):
+    """Row idx of a SystemParams or RateConfig whose fields are equal-length arrays."""
+    return type(record)(**{k: float(v[idx]) for k, v in vars(record).items()})
 
 
 def run_sweep(cfg: dict):
+    """The outage closed forms along the axis, one library call per column;
+    only the Monte Carlo columns are computed row by row."""
     axis = cfg["axis"]
     mc_n = int(cfg["mc_samples"])
     header = [axis, "gamma_o", "gamma_1", "gamma_s",
               "p_conn_cutset", "p_conn_mf", "p_conn_af", "p_secrecy",
               "p_total_lower", "p_total_upper"]
+    vals = _axis_values(cfg)
+    point = {k: vals if k == axis else np.full(vals.shape, float(cfg[k])) for k in SWEEPABLE}
+    if cfg["rho"] is not None:  # pd follows each row's snr; an overflow to inf is refused
+        point["pd"] = np.float_power(point["ps"] / point["sigma2"], cfg["rho"]) * point["sigma2"]
+    params = SystemParams(**{k: point[k] for k in _SYSTEM_KEYS})
+    rc = RateConfig(rd=point["rd"], rs=np.minimum(point["rs"], point["rd"]))
+    th = thresholds(rc)
+    probs = outage_probs(params, rc)
+    cols = [vals, th.gamma_o, th.gamma_1, th.gamma_s,
+            p_conn_cutset_lower(params, rc.rd), probs.p_conn,
+            p_conn_af(params, rc.rd), probs.p_secrecy,
+            probs.p_total_lower, probs.p_total_upper]
     if mc_n > 0:
         header += ["p_conn_mf_mc", "p_conn_af_mc", "p_secrecy_mc", "p_total_mf_mc",
                    "se_conn_mf_mc", "se_conn_af_mc", "se_secrecy_mc", "se_total_mf_mc"]
-    rows = []
-    for idx, val in enumerate(_axis_values(cfg)):
-        point = {k: float(cfg[k]) for k in SWEEPABLE}
-        point[axis] = val = float(val)
-        if cfg["rho"] is not None:  # pd follows the row's snr; an overflow to inf is refused
-            snr = point["ps"] / point["sigma2"]
-            point["pd"] = float(np.float_power(snr, cfg["rho"])) * point["sigma2"]
-        params = SystemParams(**{k: point[k] for k in _SYSTEM_KEYS})
-        rc = RateConfig(rd=point["rd"], rs=min(point["rs"], point["rd"]))
-        th = thresholds(rc)
-        probs = outage_probs(params, rc)
-        row = [val, th.gamma_o, th.gamma_1, th.gamma_s,
-               p_conn_cutset_lower(params, rc.rd), probs.p_conn,
-               p_conn_af(params, rc.rd), probs.p_secrecy,
-               probs.p_total_lower, probs.p_total_upper]
-        if mc_n > 0:
+        rows = []
+        for idx in range(vals.size):
             # one pass: MF and AF see the same draws, as do secrecy and joint
-            mf, af = _mc_counts(params, rc, (Scheme.MF, Scheme.AF), mc_n, int(cfg["seed"]),
-                                stream=idx)
+            mf, af = _mc_counts(_row(params, idx), _row(rc, idx), (Scheme.MF, Scheme.AF), mc_n,
+                                int(cfg["seed"]), stream=idx)
             conn_mf, sec, joint, conn_af = (MCEstimate.from_counts(h, mc_n) for h in (*mf, af[0]))
-            row += [conn_mf.p_hat, conn_af.p_hat, sec.p_hat, joint.p_hat,
-                    conn_mf.std_err, conn_af.std_err, sec.std_err, joint.std_err]
-        rows.append(row)
-    return header, rows
+            rows.append([conn_mf.p_hat, conn_af.p_hat, sec.p_hat, joint.p_hat,
+                         conn_mf.std_err, conn_af.std_err, sec.std_err, joint.std_err])
+        cols += list(np.transpose(rows))
+    return header, np.column_stack(cols)
 
 
 CHAIN_GAIN_GRID = ((3.0, 3.0), (1.0, 10.0), (10.0, 1.0))
@@ -238,7 +238,7 @@ def run_chain(cfg: dict):
                          report.measured_relay_power, report.measured_residual_var,
                          report.measured_folded_var, report.analytic_sigma_e2,
                          report.uniformity_pvalue])
-    return header, rows
+    return header, np.array(rows)
 
 
 class _Experiment(NamedTuple):
@@ -272,7 +272,7 @@ _TABLE = {
 EXPERIMENTS = tuple(_TABLE)
 
 
-def format_table(cfg: dict, header, rows) -> str:
+def format_table(cfg: dict, header, table: np.ndarray) -> str:
     meta = {k: cfg[k] for k in sorted(cfg) if k != "out"}
     lines = [
         f"# mfrelay {__version__}",
@@ -281,14 +281,10 @@ def format_table(cfg: dict, header, rows) -> str:
         f"# config: {json.dumps(meta, sort_keys=True)}",
         ",".join(header),
     ]
-    for row in rows:
-        cells = []
-        for v in row:
-            v = float(v)
-            if not np.isfinite(v):
-                raise RuntimeError("non-finite cell in output table")
-            cells.append(f"{v + 0.0:.12g}")  # + 0.0 writes -0.0 as 0
-        lines.append(",".join(cells))
+    if not np.all(np.isfinite(table)):
+        raise RuntimeError("non-finite cell in output table")
+    # + 0.0 writes -0.0 as 0
+    lines += [",".join(f"{v + 0.0:.12g}" for v in row) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -300,23 +296,35 @@ def write_output(text: str, out: str | None):
             fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line as load_config refuses a config: one error
+    line and exit 2.  Subparsers are made of the same class."""
+
+    def error(self, message):
+        print("error:", " ".join(message.split()), file=sys.stderr)
+        sys.exit(2)
+
+
+def integer(text: str):
+    """A count flag read as JSON reads it: 1000000 stays an int, and 1e6 is
+    a float that _validate accepts because it is integral."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mfrelay", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="mfrelay", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mc-samples", type=int, dest="mc_samples")
-        for key in PARAM_KEYS:
-            p.add_argument(f"--{key}", type=float)
-        p.add_argument("--axis", choices=SWEEPABLE)
-        p.add_argument("--axis-min", type=float, dest="axis_min")
-        p.add_argument("--axis-max", type=float, dest="axis_max")
-        p.add_argument("--axis-points", type=int, dest="axis_points")
-        p.add_argument("--axis-scale", choices=("linear", "log"), dest="axis_scale")
+        for key in ("seed", "mc_samples", *PARAM_KEYS, "axis", *_RANGE):
+            kind = integer if key in _INTEGRAL else None if key in _CHOICES else float
+            p.add_argument("--" + key.replace("_", "-"), type=kind)
     return parser
 
 
@@ -326,8 +334,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.experiment, args.config, overrides)
         with np.errstate(all="ignore"):  # stderr is for error lines; cells are checked finite
-            header, rows = _TABLE[args.experiment].run(cfg)
-        write_output(format_table(cfg, header, rows), cfg.get("out"))
+            header, table = _TABLE[args.experiment].run(cfg)
+        write_output(format_table(cfg, header, table), cfg.get("out"))
     except (ConfigError, ValueError) as exc:
         # a library ValueError means the config reached outside a model's domain
         print(f"error: {exc}", file=sys.stderr)

@@ -50,13 +50,15 @@ class OutageProbs:
     p_total_upper: float
 
     @classmethod
-    def from_components(cls, p_conn: float, p_secrecy: float) -> "OutageProbs":
-        for p in (p_conn, p_secrecy):
-            if not (0.0 <= p <= 1.0):
+    def from_components(cls, p_conn, p_secrecy) -> "OutageProbs":
+        """Broadcasts; a scalar pair gives Python floats."""
+        for p in map(np.asarray, (p_conn, p_secrecy)):
+            if not np.all((p >= 0.0) & (p <= 1.0)):
                 raise ValueError("probabilities must lie in [0, 1]")
-        return cls(p_conn=p_conn, p_secrecy=p_secrecy,
-                   p_total_lower=max(p_conn, p_secrecy),
-                   p_total_upper=min(1.0, p_conn + p_secrecy))
+        lower, upper = np.maximum(p_conn, p_secrecy), np.minimum(1.0, p_conn + p_secrecy)
+        if lower.ndim == 0:
+            lower, upper = float(lower), float(upper)
+        return cls(p_conn=p_conn, p_secrecy=p_secrecy, p_total_lower=lower, p_total_upper=upper)
 
 
 def p_conn_cutset_lower(params: SystemParams, rd: float):
@@ -123,11 +125,8 @@ def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
 
 def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:
     """MF connection outage and secrecy outage with the total-outage
-    bound interval."""
-    return OutageProbs.from_components(
-        p_conn=float(p_conn_mf(params, config.rd)),
-        p_secrecy=float(p_secrecy(params, config)),
-    )
+    bound interval; broadcasts like the closed forms it combines."""
+    return OutageProbs.from_components(p_conn_mf(params, config.rd), p_secrecy(params, config))
 
 
 def tradeoff_residual(params: SystemParams, config: RateConfig, exact: bool = True) -> float:

@@ -9,13 +9,24 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mfrelay.cli import SWEEPABLE, main
+from mfrelay.channel import ChannelRealization, RateConfig, SystemParams, thresholds
+from mfrelay.cli import SWEEPABLE, _axis_values, load_config, main, run_fig2, run_sweep
+from mfrelay.outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
+from mfrelay.rates import Scheme, af_rates, mf_gap, mf_rates, secrecy_upper_bound
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(args):
     return main(args)
+
+
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_table(path):
@@ -304,9 +315,19 @@ def assert_one_error_line(code, capsys):
     ["sweep", "--mc-samples", "10000000001"],
     ["fig4", "--rho", "600.5"],          # pd = snr^rho overflows a double
     ["fig3", "--axis-max", "600.5"],
+    ["fig2", "--ps", "x"],               # argparse refusals are one line too
+    ["fig2", "--bogus", "1"],
+    [],
+    ["frobnicate"],
+    ["fig2", "--seed", "x"],
+    ["sweep", "--mc-samples", "2.5"],
+    ["sweep", "--axis", "bogus"],
+    ["sweep", "--axis-scale", "cubic"],
+    ["sweep", "--axis", "sigma2", "--axis-min", "0", "--axis-max", "1", "--axis-scale", "linear",
+     "--axis-points", "2", "--rho", "1"],   # a row's snr = ps/0 with pd derived from it
 ])
 def test_ignored_or_invalid_flags_rejected(argv, capsys):
-    assert_one_error_line(run_cli(argv), capsys)
+    assert_one_error_line(exit_code(argv), capsys)
 
 
 @pytest.mark.parametrize("experiment, data", [
@@ -381,6 +402,112 @@ def test_fuzzed_json_config_exits_0_or_2(experiment, data, tmp_path, capsys):
     cfg = tmp_path / "fuzz.json"
     cfg.write_text(json.dumps({**small, **data}))
     code = run_cli([experiment, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == "" and out.startswith("# mfrelay ")
+
+
+@pytest.mark.parametrize("argv, same_rows_as", [
+    (["fig3", "--axis", "rho", "--axis-points", "3"], ["fig3", "--axis-points", "3"]),
+    (["fig4", "--mc-samples", "1e4", "--axis-points", "2"],
+     ["fig4", "--mc-samples", "10000", "--axis-points", "2"]),
+    (["sweep", "--axis-points", "3.0", "--seed", "7e0"], ["sweep", "--axis-points", "3"]),
+])
+def test_flags_take_the_values_json_takes(argv, same_rows_as, tmp_path):
+    # the experiment's own axis, and an integral float for a count
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(argv + ["--out", str(a)]) == 0
+    assert run_cli(same_rows_as + ["--out", str(b)]) == 0
+    _, header_a, rows_a = read_table(a)
+    _, header_b, rows_b = read_table(b)
+    assert header_a == header_b and np.array_equal(rows_a, rows_b)
+
+
+def per_row_sweep(cfg):
+    """The sweep as it ran before its columns became array calls: scalar
+    records and one library call per cell."""
+    mc_n = int(cfg["mc_samples"])
+    rows = []
+    for idx, val in enumerate(_axis_values(cfg)):
+        point = {k: float(cfg[k]) for k in SWEEPABLE}
+        point[cfg["axis"]] = val = float(val)
+        if cfg["rho"] is not None:
+            snr = point["ps"] / point["sigma2"]
+            point["pd"] = float(np.float_power(snr, cfg["rho"])) * point["sigma2"]
+        params = SystemParams(**{k: point[k] for k in ("ps", "pd", "sigma2", "eps1", "eps2")})
+        rc = RateConfig(rd=point["rd"], rs=min(point["rs"], point["rd"]))
+        th = thresholds(rc)
+        probs = outage_probs(params, rc)
+        row = [val, th.gamma_o, th.gamma_1, th.gamma_s,
+               p_conn_cutset_lower(params, rc.rd), probs.p_conn,
+               p_conn_af(params, rc.rd), probs.p_secrecy,
+               probs.p_total_lower, probs.p_total_upper]
+        if mc_n > 0:
+            mf, af = _mc_counts(params, rc, (Scheme.MF, Scheme.AF), mc_n, int(cfg["seed"]),
+                                stream=idx)
+            conn_mf, sec, joint, conn_af = (MCEstimate.from_counts(h, mc_n) for h in (*mf, af[0]))
+            row += [conn_mf.p_hat, conn_af.p_hat, sec.p_hat, joint.p_hat,
+                    conn_mf.std_err, conn_af.std_err, sec.std_err, joint.std_err]
+        rows.append(row)
+    return np.array(rows)
+
+
+def per_row_fig2(cfg):
+    real = ChannelRealization.from_gains(1.0, 1.0)
+    rows = []
+    for pd in _axis_values(cfg):
+        params = SystemParams(ps=float(np.sqrt(pd)), pd=float(pd), sigma2=float(cfg["sigma2"]),
+                              eps1=float(cfg["eps1"]), eps2=float(cfg["eps2"]))
+        rows.append([pd, mf_rates(params, real).rs, af_rates(params, real).rs_af,
+                     secrecy_upper_bound(params, real), mf_gap(params, real)])
+    return np.array(rows)
+
+
+_LINEAR = {"axis_min": 0.1, "axis_max": 20.0, "axis_points": 999, "axis_scale": "linear"}
+
+
+@pytest.mark.parametrize("experiment, overrides, runner, reference", [
+    ("sweep", {"axis": "rd", **_LINEAR}, run_sweep, per_row_sweep),
+    ("sweep", {"axis": "rs", **_LINEAR, "axis_min": 0.0, "axis_max": 1.0, "axis_points": 101,
+               "mc_samples": 64, "seed": 5}, run_sweep, per_row_sweep),
+    ("sweep", {"axis": "ps", "axis_min": 1.0, "axis_max": 1e12, "axis_points": 500,
+               "rho": 1.7}, run_sweep, per_row_sweep),
+    ("fig2", {"axis_points": 1000}, run_fig2, per_row_fig2),
+])
+def test_column_runners_equal_a_per_row_reference(experiment, overrides, runner, reference):
+    # the golden CSVs have 4-9 rows; these axes are long enough to catch last-bit drift
+    cfg = load_config(experiment, None, overrides)
+    with np.errstate(all="ignore"):
+        _, table = runner(cfg)
+        expected = reference(cfg)
+    assert table.shape == expected.shape
+    assert table.tobytes() == expected.tobytes()
+
+
+_ARGV_TOKENS = st.one_of(
+    st.sampled_from(["--" + k.replace("_", "-") for k in _FUZZ_KEYS] + ["--bogus", "--axis-m"]),
+    st.sampled_from(["1", "3", "0", "-2", "2.5", "1e1", "1e400", "nan", "inf", "600.5", "x", "",
+                     "rho", "linear", "log"] + list(SWEEPABLE)),
+    st.text(max_size=4).filter(lambda t: not t.startswith("-")))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiment=st.sampled_from(("fig2", "fig3", "fig4", "fig5", "sweep", "chain", "")),
+       tokens=st.lists(_ARGV_TOKENS, max_size=6))
+def test_fuzzed_flags_exit_0_or_2(experiment, tokens, capsys):
+    # --out, --config and --help are left out: they write files, read files or print help;
+    # chain reads mc_samples = 0 as its 1e6-symbol default
+    assume(not (experiment == "chain" and "--mc-samples" in tokens))
+    argv = [experiment] if experiment else []
+    if experiment in ("fig4", "sweep", "chain"):
+        argv += ["--mc-samples", "50"]
+    if experiment not in ("", "chain"):
+        argv += ["--axis-points", "3"]
+    code = exit_code(argv + tokens)
     out, err = capsys.readouterr()
     assert code in (0, 2)
     if code == 2:
