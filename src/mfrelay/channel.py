@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_BLOCK = 1 << 17  # fixed block size keeps merged results worker-count independent
+
 
 def _all_finite(*vals) -> bool:
     return all(np.all(np.isfinite(v)) for v in vals)
@@ -80,8 +82,8 @@ class RateConfig:
 class Thresholds:
     """SNR thresholds implied by a rate pair.
 
-    gamma_o = 2^(2 rd) - 1 (connection), gamma_1 = 2^(2 rd) - 1/2 (the
-    achievable-rate threshold, exactly gamma_o + 1/2), and
+    gamma_o = 2^(2 rd) - 1 (connection), gamma_1 = gamma_o + 1/2 (the
+    threshold of MF's 1/2-offset achievable rate), and
     gamma_s = 2^(2 (rd - rs)) - 1 (secrecy).
     """
 
@@ -90,23 +92,20 @@ class Thresholds:
     gamma_s: float
 
 
-def _exp2_2rd(rd):
-    """2^(2 rd), the base of every threshold; a ValueError names rd where
-    the power would overflow a double (rd >= 512)."""
-    if np.any(np.asarray(rd) >= 512.0):
+def _gamma(rate):
+    """2^(2 rate) - 1, the SNR threshold of a rate; a ValueError names rd
+    where the power would overflow a double (rate >= 512)."""
+    if np.any(np.asarray(rate) >= 512.0):
         raise ValueError("rd must be below 512 bits: 2^(2 rd) overflows a double")
     # float_power rounds as the scalar pow does, so a point gets the same bits
     # alone or inside an array; np.power's SIMD loop may differ in the last bit
-    return np.float_power(2.0, 2.0 * rd)
+    return np.float_power(2.0, 2.0 * rate) - 1.0
 
 
 def thresholds(config: RateConfig) -> Thresholds:
-    gamma_o = _exp2_2rd(config.rd) - 1.0
-    return Thresholds(
-        gamma_o=gamma_o,
-        gamma_1=gamma_o + 0.5,
-        gamma_s=_exp2_2rd(config.rd - config.rs) - 1.0,
-    )
+    gamma_o = _gamma(config.rd)
+    return Thresholds(gamma_o=gamma_o, gamma_1=gamma_o + 0.5,
+                      gamma_s=_gamma(config.rd - config.rs))
 
 
 @dataclass(frozen=True)
@@ -153,21 +152,24 @@ def rng_stream(seed: int, index=None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.random.SeedSequence(key).generate_state(2, np.uint64)))
 
 
+def _blocks(n: int):
+    """(index, size) of each substream block of n draws, in index order."""
+    for index, start in enumerate(range(0, n, _BLOCK)):
+        yield index, min(_BLOCK, n - start)
+
+
 def sample_realization(params: SystemParams, rng: np.random.Generator, size=None) -> ChannelRealization:
     """Draw gains exponential(eps_i) and signs as fair coin flips.
 
     With ``size=None`` returns a scalar realization; otherwise array
     fields of that shape.  Deterministic given the generator state.
     """
-    g1 = rng.exponential(params.eps1, size)
-    g2 = rng.exponential(params.eps2, size)
+    g1, g2 = sample_gains(params, rng, size)
     s1 = 2.0 * rng.integers(0, 2, size) - 1.0
     s2 = 2.0 * rng.integers(0, 2, size) - 1.0
-    if size is None:
-        return ChannelRealization.from_gains(float(g1), float(g2), float(s1), float(s2))
     return ChannelRealization.from_gains(g1, g2, s1, s2)
 
 
-def sample_gains(params: SystemParams, rng: np.random.Generator, size: int):
+def sample_gains(params: SystemParams, rng: np.random.Generator, size):
     """Gains-only batch draw (signs are irrelevant to outage events)."""
     return rng.exponential(params.eps1, size), rng.exponential(params.eps2, size)

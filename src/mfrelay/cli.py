@@ -223,7 +223,7 @@ CHAIN_PD_GRID = (0.0, 10.0, 1e6)
 
 
 def run_chain(cfg: dict):
-    n = int(cfg["mc_samples"]) or 1000000
+    n = int(cfg["mc_samples"])
     header = ["g1", "g2", "ps", "pd", "alpha", "beta", "relay_power",
               "residual_var", "folded_var", "analytic_sigma_e2", "uniformity_pvalue"]
     rows = []

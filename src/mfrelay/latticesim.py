@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .channel import ChannelRealization, SystemParams, rng_stream
+from .channel import ChannelRealization, SystemParams, _blocks, rng_stream
 from .rates import sigma_e_sq
 
-_SIM_BLOCK = 1 << 17
 _UNIFORMITY_BINS = 64
 
 
@@ -62,9 +61,13 @@ class ChainReport:
                   self.measured_folded_var, self.analytic_sigma_e2):
             if p < 0:
                 raise ValueError("powers must be nonnegative")
-        for s in (self.alpha, self.beta):
-            if not (0.0 < s <= 1.0):
-                raise ValueError("scaling factors must lie in (0, 1]")
+        _check_scalings(self.alpha, self.beta)
+
+
+def _check_scalings(*scalings):
+    """Each scaling, or grid of them, must lie in (0, 1]; NaN does not."""
+    if not all(np.all((s > 0.0) & (s <= 1.0)) for s in map(np.asarray, scalings)):
+        raise ValueError("scaling factors must lie in (0, 1]")
 
 
 def mod_lattice(x, delta):
@@ -113,9 +116,7 @@ def _block_draws(params, real, cfg):
     delta = cfg.delta
     s_n = np.sqrt(params.sigma2)
     s_d = np.sqrt(params.pd)
-    n = int(cfg.n_symbols)
-    for block, done in enumerate(range(0, n, _SIM_BLOCK)):
-        m = min(_SIM_BLOCK, n - done)
+    for block, m in _blocks(int(cfg.n_symbols)):
         rng = rng_stream(cfg.seed, block)
         u = rng.uniform(-delta / 2, delta / 2, m)    # source dither; x_s = u at the zero codeword
         u1 = rng.uniform(-delta / 2, delta / 2, m)   # relay dither
@@ -156,6 +157,7 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     a_opt, b_opt = mmse_scalings(params, real)
     alpha = a_opt if alpha is None else float(alpha)
     beta = b_opt if beta is None else float(beta)
+    _check_scalings(alpha, beta)
     delta = cfg.delta
     sum_xr2 = sum_y2 = sum_r2 = 0.0
     hist = np.zeros(_UNIFORMITY_BINS, dtype=np.int64)
@@ -193,9 +195,7 @@ def scan_scaling(params: SystemParams, real: ChannelRealization, cfg: LatticeCon
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
-    for grid in (alpha_grid, beta_grid):
-        if np.any(grid <= 0) or np.any(grid > 1.5):
-            raise ValueError("scaling grids must lie in (0, 1.5]")
+    _check_scalings(alpha_grid, beta_grid)
     delta = cfg.delta
     sums = np.zeros((alpha_grid.size, beta_grid.size))
     for draws in _block_draws(params, real, cfg):

@@ -44,8 +44,6 @@ def bessel_k1(x):
     double range.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        return arr.copy()
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("bessel_k1 requires finite x > 0")
     out = k1(arr)

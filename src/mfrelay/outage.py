@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (RateConfig, SystemParams, Thresholds, _exp2_2rd, rng_stream,
+from .channel import (RateConfig, SystemParams, Thresholds, _blocks, _gamma, rng_stream,
                       sample_gains, thresholds)
 from .numerics import Interval, bessel_k1
 from .rates import Scheme, _e2e_snr, _relay_sinr
-
-_MC_BLOCK = 1 << 17  # fixed block size keeps merged estimates worker-count independent
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,10 @@ class OutageProbs:
 
 def p_conn_cutset_lower(params: SystemParams, rd: float):
     """Connection-outage lower bound from the cut-set capacity:
-    1 - exp(-(1/eps1 + 1/eps2) * gamma_o * sigma2 / ps)."""
-    gamma_o = _exp2_2rd(np.asarray(rd, dtype=float)) - 1.0
+    1 - exp(-(1/eps1 + 1/eps2) * gamma_o * sigma2 / ps), and 0 at rd = 0."""
+    gamma_o = _gamma(np.asarray(rd, dtype=float))
     expo = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_o * params.sigma2 / params.ps
-    out = -np.expm1(-expo)
+    out = np.where(gamma_o > 0, -np.expm1(-expo), 0.0)  # an infinite 1/eps times 0 is nan
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -85,24 +83,31 @@ def p_secrecy_threshold(params: SystemParams, gamma_s, asymptotic: bool = False)
 
 def p_secrecy(params: SystemParams, config: RateConfig, asymptotic: bool = False):
     """Secrecy outage probability for a rate pair (1 when rd = rs)."""
-    return p_secrecy_threshold(params, thresholds(config).gamma_s, asymptotic)
+    return p_secrecy_threshold(params, _gamma(config.rd - config.rs), asymptotic)
 
 
 def _k1_outage(live, a, x, asymptotic: bool):
     """The MF and AF connection outage 1 - exp(-a)*x*K1(x), or its first
-    order a, where ``live``; 0 elsewhere (the zero-rate convention)."""
-    out = np.where(live, a if asymptotic else 1.0 - np.exp(-a) * x * bessel_k1(x), 0.0)
+    order a, where ``live``; 0 elsewhere (the zero-rate convention).  Where
+    exp(-a) underflows the outage is 1, as x*K1(x) <= 1: K1 gets a stand-in
+    argument there, for x itself may have overflowed to inf."""
+    out = a
+    if not asymptotic:
+        decay = np.exp(-a)
+        x = np.where(live & (decay > 0), x, 1.0)
+        out = 1.0 - decay * x * bessel_k1(x)
+    out = np.where(live, out, 0.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
     """Connection outage of the modulo-forward achievable rate (independent
-    of pd).  Exact form uses gamma_1 = 2^(2 rd) - 1/2 and K1; the
+    of pd).  Exact form uses gamma_1 = gamma_o + 1/2 and K1; the
     asymptotic variant is (1/eps1 + 1/eps2) * gamma_1 * sigma2 / ps.
     Returns 0 at rd = 0 by the zero-rate convention.
     """
     rd = np.asarray(rd, dtype=float)
-    gamma_1 = _exp2_2rd(rd) - 0.5
+    gamma_1 = _gamma(rd) + 0.5
     a = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_1 * params.sigma2 / params.ps
     x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(params.eps1 * params.eps2))
     return _k1_outage(rd > 0, a, x, asymptotic)
@@ -113,8 +118,7 @@ def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
     power wasted on forwarding the jamming signal).  Returns 0 at rd = 0,
     where the closed form's 1/gamma_o is singular.
     """
-    rd = np.asarray(rd, dtype=float)
-    gamma_o = _exp2_2rd(rd) - 1.0
+    gamma_o = _gamma(np.asarray(rd, dtype=float))
     safe = np.where(gamma_o > 0, gamma_o, 1.0)
     ratio = (params.ps + params.pd) / params.ps
     a = (safe * params.sigma2 / params.ps) * (ratio / params.eps1 + 1.0 / params.eps2)
@@ -129,7 +133,7 @@ def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:
     return OutageProbs.from_components(p_conn_mf(params, config.rd), p_secrecy(params, config))
 
 
-def tradeoff_residual(params: SystemParams, config: RateConfig, exact: bool = True) -> float:
+def tradeoff_residual(params: SystemParams, config: RateConfig, exact: bool = True):
     """Left side minus 1 of the high-SNR linear relation tying the secrecy
     and connection outage probabilities together.
 
@@ -137,16 +141,16 @@ def tradeoff_residual(params: SystemParams, config: RateConfig, exact: bool = Tr
     residual measures how fast the relation becomes tight (O(1/snr^2) up
     to a log factor).  With exact=False the first-order asymptotic forms
     are substituted instead and the residual vanishes identically.
+    Broadcasts; a scalar input gives a Python float.
     """
     th = thresholds(config)
-    if th.gamma_1 <= 0:
-        raise ValueError("tradeoff relation needs gamma_1 > 0")
     pl = p_secrecy(params, config, asymptotic=not exact)
     po = p_conn_mf(params, config.rd, asymptotic=not exact)
     lhs = ((params.ps * params.eps1 + params.pd * params.eps2 * th.gamma_s)
            / (params.ps * params.eps1)) * pl
     lhs += (th.gamma_s * params.eps2 / (th.gamma_1 * (params.eps1 + params.eps2))) * po
-    return float(lhs - 1.0)
+    out = lhs - 1.0
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _conn_event(scheme: Scheme, params: SystemParams, th: Thresholds, g1, g2):
@@ -169,11 +173,8 @@ def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: 
     hits_conn = [0] * len(schemes)
     hits_joint = [0] * len(schemes)
     hits_sec = 0
-    done = 0
-    block = 0
     with np.errstate(over="ignore"):  # an SNR of inf compares as its limit does
-        while done < n:
-            m = min(_MC_BLOCK, n - done)
+        for block, m in _blocks(n):
             g1, g2 = sample_gains(params, rng_stream(seed, (stream, block)), m)
             sec = _relay_sinr(params, g1, g2) > th.gamma_s
             hits_sec += int(np.count_nonzero(sec))
@@ -181,8 +182,6 @@ def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: 
                 conn = _conn_event(scheme, params, th, g1, g2)
                 hits_conn[k] += int(np.count_nonzero(conn))
                 hits_joint[k] += int(np.count_nonzero(conn | sec))
-            done += m
-            block += 1
     return [(c, hits_sec, j) for c, j in zip(hits_conn, hits_joint)]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mfrelay import (ChannelRealization, RateConfig, Scheme, SystemParams, gsdg_closed_form,
                      gsdof_closed_form, outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
-                     p_secrecy, rate_report, thresholds)
+                     p_secrecy, rate_report, thresholds, tradeoff_residual)
 
 def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
@@ -71,6 +71,16 @@ def test_closed_forms_are_batch_invariant(points):
     ]
     for fn, batch, each in checks:
         assert_same_bits(fn, batch, each)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_POINT, min_size=1, max_size=100), st.booleans())
+def test_tradeoff_residual_is_batch_invariant(points, exact):
+    alone = [_records(*p)[:2] for p in points]
+    params, rc, _ = _records(*map(np.array, zip(*points)))
+    assert_same_bits(lambda p, c: tradeoff_residual(p, c, exact), (params, rc), alone)
+    with np.errstate(all="ignore"):
+        assert type(tradeoff_residual(*alone[0], exact)) is float
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from mfrelay.channel import (ChannelRealization, RateConfig, SystemParams,
+from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, _blocks,
                              derived_ratios, rng_stream, sample_gains,
                              sample_realization, thresholds)
 
@@ -106,3 +108,30 @@ def test_gains_pass_chisquare_gof():
         counts = np.histogram(g, bins=edges)[0]
         pvalue = chisquare(counts).pvalue
         assert pvalue > 1e-3
+
+
+def test_realization_draws_gains_then_signs():
+    # the draw order written out: gains g1, g2 from sample_gains, then the two signs
+    params = SystemParams(ps=10, pd=10, sigma2=1, eps1=2.0, eps2=0.5)
+    for size in (None, 64):
+        rng = rng_stream(5, 3)
+        g1, g2 = sample_gains(params, rng, size)
+        s1 = 2.0 * rng.integers(0, 2, size) - 1.0
+        s2 = 2.0 * rng.integers(0, 2, size) - 1.0
+        real = sample_realization(params, rng_stream(5, 3), size)
+        for got, want in ((real.g1, g1), (real.g2, g2),
+                          (real.h1, s1 * np.sqrt(g1)), (real.h2, s2 * np.sqrt(g2))):
+            assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert type(sample_realization(params, rng_stream(5)).g1) is float
+
+
+@given(st.one_of(st.integers(1, 3 * _BLOCK + 1),
+                 st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK])))
+def test_blocks_partition_draws(n):
+    blocks = list(_blocks(n))
+    assert [index for index, _ in blocks] == list(range(len(blocks)))
+    sizes = [size for _, size in blocks]
+    assert sum(sizes) == n
+    assert all(size == _BLOCK for size in sizes[:-1])
+    assert 1 <= sizes[-1] <= _BLOCK
+    assert _BLOCK == 2 ** 17

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mfrelay.channel import ChannelRealization, RateConfig, SystemParams, thresholds
@@ -394,8 +394,6 @@ _FUZZ_VALUES = st.one_of(
 @given(experiment=st.sampled_from(("fig2", "fig3", "fig4", "fig5", "sweep", "chain")),
        data=st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, max_size=4))
 def test_fuzzed_json_config_exits_0_or_2(experiment, data, tmp_path, capsys):
-    # chain reads mc_samples = 0 as its 1e6-symbol default
-    assume(not (experiment == "chain" and data.get("mc_samples") == 0))
     small = {"axis_points": 3} if experiment != "chain" else {}
     if experiment in ("fig4", "sweep", "chain"):
         small["mc_samples"] = 50
@@ -499,9 +497,7 @@ _ARGV_TOKENS = st.one_of(
 @given(experiment=st.sampled_from(("fig2", "fig3", "fig4", "fig5", "sweep", "chain", "")),
        tokens=st.lists(_ARGV_TOKENS, max_size=6))
 def test_fuzzed_flags_exit_0_or_2(experiment, tokens, capsys):
-    # --out, --config and --help are left out: they write files, read files or print help;
-    # chain reads mc_samples = 0 as its 1e6-symbol default
-    assume(not (experiment == "chain" and "--mc-samples" in tokens))
+    # --out, --config and --help are left out: they write files, read files or print help
     argv = [experiment] if experiment else []
     if experiment in ("fig4", "sweep", "chain"):
         argv += ["--mc-samples", "50"]
@@ -514,3 +510,43 @@ def test_fuzzed_flags_exit_0_or_2(experiment, tokens, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
     else:
         assert err == "" and out.startswith("# mfrelay ")
+
+
+_CONN_COLUMNS = ("p_conn_cutset", "p_conn_mf", "p_conn_af")
+
+
+@pytest.mark.parametrize("argv, rows_at_1", [
+    (["--axis", "ps", "--axis-min", "1e-300", "--axis-max", "1", "--axis-points", "3"], 2),
+    (["--axis", "rd", "--axis-min", "500", "--axis-max", "511", "--axis-points", "2",
+      "--ps", "0.1"], 2),
+    (["--axis", "rd", "--axis-min", "511.5", "--axis-max", "511.99", "--axis-points", "3",
+      "--ps", "1e300"], 3),
+])
+def test_connection_outage_is_1_where_exp_underflows(argv, rows_at_1, tmp_path):
+    # x overflows to inf in these rows, but exp(-a) = 0 makes the outage exactly 1
+    out = tmp_path / "t.csv"
+    assert run_cli(["sweep", "--out", str(out)] + argv) == 0
+    _, header, rows = read_table(out)
+    col = columns(header, rows)
+    for name in _CONN_COLUMNS:
+        assert np.all(col[name][:rows_at_1] == 1.0), name
+
+
+def test_zero_rate_with_infinite_1_over_eps_runs(tmp_path, capsys):
+    # 1/eps1 overflows to inf; the zero-rate rows must read 0, not nan
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pd": 0, "eps1": 2.225073858507203e-309, "rd": 0, "rs": 0,
+                               "axis_points": 3, "mc_samples": 50}))
+    out = tmp_path / "t.csv"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = read_table(out)
+    col = columns(header, rows)
+    for name in _CONN_COLUMNS:
+        assert np.all(col[name] == 0.0), name
+
+
+def test_chain_needs_one_symbol(capsys):
+    assert exit_code(["chain", "--mc-samples", "0"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfrelay import latticesim
 from mfrelay.channel import ChannelRealization, SystemParams
 from mfrelay.latticesim import (ChainReport, LatticeConfig, _uniformity_pvalue,
                                 mmse_scalings, mod_lattice,
@@ -168,3 +169,34 @@ class TestScanScaling:
             scan_scaling(params, real, cfg, [0.0, 0.5], [0.5])
         with pytest.raises(ValueError):
             scan_scaling(params, real, cfg, [0.5], [1.6])
+
+
+class TestScalingDomain:
+    """alpha and beta lie in (0, 1] for simulate_chain, scan_scaling and
+    ChainReport alike, and a bad value is refused before any draw."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew blocks for a refused scaling")
+        monkeypatch.setattr(latticesim, "_block_draws", refuse)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.2, None), (None, 0.0), (float("nan"), 0.5),
+                                             (0.5, float("nan")), (-0.5, 0.5)])
+    def test_simulate_chain_refuses_before_drawing(self, alpha, beta, no_draws):
+        params, real, cfg = setup()
+        with pytest.raises(ValueError, match="scaling factors must lie in"):
+            simulate_chain(params, real, cfg, alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("alphas, betas", [([0.5, float("nan")], [0.5]),
+                                               ([0.5], [float("nan")]), ([0.5], [1.2])])
+    def test_scan_scaling_refuses_before_drawing(self, alphas, betas, no_draws):
+        params, real, cfg = setup()
+        with pytest.raises(ValueError, match="scaling factors must lie in"):
+            scan_scaling(params, real, cfg, alphas, betas)
+
+    def test_report_refuses_nan(self):
+        with pytest.raises(ValueError, match="scaling factors must lie in"):
+            ChainReport(measured_relay_power=1.0, measured_residual_var=0.5,
+                        measured_folded_var=0.5, analytic_sigma_e2=0.5,
+                        uniformity_pvalue=0.5, alpha=float("nan"), beta=0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import k1
 
 from mfrelay.asymptotics import Scheme
 from mfrelay.channel import (ChannelRealization, RateConfig, SystemParams, rng_stream,
@@ -316,3 +317,69 @@ def test_events_are_rates_below_rd(ps, pd, sigma2, g1, g2, rd, rs_frac):
     rr = relay_capacity(p, real)
     assume(abs(rr - (rc.rd - rc.rs)) > 1e-9)
     assert bool(_relay_sinr(p, g1, g2) > th.gamma_s) == (rr > rc.rd - rc.rs)
+
+
+def _p_conn_mf_offset_form(p, rd, asymptotic):
+    """MF connection outage with gamma_1 written as 2^(2 rd) - 1/2 instead of
+    gamma_o + 1/2; the two round alike while 2^(2 rd) < 2^52 (rd < 26)."""
+    gamma_1 = np.float_power(2.0, 2.0 * rd) - 0.5
+    a = (1.0 / p.eps1 + 1.0 / p.eps2) * gamma_1 * p.sigma2 / p.ps
+    x = 2.0 * gamma_1 * p.sigma2 / (p.ps * np.sqrt(p.eps1 * p.eps2))
+    return np.where(rd > 0, a if asymptotic else 1.0 - np.exp(-a) * x * k1(x), 0.0)
+
+
+def _random_points(n, rd_max, seed):
+    rng = np.random.default_rng(seed)
+    p = SystemParams(ps=10.0 ** rng.uniform(-3, 12, n), pd=10.0 ** rng.uniform(-3, 12, n),
+                     sigma2=10.0 ** rng.uniform(-3, 3, n), eps1=10.0 ** rng.uniform(-2, 2, n),
+                     eps2=10.0 ** rng.uniform(-2, 2, n))
+    rd = np.concatenate([rng.uniform(0.0, rd_max, n - 6),
+                         [0.0, 5e-324, 1e-17, 0.5, 1.0, np.nextafter(rd_max, 0.0)]])
+    return p, rd, rng.uniform(0.0, 1.0, n) * rd
+
+
+class TestOneThresholdFormula:
+    def test_p_conn_mf_equals_the_offset_form_below_rd_26(self):
+        p, rd, _ = _random_points(200_000, 26.0, 3)
+        for asymptotic in (False, True):
+            got = p_conn_mf(p, rd, asymptotic=asymptotic)
+            assert got.tobytes() == _p_conn_mf_offset_form(p, rd, asymptotic).tobytes()
+
+    def test_p_secrecy_is_the_threshold_law_at_gamma_s(self):
+        p, rd, rs = _random_points(20_000, 511.0, 4)
+        rc = RateConfig(rd=rd, rs=rs)
+        with np.errstate(over="ignore"):
+            for asymptotic in (False, True):
+                want = p_secrecy_threshold(p, thresholds(rc).gamma_s, asymptotic)
+                assert p_secrecy(p, rc, asymptotic).tobytes() == want.tobytes()
+
+
+class TestConnectionOutageWhereExpUnderflows:
+    # exp(-a) = 0 makes the outage 1, as x*K1(x) <= 1, even where x overflowed
+    @pytest.mark.parametrize("ps, rd", [(1e-300, 1.0), (1e-150, 1.0), (0.1, 500.0),
+                                        (0.1, 511.0), (1e300, 511.5), (1e300, 511.99)])
+    def test_outage_is_1(self, ps, rd):
+        p = params(ps=ps)
+        with np.errstate(over="ignore"):
+            for conn in (p_conn_mf, p_conn_af, p_conn_cutset_lower):
+                assert conn(p, rd) == 1.0
+                assert np.array_equal(conn(p, np.array([rd, rd])), [1.0, 1.0])
+
+    def test_zero_rate_stays_0_where_1_over_eps_is_inf(self):
+        # 1/eps1 overflows to inf, and inf * gamma_o would be nan at gamma_o = 0
+        p = params(ps=1.0, pd=0.0, eps1=2.225073858507203e-309)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for conn in (p_conn_mf, p_conn_af, p_conn_cutset_lower):
+                assert conn(p, 0.0) == 0.0
+
+    def test_overflowed_x_with_live_exp_is_not_1(self):
+        # eps1*eps2 underflows to 0, so x reads inf, but the true x and the
+        # outage (about 7e-137) are tiny: a refusal, or a value near 0
+        p = params(ps=1e300, eps1=1e-163, eps2=1e-163)
+        with np.errstate(divide="ignore"):
+            try:
+                out = p_conn_mf(p, 1.0)
+            except ValueError as exc:
+                assert "bessel_k1" in str(exc)
+            else:
+                assert out < 1e-100
