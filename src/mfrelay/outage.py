@@ -89,12 +89,12 @@ def p_secrecy(params: SystemParams, config: RateConfig, asymptotic: bool = False
 def _k1_outage(live, a, x, asymptotic: bool):
     """The MF and AF connection outage 1 - exp(-a)*x*K1(x), or its first
     order a, where ``live``; 0 elsewhere (the zero-rate convention).  Where
-    exp(-a) underflows the outage is 1, as x*K1(x) <= 1: K1 gets a stand-in
-    argument there, for x itself may have overflowed to inf."""
+    exp(-a) is 0 the outage is 1, as x*K1(x) <= 1: K1 gets a stand-in x there,
+    for x may have overflowed to inf; a nan ``a`` keeps its x, and K1 refuses."""
     out = a
     if not asymptotic:
         decay = np.exp(-a)
-        x = np.where(live & (decay > 0), x, 1.0)
+        x = np.where(live & (decay != 0), x, 1.0)
         out = 1.0 - decay * x * bessel_k1(x)
     out = np.where(live, out, 0.0)
     return float(out) if np.ndim(out) == 0 else out

@@ -306,6 +306,7 @@ def assert_one_error_line(code, capsys):
     ["sweep", "--axis", "ps", "--ps", "5"],
     ["chain", "--axis", "rd"],
     ["chain", "--pd", "3"],
+    ["chain", "--mc-samples", "0"],      # the chain needs one symbol
     ["sweep", "--ps", "nan"],
     ["sweep", "--mc-samples", "-1"],
     ["sweep", "--axis-points", "0"],
@@ -546,7 +547,9 @@ def test_zero_rate_with_infinite_1_over_eps_runs(tmp_path, capsys):
         assert np.all(col[name] == 0.0), name
 
 
-def test_chain_needs_one_symbol(capsys):
-    assert exit_code(["chain", "--mc-samples", "0"]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+def test_nan_af_exponent_is_refused(tmp_path, capsys):
+    # AF's a is 0 * inf = nan at ps = 100: refused in one line, not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigma2": 5e-324, "eps1": 5e-324,
+                               "axis_points": 3, "mc_samples": 50}))
+    assert_one_error_line(run_cli(["sweep", "--config", str(cfg)]), capsys)

@@ -372,6 +372,13 @@ class TestConnectionOutageWhereExpUnderflows:
             for conn in (p_conn_mf, p_conn_af, p_conn_cutset_lower):
                 assert conn(p, 0.0) == 0.0
 
+    def test_nan_exponent_is_refused(self):
+        # AF's a = (gamma_o*sigma2/ps) * (ratio/eps1 + 1/eps2) is 0 * inf = nan
+        p = params(ps=100.0, sigma2=5e-324, eps1=5e-324)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="bessel_k1"):
+                p_conn_af(p, 1.0)
+
     def test_overflowed_x_with_live_exp_is_not_1(self):
         # eps1*eps2 underflows to 0, so x reads inf, but the true x and the
         # outage (about 7e-137) are tiny: a refusal, or a value near 0
