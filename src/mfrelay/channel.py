@@ -8,11 +8,19 @@ matching 1/2 log2 prefactor.
 
 from __future__ import annotations
 
+import collections
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
 _BLOCK = 1 << 17  # fixed block size keeps merged results worker-count independent
+_SLICE = 1 << 15  # elementwise work runs on slices of a block short enough to stay in cache
+# one thread per CPU this process may run on; tests patch it
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _all_finite(*vals) -> bool:
@@ -158,6 +166,48 @@ def _blocks(n: int):
         yield index, min(_BLOCK, n - start)
 
 
+def _slices(m: int):
+    """Slices of at most _SLICE that cover range(m) in order."""
+    return (slice(start, start + _SLICE) for start in range(0, m, _SLICE))
+
+
+def _map_blocks(fn, n: int, streams, rows: int) -> list:
+    """[fn(streams(index), buf) for each (index, size) in _blocks(n)], in
+    index order, where buf is a (rows, size) view of a float buffer that
+    belongs to the thread running the block and is made once per call.
+
+    The blocks run on min(_WORKERS, blocks) threads, each block under the
+    caller's np.errstate; ``streams`` is called in the calling thread.
+    Callers reduce the results in index order, which makes the output
+    independent of the worker count.  An exception in a block is raised
+    here, and blocks not yet started are cancelled.  Needs n >= 1.
+    """
+    local = threading.local()
+    width = min(n, _BLOCK)
+    workers = min(_WORKERS, -(-n // _BLOCK))
+    err = np.geterr()
+
+    def run(rng, size):
+        if not hasattr(local, "buf"):
+            local.buf = np.empty((rows, width))
+        with np.errstate(**err):
+            return fn(rng, local.buf[:, :size])
+
+    results, pending = [], collections.deque()
+    # futures imports its thread module here, on first use, not with mfrelay
+    with futures.ThreadPoolExecutor(workers) as pool:
+        try:
+            for index, size in _blocks(n):
+                if len(pending) == 2 * workers:  # bounds the streams held at once
+                    results.append(pending.popleft().result())
+                pending.append(pool.submit(run, streams(index), size))
+            results.extend(future.result() for future in pending)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return results
+
+
 def sample_realization(params: SystemParams, rng: np.random.Generator, size=None) -> ChannelRealization:
     """Draw gains exponential(eps_i) and signs as fair coin flips.
 
@@ -170,6 +220,15 @@ def sample_realization(params: SystemParams, rng: np.random.Generator, size=None
     return ChannelRealization.from_gains(g1, g2, s1, s2)
 
 
-def sample_gains(params: SystemParams, rng: np.random.Generator, size):
-    """Gains-only batch draw (signs are irrelevant to outage events)."""
-    return rng.exponential(params.eps1, size), rng.exponential(params.eps2, size)
+def sample_gains(params: SystemParams, rng: np.random.Generator, size, out=None):
+    """Gains-only batch draw (signs are irrelevant to outage events).
+
+    With ``out``, a (2, size) float array, the gains are drawn into its
+    rows and returned as them, bitwise equal to the fresh draws.
+    """
+    if out is None:
+        return rng.exponential(params.eps1, size), rng.exponential(params.eps2, size)
+    for row, eps in zip(out, (params.eps1, params.eps2)):
+        rng.standard_exponential(out=row)
+        row *= eps
+    return out[0], out[1]

@@ -98,8 +98,10 @@ def _validate(cfg: dict, given: dict):
             kind = "an integer" if key in _INTEGRAL else "a finite number"
         if not ok:
             raise ConfigError(f"{key} must be {kind}, not {value!r}")
-        if key in _MINIMUM and value < _MINIMUM[key]:
-            raise ConfigError(f"{key} must be >= {_MINIMUM[key]}")
+        # 0 MC samples means no MC columns, but the chain needs a symbol
+        least = 1 if key == "mc_samples" and cfg["experiment"] == "chain" else _MINIMUM.get(key)
+        if least is not None and value < least:
+            raise ConfigError(f"{key} must be >= {least}")
         if key in _MAXIMUM and value > _MAXIMUM[key]:
             raise ConfigError(f"{key} must be <= {_MAXIMUM[key]}")
     experiment, axis = cfg["experiment"], cfg["axis"]

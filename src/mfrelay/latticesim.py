@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .channel import ChannelRealization, SystemParams, _blocks, rng_stream
+from .channel import ChannelRealization, SystemParams, _map_blocks, _slices, rng_stream
 from .rates import sigma_e_sq
 
 _UNIFORMITY_BINS = 64
@@ -105,29 +105,40 @@ def _uniformity_pvalue(stat: float) -> float:
     return float(chdtrc(_UNIFORMITY_BINS - 1, stat))
 
 
-def _block_draws(params, real, cfg):
-    """Yield the draws (u, u1, x_d, n_r, n_d) of each deterministic block.
+def _block_draws(rng, draws, delta, params):
+    """Fill rows 0-4 of ``draws`` with one block's (u, u1, x_d, n_r, n_d).
 
     They do not depend on the scalings, so one set of blocks serves any
-    number of (alpha, beta) pairs.
+    number of (alpha, beta) pairs.  The in-place forms are bitwise equal
+    to rng.uniform(-delta/2, delta/2, m) and s * rng.standard_normal(m).
     """
+    for row in draws[:2]:  # source dither (x_s = u at the zero codeword), relay dither
+        rng.random(out=row)
+        row *= delta
+        row += -delta / 2
+    s_n = np.sqrt(params.sigma2)
+    for row, s in zip(draws[2:5], (np.sqrt(params.pd), s_n, s_n)):
+        rng.standard_normal(out=row)
+        row *= s
+
+
+def _map_chain_blocks(params, real, cfg, fn, extra_rows=0):
+    """[fn(draws)] over the blocks of cfg, in index order; ``draws`` holds
+    the block's draws in rows 0-4 and ``extra_rows`` free rows after them."""
     if real.g1 <= 0 or real.g2 <= 0:
         raise ValueError("chain simulation needs g1 > 0 and g2 > 0")
     delta = cfg.delta
-    s_n = np.sqrt(params.sigma2)
-    s_d = np.sqrt(params.pd)
-    for block, m in _blocks(int(cfg.n_symbols)):
-        rng = rng_stream(cfg.seed, block)
-        u = rng.uniform(-delta / 2, delta / 2, m)    # source dither; x_s = u at the zero codeword
-        u1 = rng.uniform(-delta / 2, delta / 2, m)   # relay dither
-        x_d = s_d * rng.standard_normal(m)
-        n_r = s_n * rng.standard_normal(m)
-        n_d = s_n * rng.standard_normal(m)
-        yield u, u1, x_d, n_r, n_d
+
+    def block(rng, draws):
+        _block_draws(rng, draws, delta, params)
+        return fn(draws)
+
+    return _map_blocks(block, int(cfg.n_symbols), lambda index: rng_stream(cfg.seed, index),
+                       5 + extra_rows)
 
 
 def _chain_block(real, delta, draws, alpha, beta):
-    """(x_r, folded, linear_residual) of one block of draws."""
+    """(x_r, folded, linear_residual) of a block's draws, or a slice of them."""
     u, u1, x_d, n_r, n_d = draws
     h1, h2 = real.h1, real.h2
     x_s = u
@@ -159,15 +170,24 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     beta = b_opt if beta is None else float(beta)
     _check_scalings(alpha, beta)
     delta = cfg.delta
+    edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
+
+    def block(draws):
+        for s in _slices(draws.shape[1]):
+            # the slice's outputs overwrite the draws it has used up
+            draws[0, s], draws[1, s], draws[2, s] = _chain_block(real, delta, draws[:, s],
+                                                                 alpha, beta)
+        hist = np.histogram(draws[0], bins=edges)[0]
+        np.square(draws[:3], out=draws[:3])
+        return [float(np.sum(row)) for row in draws[:3]], hist
+
     sum_xr2 = sum_y2 = sum_r2 = 0.0
     hist = np.zeros(_UNIFORMITY_BINS, dtype=np.int64)
-    edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
-    for draws in _block_draws(params, real, cfg):
-        x_r, y, r = _chain_block(real, delta, draws, alpha, beta)
-        sum_xr2 += float(np.sum(x_r * x_r))
-        sum_y2 += float(np.sum(y * y))
-        sum_r2 += float(np.sum(r * r))
-        hist += np.histogram(x_r, bins=edges)[0]
+    for (xr2, y2, r2), block_hist in _map_chain_blocks(params, real, cfg, block):
+        sum_xr2 += xr2
+        sum_y2 += y2
+        sum_r2 += r2
+        hist += block_hist
     n = int(cfg.n_symbols)
     expected = n / _UNIFORMITY_BINS
     stat = float(np.sum((hist - expected) ** 2) / expected)
@@ -197,10 +217,19 @@ def scan_scaling(params: SystemParams, real: ChannelRealization, cfg: LatticeCon
     beta_grid = np.asarray(beta_grid, dtype=float)
     _check_scalings(alpha_grid, beta_grid)
     delta = cfg.delta
-    sums = np.zeros((alpha_grid.size, beta_grid.size))
-    for draws in _block_draws(params, real, cfg):
+
+    def block(draws):
+        r = draws[5]
+        sums = np.empty((alpha_grid.size, beta_grid.size))
         for i, a in enumerate(alpha_grid):
             for j, b in enumerate(beta_grid):
-                _, _, r = _chain_block(real, delta, draws, a, b)
-                sums[i, j] += float(np.sum(r * r))
+                for s in _slices(r.size):
+                    r[s] = _chain_block(real, delta, draws[:5, s], a, b)[2]
+                np.square(r, out=r)
+                sums[i, j] = np.sum(r)
+        return sums
+
+    sums = np.zeros((alpha_grid.size, beta_grid.size))
+    for block_sums in _map_chain_blocks(params, real, cfg, block, extra_rows=1):
+        sums += block_sums
     return sums / int(cfg.n_symbols)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (RateConfig, SystemParams, Thresholds, _blocks, _gamma, rng_stream,
-                      sample_gains, thresholds)
+from .channel import (RateConfig, SystemParams, Thresholds, _gamma, _map_blocks, _slices,
+                      rng_stream, sample_gains, thresholds)
 from .numerics import Interval, bessel_k1
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
@@ -170,19 +170,22 @@ def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: 
     if n < 1:
         raise ValueError("mc_outage needs n >= 1 samples")
     th = thresholds(config)
-    hits_conn = [0] * len(schemes)
-    hits_joint = [0] * len(schemes)
-    hits_sec = 0
-    with np.errstate(over="ignore"):  # an SNR of inf compares as its limit does
-        for block, m in _blocks(n):
-            g1, g2 = sample_gains(params, rng_stream(seed, (stream, block)), m)
-            sec = _relay_sinr(params, g1, g2) > th.gamma_s
-            hits_sec += int(np.count_nonzero(sec))
-            for k, scheme in enumerate(schemes):
-                conn = _conn_event(scheme, params, th, g1, g2)
-                hits_conn[k] += int(np.count_nonzero(conn))
-                hits_joint[k] += int(np.count_nonzero(conn | sec))
-    return [(c, hits_sec, j) for c, j in zip(hits_conn, hits_joint)]
+
+    def block(rng, buf):
+        g1, g2 = sample_gains(params, rng, buf.shape[1], out=buf)
+        hits = np.zeros((len(schemes), 3), dtype=np.int64)
+        with np.errstate(over="ignore"):  # an SNR of inf compares as its limit does
+            for s in _slices(g1.size):
+                sec = _relay_sinr(params, g1[s], g2[s]) > th.gamma_s
+                hits[:, 1] += np.count_nonzero(sec)
+                for k, scheme in enumerate(schemes):
+                    conn = _conn_event(scheme, params, th, g1[s], g2[s])
+                    hits[k, 0] += np.count_nonzero(conn)
+                    hits[k, 2] += np.count_nonzero(conn | sec)
+        return hits
+
+    hits = sum(_map_blocks(block, n, lambda index: rng_stream(seed, (stream, index)), 2))
+    return [tuple(map(int, row)) for row in hits]
 
 
 def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme, n: int, seed: int,

@@ -1,11 +1,16 @@
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from mfrelay import channel
 from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, _blocks,
-                             derived_ratios, rng_stream, sample_gains,
+                             _map_blocks, derived_ratios, rng_stream, sample_gains,
                              sample_realization, thresholds)
 
 
@@ -135,3 +140,74 @@ def test_blocks_partition_draws(n):
     assert all(size == _BLOCK for size in sizes[:-1])
     assert 1 <= sizes[-1] <= _BLOCK
     assert _BLOCK == 2 ** 17
+
+
+@pytest.mark.parametrize("m", [_BLOCK, 12345])
+def test_gains_drawn_into_a_buffer_equal_fresh_draws(m):
+    params = SystemParams(ps=10, pd=10, sigma2=1, eps1=1.7, eps2=0.3)
+    buf = np.empty((2, _BLOCK))
+    got = sample_gains(params, rng_stream(8, 2), m, out=buf[:, :m])
+    want = sample_gains(params, rng_stream(8, 2), m)
+    for g, w in zip(got, want):
+        assert g.base is buf and g.tobytes() == w.tobytes()
+
+
+class TestMapBlocks:
+    """The block runner: index order, the caller's errstate and thread, one
+    buffer per thread, and failures, with more workers than blocks in flight."""
+
+    N = 5 * _BLOCK + 7  # six blocks, the last one ragged
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self):
+        with mock.patch.object(channel, "_WORKERS", 3):
+            yield
+
+    def test_results_in_index_order(self):
+        def fn(index, buf):
+            time.sleep(0.02 * (index == 0))  # block 0 finishes last
+            return index, buf.shape
+
+        want = [(index, (2, size)) for index, size in _blocks(self.N)]
+        assert _map_blocks(fn, self.N, lambda index: index, 2) == want
+
+    def test_blocks_see_the_callers_errstate(self):
+        with np.errstate(over="raise", under="ignore"):
+            caller = np.geterr()
+            seen = _map_blocks(lambda rng, buf: np.geterr(), self.N, lambda index: index, 1)
+        assert seen == [caller] * 6
+
+    def test_streams_called_in_the_callers_thread(self):
+        callers = []
+
+        def streams(index):
+            callers.append(threading.get_ident())
+            return index
+
+        _map_blocks(lambda rng, buf: None, self.N, streams, 1)
+        assert callers == [threading.get_ident()] * 6
+
+    def test_one_buffer_per_thread(self):
+        seen = _map_blocks(lambda rng, buf: (threading.get_ident(), id(buf.base)),
+                           self.N, lambda index: index, 1)
+        buffers = {}
+        for thread, buffer in seen:
+            buffers.setdefault(thread, set()).add(buffer)
+        assert threading.get_ident() not in buffers
+        assert all(len(ids) == 1 for ids in buffers.values())
+
+    def test_a_failing_block_raises_in_the_caller(self):
+        n = 40 * _BLOCK
+        error = RuntimeError("block 1")
+        ran = []
+
+        def fn(index, buf):
+            ran.append(index)
+            if index == 1:
+                raise error
+            time.sleep(0.01)
+
+        with pytest.raises(RuntimeError) as caught:
+            _map_blocks(fn, n, lambda index: index, 1)
+        assert caught.value is error
+        assert len(ran) < 40  # blocks not yet started were not run

@@ -292,6 +292,7 @@ def assert_one_error_line(code, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -328,7 +329,9 @@ def assert_one_error_line(code, capsys):
      "--axis-points", "2", "--rho", "1"],   # a row's snr = ps/0 with pd derived from it
 ])
 def test_ignored_or_invalid_flags_rejected(argv, capsys):
-    assert_one_error_line(exit_code(argv), capsys)
+    line = assert_one_error_line(exit_code(argv), capsys)
+    if argv == ["chain", "--mc-samples", "0"]:  # the flag's name, not LatticeConfig's field
+        assert line == "error: mc_samples must be >= 1"
 
 
 @pytest.mark.parametrize("experiment, data", [

@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfrelay import latticesim
-from mfrelay.channel import ChannelRealization, SystemParams
+from mfrelay import channel, latticesim
+from mfrelay.channel import _BLOCK, ChannelRealization, SystemParams, rng_stream
 from mfrelay.latticesim import (ChainReport, LatticeConfig, _uniformity_pvalue,
                                 mmse_scalings, mod_lattice,
                                 residual_variance_bound, scan_scaling,
@@ -169,6 +171,35 @@ class TestScanScaling:
             scan_scaling(params, real, cfg, [0.0, 0.5], [0.5])
         with pytest.raises(ValueError):
             scan_scaling(params, real, cfg, [0.5], [1.6])
+
+
+@pytest.mark.parametrize("ps", [1e-6, 1.0, 10.0, 1e6])
+@pytest.mark.parametrize("m", [_BLOCK, 54321])
+def test_block_draws_equal_fresh_draws(ps, m):
+    # the fresh draws written out, as the chain drew them before its buffers
+    params = SystemParams(ps=ps, pd=7.0, sigma2=0.3)
+    delta = LatticeConfig(ps=ps, n_symbols=m).delta
+    rng = rng_stream(4, 1)
+    want = [rng.uniform(-delta / 2, delta / 2, m), rng.uniform(-delta / 2, delta / 2, m),
+            np.sqrt(params.pd) * rng.standard_normal(m),
+            np.sqrt(params.sigma2) * rng.standard_normal(m),
+            np.sqrt(params.sigma2) * rng.standard_normal(m)]
+    draws = np.empty((6, _BLOCK))[:, :m]
+    latticesim._block_draws(rng_stream(4, 1), draws, delta, params)
+    for got, w in zip(draws, want):
+        assert got.tobytes() == w.tobytes()
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([1, _BLOCK - 1, _BLOCK + 5, 3 * _BLOCK + 1]), st.integers(0, 2 ** 32 - 1))
+def test_chain_does_not_depend_on_workers(n, seed):
+    params, real, cfg = setup(g1=2.0, g2=5.0, n=n, seed=seed)
+    runs = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(channel, "_WORKERS", workers):
+            runs.append((simulate_chain(params, real, cfg),
+                         scan_scaling(params, real, cfg, [0.6, 0.8], [0.7]).tobytes()))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestScalingDomain:

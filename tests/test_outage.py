@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import k1
 
+from mfrelay import channel
 from mfrelay.asymptotics import Scheme
-from mfrelay.channel import (ChannelRealization, RateConfig, SystemParams, rng_stream,
+from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, rng_stream,
                              sample_gains, thresholds)
 from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _mc_counts, mc_outage,
                             outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
@@ -276,6 +278,18 @@ class TestMonteCarlo:
             warnings.simplefilter("error")
             (af,) = _mc_counts(p, rc, (Scheme.AF,), 1000, 3)
         assert af[1] == 0 and af[0] == af[2]  # the relay hears only jamming
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([1, _BLOCK - 1, _BLOCK + 5, 3 * _BLOCK + 1]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_counts_do_not_depend_on_workers(self, n, seed):
+        p = params(ps=4.0, pd=8.0)
+        rc = RateConfig(rd=1.0, rs=0.5)
+        counts = []
+        for workers in (1, 2, 3):
+            with mock.patch.object(channel, "_WORKERS", workers):
+                counts.append(_mc_counts(p, rc, (Scheme.MF, Scheme.AF), n, seed, 2))
+        assert counts[1] == counts[0] and counts[2] == counts[0]
 
     def test_streams_are_disjoint(self):
         p = params()
