@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, RateConfig, SystemParams
+from .channel import ChannelRealization, RateConfig, SystemParams, _pd_at_rho
 from .numerics import slope_fit
 from .outage import p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy
 from .rates import Scheme, af_rates, mf_rates, secrecy_upper_bound
@@ -44,16 +44,14 @@ def gsdg_closed_form(scheme: Scheme, rho):
 
 
 def _snr_points(rho, snr_grid):
-    """The validated grid and one SystemParams holding all of its points:
-    ps = snr*sigma2 and pd = snr^rho*sigma2 with sigma2 = 1."""
+    """The validated grid and one SystemParams holding its points at sigma2 = 1."""
     _check_rho(rho)
     grid = np.asarray(snr_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("snr_grid must be a 1-d grid with >= 2 points")
     if np.any(np.diff(grid) <= 0) or grid[0] < 1e4:
         raise ValueError("snr_grid must be increasing with min >= 1e4")
-    # float_power rounds as the scalar pow does; np.power's SIMD loop may not
-    return grid, SystemParams(ps=grid, pd=np.float_power(grid, rho), sigma2=1.0)
+    return grid, SystemParams(ps=grid, pd=_pd_at_rho(grid, 1.0, rho), sigma2=1.0)
 
 
 def estimate_gsdof(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,

@@ -70,6 +70,11 @@ def derived_ratios(params: SystemParams):
     return snr, inr, rho
 
 
+def _pd_at_rho(ps, sigma2, rho):  # the pd whose rho derived_ratios returns
+    # float_power rounds as the scalar pow does; np.power's SIMD loop may not
+    return np.float_power(ps / sigma2, rho) * sigma2
+
+
 @dataclass(frozen=True)
 class RateConfig:
     """Total rate rd and confidential rate rs, bits per real dimension."""
@@ -178,9 +183,9 @@ def _map_blocks(fn, n: int, streams, rows: int) -> list:
 
     The blocks run on min(_WORKERS, blocks) threads, each block under the
     caller's np.errstate; ``streams`` is called in the calling thread.
-    Callers reduce the results in index order, which makes the output
-    independent of the worker count.  An exception in a block is raised
-    here, and blocks not yet started are cancelled.  Needs n >= 1.
+    Callers reduce the results in index order, so the output does not
+    depend on the worker count.  A block's exception is raised here once
+    the submitted blocks, 2 per thread at most, have run.  Needs n >= 1.
     """
     local = threading.local()
     width = min(n, _BLOCK)
@@ -196,15 +201,11 @@ def _map_blocks(fn, n: int, streams, rows: int) -> list:
     results, pending = [], collections.deque()
     # futures imports its thread module here, on first use, not with mfrelay
     with futures.ThreadPoolExecutor(workers) as pool:
-        try:
-            for index, size in _blocks(n):
-                if len(pending) == 2 * workers:  # bounds the streams held at once
-                    results.append(pending.popleft().result())
-                pending.append(pool.submit(run, streams(index), size))
-            results.extend(future.result() for future in pending)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        for index, size in _blocks(n):
+            if len(pending) == 2 * workers:  # bounds the streams held at once
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(run, streams(index), size))
+        results.extend(future.result() for future in pending)
     return results
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import estimate_gsdof, estimate_gsdg, gsdg_closed_form, gsdof_closed_form
-from .channel import ChannelRealization, RateConfig, SystemParams, thresholds
+from .channel import ChannelRealization, RateConfig, SystemParams, _pd_at_rho, thresholds
 from .latticesim import LatticeConfig, simulate_chain
 from .outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
 from .rates import Scheme, rate_report
@@ -196,7 +196,7 @@ def run_sweep(cfg: dict):
     vals = _axis_values(cfg)
     point = {k: vals if k == axis else np.full(vals.shape, float(cfg[k])) for k in SWEEPABLE}
     if cfg["rho"] is not None:  # pd follows each row's snr; an overflow to inf is refused
-        point["pd"] = np.float_power(point["ps"] / point["sigma2"], cfg["rho"]) * point["sigma2"]
+        point["pd"] = _pd_at_rho(point["ps"], point["sigma2"], cfg["rho"])
     params = SystemParams(**{k: point[k] for k in _SYSTEM_KEYS})
     rc = RateConfig(rd=point["rd"], rs=np.minimum(point["rs"], point["rd"]))
     th = thresholds(rc)

@@ -26,7 +26,8 @@ _UNIFORMITY_BINS = 64
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Scalar coarse lattice sized so the cell's average power is ps."""
+    """Scalar coarse lattice sized so the cell's average power is ps, which
+    must equal the ps of the SystemParams the chain runs with."""
 
     ps: float
     n_symbols: int
@@ -122,11 +123,19 @@ def _block_draws(rng, draws, delta, params):
         row *= s
 
 
+def _check_chain(params, real, cfg):
+    """Refuse a chain that cannot run: a dead hop, or a lattice sized for
+    another power than params.ps (the dither would use one, the scalings the
+    other)."""
+    if real.g1 <= 0 or real.g2 <= 0:
+        raise ValueError("chain simulation needs g1 > 0 and g2 > 0")
+    if cfg.ps != params.ps:
+        raise ValueError(f"LatticeConfig.ps ({cfg.ps}) must equal params.ps ({params.ps})")
+
+
 def _map_chain_blocks(params, real, cfg, fn, extra_rows=0):
     """[fn(draws)] over the blocks of cfg, in index order; ``draws`` holds
     the block's draws in rows 0-4 and ``extra_rows`` free rows after them."""
-    if real.g1 <= 0 or real.g2 <= 0:
-        raise ValueError("chain simulation needs g1 > 0 and g2 > 0")
     delta = cfg.delta
 
     def block(rng, draws):
@@ -163,8 +172,7 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     substreams and are accumulated in index order, so results are
     reproducible for a given (config, seed).
     """
-    if real.g1 <= 0 or real.g2 <= 0:
-        raise ValueError("chain simulation needs g1 > 0 and g2 > 0")
+    _check_chain(params, real, cfg)
     a_opt, b_opt = mmse_scalings(params, real)
     alpha = a_opt if alpha is None else float(alpha)
     beta = b_opt if beta is None else float(beta)
@@ -213,6 +221,7 @@ def scan_scaling(params: SystemParams, real: ChannelRealization, cfg: LatticeCon
     equals ``simulate_chain(..., alpha, beta).measured_residual_var``.
     Returns an array of shape (len(alpha_grid), len(beta_grid)).
     """
+    _check_chain(params, real, cfg)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
     _check_scalings(alpha_grid, beta_grid)

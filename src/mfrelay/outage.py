@@ -17,6 +17,8 @@ from .channel import (RateConfig, SystemParams, Thresholds, _gamma, _map_blocks,
 from .numerics import Interval, bessel_k1
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -90,14 +92,28 @@ def _k1_outage(live, a, x, asymptotic: bool):
     """The MF and AF connection outage 1 - exp(-a)*x*K1(x), or its first
     order a, where ``live``; 0 elsewhere (the zero-rate convention).  Where
     exp(-a) is 0 the outage is 1, as x*K1(x) <= 1: K1 gets a stand-in x there,
-    for x may have overflowed to inf; a nan ``a`` keeps its x, and K1 refuses."""
+    for x may have overflowed to inf.  Below the smallest normal x, x*K1(x)
+    is its limit 1 to double precision (K1 itself may overflow there), so it
+    is taken as 1; a nan ``a`` keeps its x, and K1 refuses."""
     out = a
     if not asymptotic:
         decay = np.exp(-a)
-        x = np.where(live & (decay != 0), x, 1.0)
-        out = 1.0 - decay * x * bessel_k1(x)
+        at_limit = (x < _TINY) & ~np.isnan(decay)
+        x = np.where(live & (decay != 0) & ~at_limit, x, 1.0)
+        out = 1.0 - np.where(at_limit, decay, decay * x * bessel_k1(x))
     out = np.where(live, out, 0.0)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _eps_product(params: SystemParams):
+    """(p, r) with sqrt(eps1*eps2) = sqrt(p)*r: p = eps1*eps2 and r = 1 where
+    that product is a normal double, else p = 1 and r = sqrt(eps1)*sqrt(eps2),
+    which cannot under- or overflow where the product does."""
+    with np.errstate(over="ignore"):
+        prod = params.eps1 * params.eps2
+    normal = (prod >= _TINY) & np.isfinite(prod)
+    return (np.where(normal, prod, 1.0),
+            np.where(normal, 1.0, np.sqrt(params.eps1) * np.sqrt(params.eps2)))
 
 
 def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
@@ -109,7 +125,8 @@ def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
     rd = np.asarray(rd, dtype=float)
     gamma_1 = _gamma(rd) + 0.5
     a = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_1 * params.sigma2 / params.ps
-    x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(params.eps1 * params.eps2))
+    prod, root = _eps_product(params)
+    x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(prod) * root)
     return _k1_outage(rd > 0, a, x, asymptotic)
 
 
@@ -122,8 +139,8 @@ def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
     safe = np.where(gamma_o > 0, gamma_o, 1.0)
     ratio = (params.ps + params.pd) / params.ps
     a = (safe * params.sigma2 / params.ps) * (ratio / params.eps1 + 1.0 / params.eps2)
-    x = (2.0 * safe * params.sigma2 / params.ps) * np.sqrt(
-        (ratio + 1.0 / safe) / (params.eps1 * params.eps2))
+    prod, root = _eps_product(params)
+    x = (2.0 * safe * params.sigma2 / params.ps) * (np.sqrt((ratio + 1.0 / safe) / prod) / root)
     return _k1_outage(gamma_o > 0, a, x, asymptotic)
 
 

@@ -166,10 +166,11 @@ class RateReport:
 def rate_report(params: SystemParams, real: ChannelRealization) -> RateReport:
     mf = mf_rates(params, real)
     af = af_rates(params, real)
-    u = secrecy_upper_bound(params, real)
+    cd = cutset_capacity(params, real)
+    u = _pos(cd - mf.rr)
     return RateReport(
-        cd_upper=cutset_capacity(params, real),
-        cr=relay_capacity(params, real),
+        cd_upper=cd,
+        cr=mf.rr,
         upper_bound_u=u,
         sigma_e2=sigma_e_sq(params, real),
         rd_mf_exact=mf.rd_exact,

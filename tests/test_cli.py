@@ -550,6 +550,24 @@ def test_zero_rate_with_infinite_1_over_eps_runs(tmp_path, capsys):
         assert np.all(col[name] == 0.0), name
 
 
+@pytest.mark.parametrize("argv", [
+    ["--axis", "sigma2", "--axis-min", "1e-320", "--axis-max", "1e-300", "--axis-points", "2"],
+    ["--axis", "ps", "--axis-min", "1e300", "--axis-max", "1e300", "--axis-points", "1",
+     "--sigma2", "1e-300"],
+    ["--axis", "ps", "--axis-min", "1e290", "--axis-max", "1e300", "--axis-points", "2",
+     "--eps1", "1e-163", "--eps2", "1e-163"],
+])
+def test_tiny_k1_argument_runs(argv, tmp_path, capsys):
+    # x is subnormal or 0, or eps1*eps2 underflows: x*K1(x) is its limit 1
+    out = tmp_path / "t.csv"
+    assert run_cli(["sweep", "--out", str(out)] + argv) == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = read_table(out)
+    col = columns(header, rows)
+    for name in _CONN_COLUMNS:
+        assert np.all((col[name] >= 0.0) & (col[name] < 1e-100)), name
+
+
 def test_nan_af_exponent_is_refused(tmp_path, capsys):
     # AF's a is 0 * inf = nan at ps = 100: refused in one line, not a traceback
     cfg = tmp_path / "cfg.json"

@@ -226,6 +226,16 @@ class TestScalingDomain:
         with pytest.raises(ValueError, match="scaling factors must lie in"):
             scan_scaling(params, real, cfg, alphas, betas)
 
+    @pytest.mark.parametrize("lattice_ps", [1.0, 100.0])
+    def test_lattice_for_another_power_is_refused_before_drawing(self, lattice_ps, no_draws):
+        # the dither would use LatticeConfig.ps and the scalings params.ps
+        params, real, _ = setup(ps=10.0)
+        cfg = LatticeConfig(ps=lattice_ps, n_symbols=10 ** 6)
+        with pytest.raises(ValueError, match="LatticeConfig.ps"):
+            simulate_chain(params, real, cfg)
+        with pytest.raises(ValueError, match="LatticeConfig.ps"):
+            scan_scaling(params, real, cfg, [0.5], [0.5])
+
     def test_report_refuses_nan(self):
         with pytest.raises(ValueError, match="scaling factors must lie in"):
             ChainReport(measured_relay_power=1.0, measured_residual_var=0.5,

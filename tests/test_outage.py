@@ -394,13 +394,24 @@ class TestConnectionOutageWhereExpUnderflows:
                 p_conn_af(p, 1.0)
 
     def test_overflowed_x_with_live_exp_is_not_1(self):
-        # eps1*eps2 underflows to 0, so x reads inf, but the true x and the
-        # outage (about 7e-137) are tiny: a refusal, or a value near 0
+        # eps1*eps2 underflows to 0, but sqrt(eps1)*sqrt(eps2) does not: the
+        # true x and the outage (about 7e-137) are tiny
         p = params(ps=1e300, eps1=1e-163, eps2=1e-163)
-        with np.errstate(divide="ignore"):
-            try:
-                out = p_conn_mf(p, 1.0)
-            except ValueError as exc:
-                assert "bessel_k1" in str(exc)
-            else:
-                assert out < 1e-100
+        assert 0.0 <= p_conn_mf(p, 1.0) < 1e-100
+
+    @pytest.mark.parametrize("conn", [p_conn_mf, p_conn_af])
+    def test_subnormal_x_takes_the_limit_of_x_k1(self, conn):
+        # x is subnormal, where K1(x) overflows to inf; x*K1(x) is 1 there, so
+        # the outage, about a ~ 1e-310, stays in [0, 1] alone and in arrays
+        p = params(sigma2=1e-310)
+        assert 0.0 <= conn(p, 1.0) < 1e-300
+        assert np.array_equal(conn(p, np.array([1.0, 1.0])), [conn(p, 1.0)] * 2)
+        arr = params(ps=np.array([10.0, 10.0]), pd=np.array([10.0, 10.0]), sigma2=1e-310)
+        assert np.array_equal(conn(arr, 1.0), [conn(p, 1.0)] * 2)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_eps_product_out_of_range_keeps_its_root(self, scale):
+        # eps1*eps2 under- or overflows, yet a and x equal those at unit means
+        p = params(ps=1.0 / scale, pd=10.0 / scale, eps1=scale, eps2=scale)
+        for conn in (p_conn_mf, p_conn_af):
+            assert conn(p, 1.0) == pytest.approx(conn(params(ps=1.0), 1.0), rel=1e-12)
