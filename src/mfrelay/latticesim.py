@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .channel import ChannelRealization, SystemParams, _map_blocks, _slices, rng_stream
 from .rates import sigma_e_sq
@@ -100,9 +99,13 @@ def residual_variance_bound(params: SystemParams, real: ChannelRealization, alph
 def _uniformity_pvalue(stat: float) -> float:
     """chi2.sf(stat, bins - 1) of the relay-output histogram.
 
-    Taken from scipy.special: importing scipy.stats for this one call
-    would cost more than the rest of a cold CLI run's imports.
+    Taken from scipy.special, imported here on the first call: importing
+    scipy.stats for this one call would cost more than the rest of a cold
+    CLI run's imports, and ``scan_scaling``, which runs no such check,
+    needs neither.
     """
+    from scipy.special import chdtrc
+
     return float(chdtrc(_UNIFORMITY_BINS - 1, stat))
 
 

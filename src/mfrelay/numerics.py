@@ -6,6 +6,9 @@ validates its domain and evaluates ``scipy.special.k1`` (Cephes Chebyshev
 expansions), whose relative error stays near 1e-15 against an
 arbitrary-precision oracle, well beyond the 1e-10 the outage formulas
 require, until the result enters the subnormal range near x = 705.
+``scipy.special`` is imported on the first ``bessel_k1`` call, not with
+this module, so runs that never reach K1 (the full-CSIT rates and
+exponents) do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k1
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,8 @@ def bessel_k1(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("bessel_k1 requires finite x > 0")
+    from scipy.special import k1
+
     out = k1(arr)
     return float(out) if arr.ndim == 0 else out
 

@@ -77,8 +77,17 @@ def p_secrecy_threshold(params: SystemParams, gamma_s, asymptotic: bool = False)
     Asymptotic drops the exponential to first order (high ps).
     """
     gamma_s = np.asarray(gamma_s, dtype=float)
-    pref = params.ps * params.eps1 / (params.ps * params.eps1 + params.pd * params.eps2 * gamma_s)
-    u = gamma_s * params.sigma2 / (params.ps * params.eps1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ps_eps1 = params.ps * params.eps1
+        pref = ps_eps1 / (ps_eps1 + params.pd * params.eps2 * gamma_s)
+        u = gamma_s * params.sigma2 / ps_eps1
+        overflow = np.isinf(ps_eps1)
+        if np.any(overflow):
+            # pref reads inf/inf there; ps and eps1 both exceed 1, so dividing
+            # by each in turn stays in range
+            ratio = params.pd / params.ps * (params.eps2 / params.eps1) * gamma_s
+            pref = np.where(overflow, 1.0 / (1.0 + ratio), pref)
+            u = np.where(overflow, gamma_s * params.sigma2 / params.ps / params.eps1, u)
     out = pref * (1.0 - u) if asymptotic else pref * np.exp(-u)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -259,12 +260,63 @@ class TestPlumbing:
         assert "rs_mf" in proc.stdout
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, mfrelay; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        assert scipy_loaded_after("import mfrelay") == {"scipy.special": False,
+                                                        "scipy.stats": False}
+
+    @pytest.mark.parametrize("op, special", [("fig2", False), ("fig3", False), ("fig5", True)])
+    def test_scipy_special_loads_only_for_k1(self, op, special):
+        # the full-CSIT rates and exponents need no special function
+        loaded = scipy_loaded_after(cli_run(op, "--axis-points", "3"))
+        assert loaded == {"scipy.special": special, "scipy.stats": False}
+
+    def test_first_special_calls_under_threads(self):
+        # four threads make the first bessel_k1 and chi-square calls of a fresh
+        # interpreter at once; each must see the lazily imported functions
+        code = textwrap.dedent("""
+            import sys, threading
+            import numpy as np
+            from mfrelay.latticesim import _uniformity_pvalue
+            from mfrelay.numerics import bessel_k1
+            assert "scipy.special" not in sys.modules
+            xs = np.geomspace(1e-3, 800.0, 4001)
+            stats = np.linspace(0.0, 200.0, 41)
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+            def first_calls(i):
+                barrier.wait()
+                results[i] = bessel_k1(xs), [_uniformity_pvalue(s) for s in stats]
+            threads = [threading.Thread(target=first_calls, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            from scipy.special import chdtrc, k1
+            k1_ref, p_ref = k1(xs), chdtrc(63, stats)
+            for k1_vals, p_vals in results:
+                assert k1_vals.tobytes() == k1_ref.tobytes()
+                assert np.array(p_vals).tobytes() == p_ref.tobytes()
+            print("ok")
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+
+def cli_run(*argv):
+    """Source that runs ``cli.main(argv)`` with its CSV discarded."""
+    return ("import contextlib, io\nfrom mfrelay import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({list(argv)!r}) == 0")
+
+
+def scipy_loaded_after(source):
+    """Which of scipy.special and scipy.stats a fresh interpreter has loaded
+    after running ``source``."""
+    code = (source + "\nimport json, sys\n"
+            "print(json.dumps({m: m in sys.modules for m in ('scipy.special', 'scipy.stats')}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 # Small configs whose CSV bytes were recorded in tests/data/<name>.csv before
@@ -566,6 +618,17 @@ def test_tiny_k1_argument_runs(argv, tmp_path, capsys):
     col = columns(header, rows)
     for name in _CONN_COLUMNS:
         assert np.all((col[name] >= 0.0) & (col[name] < 1e-100)), name
+
+
+def test_secrecy_outage_where_ps_eps1_overflows(tmp_path, capsys):
+    # ps*eps1 overflows to inf in both rows; the secrecy outage there is 1
+    out = tmp_path / "t.csv"
+    assert run_cli(["sweep", "--out", str(out), "--axis", "ps", "--axis-min", "1e200",
+                    "--axis-max", "1e300", "--axis-points", "2",
+                    "--eps1", "1e200", "--eps2", "1e200"]) == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = read_table(out)
+    assert np.all(columns(header, rows)["p_secrecy"] == 1.0)
 
 
 def test_nan_af_exponent_is_refused(tmp_path, capsys):

@@ -50,6 +50,14 @@ class TestSecrecy:
         asym = p_secrecy_threshold(p, 1.0, asymptotic=True)
         assert asym == pytest.approx(exact, rel=1e-6)
 
+    def test_ps_eps1_overflow(self):
+        # ps*eps1 overflows to inf, where the direct prefactor reads inf/inf
+        p = SystemParams(ps=np.array([1e200, 1e300]), pd=10, sigma2=1, eps1=1e200, eps2=1e200)
+        assert p_secrecy(p, RateConfig(1, 0.5)) == pytest.approx(1.0, rel=1e-12)
+        # the prefactor's ratio form against the exact 1e400/(1e400 + 1e600)
+        p = SystemParams(ps=1e200, pd=1e300, sigma2=1, eps1=1e200, eps2=1e300)
+        assert p_secrecy_threshold(p, 1.0) == pytest.approx(1e-200, rel=1e-12)
+
 
 class TestConnMf:
     def test_high_power_limit(self):
