@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelRealization, RateConfig, SystemParams, _pd_at_rho
-from .numerics import slope_fit
+from .numerics import _scalar, slope_fit
 from .outage import p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy
 from .rates import Scheme, af_rates, mf_rates, secrecy_upper_bound
 
@@ -28,9 +28,8 @@ def gsdof_closed_form(scheme: Scheme, rho):
     """Secure-DoF law: rho/2 capped at 1/2 for the bound and MF; AF falls
     back to 1 - rho/2 on [1, 2) and to 0 beyond.  Broadcasts over rho."""
     half = _check_rho(rho) / 2.0
-    out = (np.minimum(half, 0.5) if scheme in (Scheme.UPPER, Scheme.MF)
-           else np.maximum(0.0, np.minimum(half, 1.0 - half)))
-    return float(out) if out.ndim == 0 else out
+    return _scalar(np.minimum(half, 0.5) if scheme in (Scheme.UPPER, Scheme.MF)
+                   else np.maximum(0.0, np.minimum(half, 1.0 - half)))
 
 
 def gsdg_closed_form(scheme: Scheme, rho):
@@ -38,9 +37,8 @@ def gsdg_closed_form(scheme: Scheme, rho):
     for the bound and MF; AF peaks at 1/2 (rho=3/2) and collapses to 0
     for rho >= 2.  Broadcasts over rho."""
     rho = _check_rho(rho)
-    out = (np.clip(rho - 1.0, 0.0, 1.0) if scheme in (Scheme.UPPER, Scheme.MF)
-           else np.maximum(0.0, np.minimum(rho - 1.0, 2.0 - rho)))
-    return float(out) if out.ndim == 0 else out
+    return _scalar(np.clip(rho - 1.0, 0.0, 1.0) if scheme in (Scheme.UPPER, Scheme.MF)
+                   else np.maximum(0.0, np.minimum(rho - 1.0, 2.0 - rho)))
 
 
 def _snr_points(rho, snr_grid):

@@ -156,13 +156,9 @@ def rng_stream(seed: int, index=None) -> np.random.Generator:
     disjoint indices give independent streams for the same seed, which is
     how Monte Carlo work is partitioned reproducibly.
     """
-    if index is None:
-        key = (int(seed),)
-    elif np.ndim(index) == 0:
-        key = (int(seed), int(index))
-    else:
-        key = (int(seed), *(int(i) for i in index))
-    return np.random.Generator(np.random.Philox(key=np.random.SeedSequence(key).generate_state(2, np.uint64)))
+    indices = () if index is None else (index,) if np.ndim(index) == 0 else index
+    # numpy takes the 128-bit Philox key from SeedSequence([seed, *indices])
+    return np.random.Generator(np.random.Philox([int(seed), *map(int, indices)]))
 
 
 def _blocks(n: int):

@@ -118,7 +118,8 @@ def _validate(cfg: dict, given: dict):
         raise ConfigError("rho and pd cannot both be set: rho derives pd = snr^rho * sigma2")
     try:
         SystemParams(**{k: float(cfg[k]) for k in _SYSTEM_KEYS})
-        RateConfig(rd=float(cfg["rd"]), rs=float(cfg["rs"]))
+        # an rs axis stands in for the rs key: its largest row must not pass rd
+        RateConfig(rd=float(cfg["rd"]), rs=float(cfg["axis_max" if axis == "rs" else "rs"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if axis is not None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, SystemParams, _map_blocks, _slices, rng_stream
+from .numerics import _scalar
 from .rates import sigma_e_sq
 
 _UNIFORMITY_BINS = 64
@@ -76,8 +77,7 @@ def mod_lattice(x, delta):
     if delta <= 0:
         raise ValueError("delta must be positive")
     x = np.asarray(x, dtype=float)
-    out = x - delta * np.floor(x / delta + 0.5)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(x - delta * np.floor(x / delta + 0.5))
 
 
 def mmse_scalings(params: SystemParams, real: ChannelRealization):
@@ -190,15 +190,10 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
                                                                  alpha, beta)
         hist = np.histogram(draws[0], bins=edges)[0]
         np.square(draws[:3], out=draws[:3])
-        return [float(np.sum(row)) for row in draws[:3]], hist
+        return np.array([np.sum(row) for row in draws[:3]]), hist
 
-    sum_xr2 = sum_y2 = sum_r2 = 0.0
-    hist = np.zeros(_UNIFORMITY_BINS, dtype=np.int64)
-    for (xr2, y2, r2), block_hist in _map_chain_blocks(params, real, cfg, block):
-        sum_xr2 += xr2
-        sum_y2 += y2
-        sum_r2 += r2
-        hist += block_hist
+    squares, hist = (sum(part) for part in zip(*_map_chain_blocks(params, real, cfg, block)))
+    sum_xr2, sum_y2, sum_r2 = map(float, squares)
     n = int(cfg.n_symbols)
     expected = n / _UNIFORMITY_BINS
     stat = float(np.sum((hist - expected) ** 2) / expected)
@@ -241,7 +236,4 @@ def scan_scaling(params: SystemParams, real: ChannelRealization, cfg: LatticeCon
                 sums[i, j] = np.sum(r)
         return sums
 
-    sums = np.zeros((alpha_grid.size, beta_grid.size))
-    for block_sums in _map_chain_blocks(params, real, cfg, block, extra_rows=1):
-        sums += block_sums
-    return sums / int(cfg.n_symbols)
+    return sum(_map_chain_blocks(params, real, cfg, block, extra_rows=1)) / int(cfg.n_symbols)

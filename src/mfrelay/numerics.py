@@ -50,8 +50,13 @@ def bessel_k1(x):
         raise ValueError("bessel_k1 requires finite x > 0")
     from scipy.special import k1
 
-    out = k1(arr)
-    return float(out) if arr.ndim == 0 else out
+    return _scalar(k1(arr))
+
+
+def _scalar(out):
+    """The one scalar-result rule: a 0-d result is a Python float, and an
+    array stays an array."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def slope_fit(points) -> float:

@@ -14,10 +14,15 @@ import numpy as np
 
 from .channel import (RateConfig, SystemParams, Thresholds, _gamma, _map_blocks, _slices,
                       rng_stream, sample_gains, thresholds)
-from .numerics import Interval, bessel_k1
+from .numerics import Interval, _scalar, bessel_k1
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _normal(v):
+    """Where v is a normal double: not 0, subnormal, infinite or nan."""
+    return (v >= _TINY) & (v < np.inf)
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,9 @@ class OutageProbs:
         for p in map(np.asarray, (p_conn, p_secrecy)):
             if not np.all((p >= 0.0) & (p <= 1.0)):
                 raise ValueError("probabilities must lie in [0, 1]")
-        lower, upper = np.maximum(p_conn, p_secrecy), np.minimum(1.0, p_conn + p_secrecy)
-        if lower.ndim == 0:
-            lower, upper = float(lower), float(upper)
-        return cls(p_conn=p_conn, p_secrecy=p_secrecy, p_total_lower=lower, p_total_upper=upper)
+        return cls(p_conn=p_conn, p_secrecy=p_secrecy,
+                   p_total_lower=_scalar(np.maximum(p_conn, p_secrecy)),
+                   p_total_upper=_scalar(np.minimum(1.0, p_conn + p_secrecy)))
 
 
 def p_conn_cutset_lower(params: SystemParams, rd: float):
@@ -66,8 +70,36 @@ def p_conn_cutset_lower(params: SystemParams, rd: float):
     1 - exp(-(1/eps1 + 1/eps2) * gamma_o * sigma2 / ps), and 0 at rd = 0."""
     gamma_o = _gamma(np.asarray(rd, dtype=float))
     expo = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_o * params.sigma2 / params.ps
-    out = np.where(gamma_o > 0, -np.expm1(-expo), 0.0)  # an infinite 1/eps times 0 is nan
-    return float(out) if np.ndim(out) == 0 else out
+    # an infinite 1/eps times 0 is nan
+    return _scalar(np.where(gamma_o > 0, -np.expm1(-expo), 0.0))
+
+
+def _secrecy_terms(params: SystemParams, gamma_s):
+    """(pref, u) of the secrecy outage pref * exp(-u) at threshold gamma_s:
+    the prefactor pref = ps*eps1/(ps*eps1 + pd*eps2*gamma_s) and the
+    exponent u = gamma_s*sigma2/(ps*eps1).
+
+    Where ps*eps1 is a normal double and that sum is finite, both are these
+    quotients (u too where gamma_s*sigma2 is finite).  Elsewhere they come
+    from sums of logs, which can neither overflow nor be nan:
+    pref = 1/(1 + e^L), L = ln(pd*eps2*gamma_s/(ps*eps1)), and
+    u = e^(ln(gamma_s*sigma2) - ln(ps*eps1)).
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ps_eps1 = params.ps * params.eps1
+        jam = params.pd * params.eps2 * gamma_s
+        spread = gamma_s * params.sigma2
+        pref = ps_eps1 / (ps_eps1 + jam)
+        u = spread / ps_eps1
+        direct = _normal(ps_eps1) & _normal(ps_eps1 + jam)
+        u_direct = direct & (spread < np.inf)
+        if not np.all(u_direct):
+            log_ps_eps1 = np.log(params.ps) + np.log(params.eps1)
+            log_gamma_s = np.log(gamma_s)
+            log_ratio = np.log(params.pd) + np.log(params.eps2) + log_gamma_s - log_ps_eps1
+            pref = np.where(direct, pref, np.exp(-np.logaddexp(0.0, log_ratio)))
+            u = np.where(u_direct, u, np.exp(log_gamma_s + np.log(params.sigma2) - log_ps_eps1))
+    return pref, u
 
 
 def p_secrecy_threshold(params: SystemParams, gamma_s, asymptotic: bool = False):
@@ -76,20 +108,8 @@ def p_secrecy_threshold(params: SystemParams, gamma_s, asymptotic: bool = False)
     Exact: ps*eps1/(ps*eps1 + pd*eps2*gamma_s) * exp(-gamma_s*sigma2/(ps*eps1)).
     Asymptotic drops the exponential to first order (high ps).
     """
-    gamma_s = np.asarray(gamma_s, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ps_eps1 = params.ps * params.eps1
-        pref = ps_eps1 / (ps_eps1 + params.pd * params.eps2 * gamma_s)
-        u = gamma_s * params.sigma2 / ps_eps1
-        overflow = np.isinf(ps_eps1)
-        if np.any(overflow):
-            # pref reads inf/inf there; ps and eps1 both exceed 1, so dividing
-            # by each in turn stays in range
-            ratio = params.pd / params.ps * (params.eps2 / params.eps1) * gamma_s
-            pref = np.where(overflow, 1.0 / (1.0 + ratio), pref)
-            u = np.where(overflow, gamma_s * params.sigma2 / params.ps / params.eps1, u)
-    out = pref * (1.0 - u) if asymptotic else pref * np.exp(-u)
-    return float(out) if np.ndim(out) == 0 else out
+    pref, u = _secrecy_terms(params, np.asarray(gamma_s, dtype=float))
+    return _scalar(pref * (1.0 - u) if asymptotic else pref * np.exp(-u))
 
 
 def p_secrecy(params: SystemParams, config: RateConfig, asymptotic: bool = False):
@@ -110,8 +130,7 @@ def _k1_outage(live, a, x, asymptotic: bool):
         at_limit = (x < _TINY) & ~np.isnan(decay)
         x = np.where(live & (decay != 0) & ~at_limit, x, 1.0)
         out = 1.0 - np.where(at_limit, decay, decay * x * bessel_k1(x))
-    out = np.where(live, out, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(np.where(live, out, 0.0))
 
 
 def _eps_product(params: SystemParams):
@@ -120,7 +139,7 @@ def _eps_product(params: SystemParams):
     which cannot under- or overflow where the product does."""
     with np.errstate(over="ignore"):
         prod = params.eps1 * params.eps2
-    normal = (prod >= _TINY) & np.isfinite(prod)
+    normal = _normal(prod)
     return (np.where(normal, prod, 1.0),
             np.where(normal, 1.0, np.sqrt(params.eps1) * np.sqrt(params.eps2)))
 
@@ -133,9 +152,17 @@ def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
     """
     rd = np.asarray(rd, dtype=float)
     gamma_1 = _gamma(rd) + 0.5
-    a = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_1 * params.sigma2 / params.ps
-    prod, root = _eps_product(params)
-    x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(prod) * root)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_1 * params.sigma2 / params.ps
+        prod, root = _eps_product(params)
+        x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(prod) * root)
+        if not np.all(_normal(a) & _normal(x)):
+            # a product left the double range: the value that is not normal
+            # comes from logs, which cannot overflow or be nan
+            log_q = np.log(gamma_1) + np.log(params.sigma2) - np.log(params.ps)
+            log_e1, log_e2 = np.log(params.eps1), np.log(params.eps2)
+            a = np.where(_normal(a), a, np.exp(log_q + np.logaddexp(-log_e1, -log_e2)))
+            x = np.where(_normal(x), x, 2.0 * np.exp(log_q - (log_e1 + log_e2) / 2))
     return _k1_outage(rd > 0, a, x, asymptotic)
 
 
@@ -170,13 +197,12 @@ def tradeoff_residual(params: SystemParams, config: RateConfig, exact: bool = Tr
     Broadcasts; a scalar input gives a Python float.
     """
     th = thresholds(config)
-    pl = p_secrecy(params, config, asymptotic=not exact)
+    # pl / pref, with pl the secrecy outage pref * exp(-u) (or pref * (1 - u))
+    _, u = _secrecy_terms(params, th.gamma_s)
+    first = np.exp(-u) if exact else 1.0 - u
     po = p_conn_mf(params, config.rd, asymptotic=not exact)
-    lhs = ((params.ps * params.eps1 + params.pd * params.eps2 * th.gamma_s)
-           / (params.ps * params.eps1)) * pl
-    lhs += (th.gamma_s * params.eps2 / (th.gamma_1 * (params.eps1 + params.eps2))) * po
-    out = lhs - 1.0
-    return float(out) if np.ndim(out) == 0 else out
+    weight = (th.gamma_s / th.gamma_1) * (params.eps2 / (params.eps1 + params.eps2))
+    return _scalar(first + weight * po - 1.0)
 
 
 def _conn_event(scheme: Scheme, params: SystemParams, th: Thresholds, g1, g2):

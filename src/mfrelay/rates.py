@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelRealization, SystemParams
+from .numerics import _scalar
 
 
 class Scheme(Enum):
@@ -132,9 +133,7 @@ def df_comparison(t) -> DfComparison:
             0.5 * np.log2(2.0 + 2.0 / (1.0 + 2.0 * t)),
         ),
     )
-    if t.ndim == 0:
-        return DfComparison(r_df=float(r_df), gap_mf_df=float(gap))
-    return DfComparison(r_df=r_df, gap_mf_df=gap)
+    return DfComparison(r_df=_scalar(r_df), gap_mf_df=_scalar(gap))
 
 
 def mf_gap(params: SystemParams, real: ChannelRealization):

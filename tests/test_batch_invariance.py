@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfrelay import (ChannelRealization, RateConfig, Scheme, SystemParams, gsdg_closed_form,
-                     gsdof_closed_form, outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
-                     p_secrecy, rate_report, thresholds, tradeoff_residual)
+from mfrelay import (ChannelRealization, RateConfig, Scheme, SystemParams, bessel_k1,
+                     df_comparison, gsdg_closed_form, gsdof_closed_form, mod_lattice,
+                     outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy,
+                     p_secrecy_threshold, rate_report, thresholds, tradeoff_residual)
 
 def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
@@ -71,6 +72,16 @@ def test_closed_forms_are_batch_invariant(points):
     ]
     for fn, batch, each in checks:
         assert_same_bits(fn, batch, each)
+    p, c, _ = alone[0]
+    with np.errstate(all="ignore"):
+        for asymptotic in (False, True):
+            for fn in (p_conn_mf, p_conn_af):
+                assert type(fn(p, c.rd, asymptotic)) is float
+            assert type(p_secrecy(p, c, asymptotic)) is float
+            assert type(p_secrecy_threshold(p, thresholds(c).gamma_s, asymptotic)) is float
+        assert type(p_conn_cutset_lower(p, c.rd)) is float
+        probs = outage_probs(p, c)
+        assert type(probs.p_total_lower) is float and type(probs.p_total_upper) is float
 
 
 @settings(max_examples=100, deadline=None)
@@ -90,3 +101,12 @@ def test_rho_laws_are_batch_invariant(rhos):
         for scheme in (Scheme.UPPER, Scheme.MF, Scheme.AF):
             assert_same_bits(lambda r: law(scheme, r), (np.array(rhos),), [(r,) for r in rhos])
             assert all(type(law(scheme, r)) is float for r in rhos)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1e300, exclude_min=True), min_size=1, max_size=40))
+def test_k1_lattice_and_df_are_batch_invariant(xs):
+    fns = (bessel_k1, lambda x: mod_lattice(x, 2.5), lambda x: mod_lattice(-x, 2.5), df_comparison)
+    for fn in fns:
+        assert_same_bits(fn, (np.array(xs),), [(x,) for x in xs])
+        assert all(type(v) is float for x in xs for v in _fields(fn(x)).values())

@@ -78,6 +78,24 @@ def test_sampling_determinism():
     assert not np.array_equal(a.g1, c.g1)
 
 
+_UINT64 = st.integers(0, 2 ** 64 - 1)
+
+
+@given(_UINT64, st.one_of(st.none(), _UINT64,
+                          st.lists(_UINT64, min_size=1, max_size=3).map(tuple)))
+def test_rng_stream_equals_the_hand_built_philox_key(seed, index):
+    # the key as rng_stream built it before numpy's own Philox seeding took over
+    if index is None:
+        key = (int(seed),)
+    elif np.ndim(index) == 0:
+        key = (int(seed), int(index))
+    else:
+        key = (int(seed), *(int(i) for i in index))
+    want = np.random.Philox(key=np.random.SeedSequence(key).generate_state(2, np.uint64))
+    got = rng_stream(seed, index).bit_generator
+    assert np.array_equal(got.random_raw(8), want.random_raw(8))
+
+
 def test_substreams_are_independent():
     params = SystemParams(ps=10, pd=10, sigma2=1)
     a = sample_gains(params, rng_stream(9, 0), 32)[0]

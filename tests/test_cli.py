@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -164,6 +165,12 @@ class TestChain:
 
 
 class TestPlumbing:
+    def test_readme_library_example_runs(self):
+        # the documented API cannot drift without this failing
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        exec(compile(example, "README.md", "exec"), {})
+
     def test_byte_identical_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["fig4", "--axis-points", "5", "--mc-samples", "20000", "--seed", "77"]
@@ -379,6 +386,8 @@ def assert_one_error_line(code, capsys):
     ["sweep", "--axis-scale", "cubic"],
     ["sweep", "--axis", "sigma2", "--axis-min", "0", "--axis-max", "1", "--axis-scale", "linear",
      "--axis-points", "2", "--rho", "1"],   # a row's snr = ps/0 with pd derived from it
+    ["sweep", "--axis", "rs", "--axis-min", "0", "--axis-max", "2", "--axis-points", "3",
+     "--axis-scale", "linear"],             # rs = 2 would run at rs = rd = 1
 ])
 def test_ignored_or_invalid_flags_rejected(argv, capsys):
     line = assert_one_error_line(exit_code(argv), capsys)

@@ -32,6 +32,18 @@ class TestCutsetLower:
         assert p_conn_cutset_lower(params(), 0.0) == 0.0
 
 
+_WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)  # log-uniform on [1e-300, 1e300]
+
+
+def _secrecy_reference(p, gamma_s):
+    """The exact secrecy outage at threshold gamma_s in 50-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        ps, pd, sigma2, eps1, eps2, gs = map(mp.mpf, (p.ps, p.pd, p.sigma2, p.eps1, p.eps2,
+                                                      gamma_s))
+        return float(ps * eps1 / (ps * eps1 + pd * eps2 * gs) * mp.exp(-gs * sigma2 / (ps * eps1)))
+
+
 class TestSecrecy:
     def test_certain_outage_at_equal_rates(self):
         assert p_secrecy(params(), RateConfig(rd=0.5, rs=0.5)) == 1.0
@@ -58,6 +70,39 @@ class TestSecrecy:
         p = SystemParams(ps=1e200, pd=1e300, sigma2=1, eps1=1e200, eps2=1e300)
         assert p_secrecy_threshold(p, 1.0) == pytest.approx(1e-200, rel=1e-12)
 
+    def test_ps_eps1_underflow(self):
+        # ps*eps1 underflows to 0, where the direct prefactor reads 0/0
+        p = SystemParams(ps=1e-200, pd=0.0, sigma2=1.0, eps1=1e-200)
+        assert p_secrecy(p, RateConfig(1.0, 0.5)) == 0.0
+
+    @pytest.mark.parametrize("ps, pd, sigma2, eps1, eps2, gamma_s", [
+        # ps*eps1 is normal but pd*eps2*gamma_s overflows: the prefactor is
+        # 1/(1 + 1e12), not the 0 of 1e298/inf
+        (1e298, 1e300, 1.0, 1.0, 1e10, 1.0),
+        (1e200, 1.0, 1e300, 1e200, 1.0, 1e10),      # gamma_s*sigma2, ps*eps1 overflow; u ~ 1e-90
+        (1e-160, 1.0, 1e-300, 1e-160, 1.0, 1e-25),  # both underflow; u ~ 1e-5
+        (1e150, 1.0, 1e300, 1e158, 1.0, 1e10),      # only gamma_s*sigma2 overflows; u ~ 100
+    ])
+    def test_out_of_range_products_against_mpmath(self, ps, pd, sigma2, eps1, eps2, gamma_s):
+        p = SystemParams(ps=ps, pd=pd, sigma2=sigma2, eps1=eps1, eps2=eps2)
+        got = p_secrecy_threshold(p, gamma_s)
+        assert abs(got - _secrecy_reference(p, gamma_s)) <= 1e-10 * got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[_WIDE] * 4), st.one_of(st.just(0.0), _WIDE),
+           st.floats(0.0, 500.0, exclude_max=True), st.floats(0.0, 1.0))
+    def test_in_the_unit_interval_over_the_double_range(self, powers, pd, rd, frac):
+        ps, sigma2, eps1, eps2 = powers
+        p = SystemParams(ps=ps, pd=pd, sigma2=sigma2, eps1=eps1, eps2=eps2)
+        rc = RateConfig(rd=rd, rs=rd * frac)
+        got = p_secrecy(p, rc)
+        assert 0.0 <= got <= 1.0
+        # the logs carry an absolute error of about 1e-13 into an exponent
+        # of at most 745, so 1e-9 relative, and the result may be subnormal
+        want = _secrecy_reference(p, thresholds(rc).gamma_s)
+        assert abs(got - want) <= 1e-9 * want + 1e-300
+        assert np.isfinite(tradeoff_residual(p, rc))
+
 
 class TestConnMf:
     def test_high_power_limit(self):
@@ -70,6 +115,20 @@ class TestConnMf:
 
     def test_independent_of_pd(self):
         assert p_conn_mf(params(pd=0.0), 1.0) == p_conn_mf(params(pd=1e9), 1.0)
+
+    @pytest.mark.parametrize("ps, sigma2, eps1, eps2, rd", [
+        (1e300, 1e9, 1e10, 1e10, 500.0),    # x's numerator and denominator overflow: inf/inf
+        (100.0, 5e-324, 5e-324, 1.0, 1.0),  # 1/eps1 overflows, so a read inf
+    ])
+    def test_products_out_of_range_come_from_logs(self, ps, sigma2, eps1, eps2, rd):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            ps_, s2, e1, e2 = (mp.mpf(v) for v in (ps, sigma2, eps1, eps2))
+            gamma_1 = mp.mpf(2) ** (2 * mp.mpf(rd)) - mp.mpf(0.5)
+            x = 2 * gamma_1 * s2 / (ps_ * mp.sqrt(e1 * e2))
+            want = 1 - mp.exp(-(1 / e1 + 1 / e2) * gamma_1 * s2 / ps_) * x * mp.besselk(1, x)
+        got = p_conn_mf(params(ps=ps, sigma2=sigma2, eps1=eps1, eps2=eps2), rd)
+        assert abs(got - want) <= 1e-10 * want
 
     def test_asymptotic_convergence(self):
         # relative error decays like u*ln(1/u) in u = gamma_1*sigma2/ps;
@@ -212,6 +271,13 @@ class TestTradeoffResidual:
         assert r3 < 1e-1
         assert r6 < 1e-4
         assert r6 < r3
+
+    @pytest.mark.parametrize("p", [params(ps=1e300, pd=1.0, eps1=1e10),
+                                   params(ps=1e298, pd=1e300, eps2=1e10)])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_finite_where_a_product_overflows(self, p, exact):
+        # ps*eps1, then pd*eps2*gamma_s overflow; the secrecy term is about 1 and 0
+        assert np.isfinite(tradeoff_residual(p, RateConfig(rd=1.0, rs=0.5), exact))
 
     def test_gamma1_guard(self):
         # gamma_1 = 2^(2 rd) - 1/2 >= 1/2 for valid configs, so no trigger
