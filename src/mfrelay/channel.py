@@ -167,9 +167,9 @@ def _blocks(n: int):
         yield index, min(_BLOCK, n - start)
 
 
-def _slices(m: int):
-    """Slices of at most _SLICE that cover range(m) in order."""
-    return (slice(start, start + _SLICE) for start in range(0, m, _SLICE))
+def _slices(m: int, size: int = _SLICE):
+    """Slices of at most ``size`` that cover range(m) in order."""
+    return (slice(start, start + size) for start in range(0, m, size))
 
 
 def _map_blocks(fn, n: int, streams, rows: int) -> list:

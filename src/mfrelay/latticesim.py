@@ -13,6 +13,8 @@ fold(linear residual) == chain output is asserted on every run.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,12 @@ from .numerics import _scalar
 from .rates import sigma_e_sq
 
 _UNIFORMITY_BINS = 64
+_DOF = _UNIFORMITY_BINS - 1  # odd, which the closed-form chi-square tail needs
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+# ln(sqrt(2/pi)/(1*3*...*(2k-1))) for k = 1 .. (_DOF - 1)/2
+_LOG_TERM_CONSTANTS = tuple(0.5 * math.log(2.0 / math.pi)
+                            - math.fsum(math.log(2 * j - 1) for j in range(1, k + 1))
+                            for k in range(1, _DOF // 2 + 1))
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,9 @@ class ChainReport:
     uniformity_pvalue: float
     alpha: float
     beta: float
+    # the largest |fold(r - y)| of the modulo-chain identity y == fold(r) over
+    # all symbols; a run refuses drift beyond 1e-9 * delta
+    max_identity_drift: float = 0.0
 
     def __post_init__(self):
         for p in (self.measured_relay_power, self.measured_residual_var,
@@ -99,14 +110,25 @@ def residual_variance_bound(params: SystemParams, real: ChannelRealization, alph
 def _uniformity_pvalue(stat: float) -> float:
     """chi2.sf(stat, bins - 1) of the relay-output histogram.
 
-    Taken from scipy.special, imported here on the first call: importing
-    scipy.stats for this one call would cost more than the rest of a cold
-    CLI run's imports, and ``scan_scaling``, which runs no such check,
-    needs neither.
+    For an odd number nu of degrees of freedom the tail has the closed form
+    erfc(sqrt(x/2)) + sqrt(2x/pi)*e^(-x/2)*sum_{k=1}^{(nu-1)/2} x^(k-1)/(1*3*...*(2k-1)).
+    Each term of the sum is formed from its log, and the sum is scaled by
+    its largest term, since e^(-x/2) underflows where the powers of x
+    overflow.  As in Cephes' igamc, the upper tail reads 0 once the gamma
+    density factor (x/2)^(nu/2)*e^(-x/2)/Gamma(nu/2) is below 1/DBL_MAX,
+    which for 63 degrees is past x = 1691 (a p-value below 7e-312).
     """
-    from scipy.special import chdtrc
-
-    return float(chdtrc(_UNIFORMITY_BINS - 1, stat))
+    x = float(stat)
+    if x <= 0.0:
+        return 1.0
+    half, a = 0.5 * x, 0.5 * _DOF
+    if half > a and a * math.log(half) - half - math.lgamma(a) < -_LOG_DBL_MAX:
+        return 0.0
+    log_x = math.log(x)
+    logs = [c + (k - 0.5) * log_x - half for k, c in enumerate(_LOG_TERM_CONSTANTS, 1)]
+    top = max(logs)
+    tail = math.exp(top + math.log(math.fsum(math.exp(v - top) for v in logs)))
+    return min(1.0, math.erfc(math.sqrt(half)) + tail)
 
 
 def _block_draws(rng, draws, delta, params):
@@ -150,7 +172,8 @@ def _map_chain_blocks(params, real, cfg, fn, extra_rows=0):
 
 
 def _chain_block(real, delta, draws, alpha, beta):
-    """(x_r, folded, linear_residual) of a block's draws, or a slice of them."""
+    """(x_r, folded, linear_residual, identity drift) of a block's draws, or
+    a slice of them."""
     u, u1, x_d, n_r, n_d = draws
     h1, h2 = real.h1, real.h2
     x_s = u
@@ -163,7 +186,7 @@ def _chain_block(real, delta, draws, alpha, beta):
     drift = np.max(np.abs(mod_lattice(r - y, delta)))
     if drift > 1e-9 * delta:
         raise RuntimeError(f"modulo-chain identity violated (drift {drift:.3e})")
-    return x_r, y, r
+    return x_r, y, r, drift
 
 
 def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeConfig,
@@ -184,15 +207,18 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
 
     def block(draws):
+        drift = 0.0
         for s in _slices(draws.shape[1]):
             # the slice's outputs overwrite the draws it has used up
-            draws[0, s], draws[1, s], draws[2, s] = _chain_block(real, delta, draws[:, s],
-                                                                 alpha, beta)
+            draws[0, s], draws[1, s], draws[2, s], d = _chain_block(real, delta, draws[:, s],
+                                                                    alpha, beta)
+            drift = max(drift, d)
         hist = np.histogram(draws[0], bins=edges)[0]
         np.square(draws[:3], out=draws[:3])
-        return np.array([np.sum(row) for row in draws[:3]]), hist
+        return np.array([np.sum(row) for row in draws[:3]]), hist, drift
 
-    squares, hist = (sum(part) for part in zip(*_map_chain_blocks(params, real, cfg, block)))
+    squares, hists, drifts = zip(*_map_chain_blocks(params, real, cfg, block))
+    squares, hist = sum(squares), sum(hists)
     sum_xr2, sum_y2, sum_r2 = map(float, squares)
     n = int(cfg.n_symbols)
     expected = n / _UNIFORMITY_BINS
@@ -206,6 +232,7 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
         uniformity_pvalue=pvalue,
         alpha=alpha,
         beta=beta,
+        max_identity_drift=float(max(drifts)),
     )
 
 

@@ -1,21 +1,83 @@
 """Special functions and small numeric utilities.
 
-The only special function the outage closed forms need is K1, the
-first-order modified Bessel function of the second kind.  ``bessel_k1``
-validates its domain and evaluates ``scipy.special.k1`` (Cephes Chebyshev
-expansions), whose relative error stays near 1e-15 against an
-arbitrary-precision oracle, well beyond the 1e-10 the outage formulas
-require, until the result enters the subnormal range near x = 705.
-``scipy.special`` is imported on the first ``bessel_k1`` call, not with
-this module, so runs that never reach K1 (the full-CSIT rates and
-exponents) do not pay for loading it.
+The outage closed forms need K1, the first-order modified Bessel function
+of the second kind, in three shapes: x*K1(x), 1 - x*K1(x) (which tends to
+0 as x -> 0, so it must not be formed by that subtraction) and the
+exp-scaled e^x*K1(x).  ``_k1_family`` computes all three in numpy, in the
+Cephes manner, and ``_k1_map`` runs it over an array a slice at a time:
+
+* for x <= 2, from the ascending series of DLMF 10.31.1 in y = x^2/4,
+  1 - x*K1(x) = -x*ln(x/2)*I1(x) + y*sum (psi(k+1) + psi(k+2)) y^k / (k!(k+1)!),
+  13 terms of each series, with coefficients built from ``math`` at import;
+* for x > 2, from a 25-term Chebyshev series of sqrt(x)*e^x*K1(x) in
+  t = 4/x - 1, summed by Clenshaw's recurrence; ``tools/k1_chebyshev.py``
+  generates the coefficients with mpmath.
+
+Against 40-digit mpmath, K1 is within 1e-15 relative on [1e-300, 700] and
+1 - x*K1(x) within 4e-16 on [1e-150, 2].  ``bessel_k1`` is K1 itself,
+domain-checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import _slices
+
+_TINY = np.finfo(float).tiny  # the smallest normal double
+_K1_SPLIT = 2.0  # the series serves x <= _K1_SPLIT, the Chebyshev fit x above it
+# the K1 kernel keeps about 15 slice-sized temporaries alive; at 2^13 points
+# they take under 1 MB, and larger slices were no faster
+_K1_SLICE = 1 << 13
+
+# sqrt(x)*e^x*K1(x) = c_0/2 + sum c_k T_k(4/x - 1) on x > 2 (tools/k1_chebyshev.py)
+_K1_CHEB = (
+    2.7206261904844427,
+    0.10392373657681724,
+    -0.002857816859622779,
+    0.00019521551847135162,
+    -1.936197974166083e-05,
+    2.406484947837217e-06,
+    -3.5019606030878126e-07,
+    5.7410841254500495e-08,
+    -1.0345762465678097e-08,
+    2.0150497551970347e-09,
+    -4.1903547593419254e-10,
+    9.218315187605315e-11,
+    -2.129967838427791e-11,
+    5.139639673482343e-12,
+    -1.2891739609498229e-12,
+    3.348419666052243e-13,
+    -8.976705182010146e-14,
+    2.4771544242195988e-14,
+    -7.0198370892147685e-15,
+    2.038703166239861e-15,
+    -6.057047270643018e-16,
+    1.8380935752430455e-16,
+    -5.689462849193648e-17,
+    1.7940510478863572e-17,
+    -5.7567444820733025e-18,
+)
+
+
+def _series_coefficients(terms=13):
+    """Coefficients, highest power first, of the two series in y of DLMF
+    10.31.1 at n = 1: sum y^k/(k!(k+1)!), which is I1(x)/(x/2), and
+    sum (psi(k+1) + psi(k+2)) y^k/(k!(k+1)!), with psi(k+1) = H_k - gamma.
+    At y <= 1 the first term left out is below 1e-19."""
+    i1, psi, harmonic = [], [], 0.0
+    for k in range(terms):
+        weight = 1.0 / (math.factorial(k) * math.factorial(k + 1))
+        i1.append(weight)
+        psi.append((2.0 * harmonic + 1.0 / (k + 1) - 2.0 * np.euler_gamma) * weight)
+        harmonic += 1.0 / (k + 1)
+    return tuple(i1[::-1]), tuple(psi[::-1])
+
+
+_I1_SERIES, _PSI_SERIES = _series_coefficients()
 
 
 @dataclass(frozen=True)
@@ -39,18 +101,110 @@ class Interval:
         return bool(np.all((self.lo <= x) & (x <= self.hi)))
 
 
+def _horner(coefs, y):
+    """The polynomial with ``coefs`` (highest power first) at y, in place."""
+    acc = np.full_like(y, coefs[0])
+    for c in coefs[1:]:
+        acc *= y
+        acc += c
+    return acc
+
+
+def _clenshaw(coefs, t):
+    """coefs[0]/2 + sum coefs[k]*T_k(t), by Clenshaw's recurrence, in place."""
+    t2 = t + t
+    b1, b2, b0 = np.full_like(t, coefs[-1]), np.zeros_like(t), np.empty_like(t)
+    for c in coefs[-2:0:-1]:
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
+    np.multiply(t, b1, out=b0)
+    b0 -= b2
+    b0 += 0.5 * coefs[0]
+    return b0
+
+
+def _k1_series(x):
+    """The K1 family where x <= 2, from DLMF 10.31.1, in place where it can be."""
+    # below 2*_TINY, 1 - x*K1(x) underflows to 0 with or without the floor,
+    # which keeps the log of the smallest subnormal's half finite
+    h = np.maximum(0.5 * x, _TINY)
+    y = h * h
+    omx = _horner(_PSI_SERIES, y)
+    log_term = np.log(h)
+    log_term *= -2.0
+    log_term *= _horner(_I1_SERIES, y)
+    omx += log_term
+    omx *= h  # then by h again: y * bracket would underflow with y first
+    omx *= h
+    xk1 = 1.0 - omx
+    ek1 = np.exp(x)
+    ek1 *= xk1
+    ek1 /= x
+    return xk1, omx, ek1
+
+
+def _k1_chebyshev(x):
+    """The K1 family where x > 2, from the Chebyshev fit of sqrt(x)*e^x*K1(x)."""
+    root = np.sqrt(x)
+    scaled = _clenshaw(_K1_CHEB, 4.0 / x - 1.0)
+    xk1 = np.exp(-x)
+    xk1 *= root
+    xk1 *= scaled
+    scaled /= root
+    return xk1, 1.0 - xk1, scaled
+
+
+def _k1_family(x):
+    """(x*K1(x), 1 - x*K1(x), e^x*K1(x)) of a 1-d array of x > 0, three arrays.
+
+    Each point takes one branch by its own value, so it gets the same bits
+    alone or inside any array.  Each result is accurate where it is used:
+    1 - x*K1(x) has no cancellation for x <= 2, and e^x*K1(x) does not
+    underflow for x > 2.
+    """
+    small = x <= _K1_SPLIT
+    if small.all():
+        return _k1_series(x)
+    if not small.any():
+        return _k1_chebyshev(x)
+    out = np.empty((3, x.size))
+    for branch, idx in ((_k1_series, np.flatnonzero(small)),
+                        (_k1_chebyshev, np.flatnonzero(~small))):
+        # one row at a time: a 2-d fancy assignment is several times slower
+        for row, values in zip(out, branch(x[idx])):
+            row[idx] = values
+    return tuple(out)
+
+
+def _k1_map(fn, x, *args):
+    """fn(x, x*K1(x), 1 - x*K1(x), e^x*K1(x), *args) elementwise, for x > 0.
+
+    x and ``args`` broadcast to one shape, and the K1 family and ``fn`` run
+    over slices of at most _K1_SLICE points, so their temporaries stay in
+    cache and only the result is as large as x.
+    """
+    x, *args = np.broadcast_arrays(np.asarray(x, dtype=float), *args)
+    flat = [np.ravel(v) for v in (x, *args)]
+    out = np.empty(x.size)
+    with np.errstate(over="ignore"):  # e^x*K1(x) passes the largest double below x ~ 5.6e-309
+        for s in _slices(out.size, _K1_SLICE):
+            part = [v[s] for v in flat]
+            out[s] = fn(part[0], *_k1_family(part[0]), *part[1:])
+    return out.reshape(x.shape)
+
+
 def bessel_k1(x):
     """K1(x) for x > 0; accepts scalars or arrays elementwise.
 
     Underflows smoothly to 0.0 for x beyond ~745 where e^-x leaves the
-    double range.
+    double range, and overflows to inf below x ~ 5.6e-309.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("bessel_k1 requires finite x > 0")
-    from scipy.special import k1
-
-    return _scalar(k1(arr))
+    return _scalar(_k1_map(lambda v, xk1, omx, ek1: xk1 / v, arr))
 
 
 def _scalar(out):

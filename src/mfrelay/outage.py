@@ -14,11 +14,8 @@ import numpy as np
 
 from .channel import (RateConfig, SystemParams, Thresholds, _gamma, _map_blocks, _slices,
                       rng_stream, sample_gains, thresholds)
-from .numerics import Interval, _scalar, bessel_k1
+from .numerics import _K1_SPLIT, _TINY, Interval, _k1_map, _scalar
 from .rates import Scheme, _e2e_snr, _relay_sinr
-
-_TINY = np.finfo(float).tiny  # the smallest normal double
-
 
 def _normal(v):
     """Where v is a normal double: not 0, subnormal, infinite or nan."""
@@ -117,31 +114,57 @@ def p_secrecy(params: SystemParams, config: RateConfig, asymptotic: bool = False
     return p_secrecy_threshold(params, _gamma(config.rd - config.rs), asymptotic)
 
 
+_DIRECT = 2.0 ** 150  # the direct a and x of inputs in [1/_DIRECT, _DIRECT] stay normal
+# any x past 746 gives exp(-a - x) = 0; an x of inf would make x*(e^x*K1(x)) times it nan
+_X_CAP = 1e300
+
+
 def _k1_outage(live, a, x, asymptotic: bool):
     """The MF and AF connection outage 1 - exp(-a)*x*K1(x), or its first
-    order a, where ``live``; 0 elsewhere (the zero-rate convention).  Where
-    exp(-a) is 0 the outage is 1, as x*K1(x) <= 1: K1 gets a stand-in x there,
-    for x may have overflowed to inf.  Below the smallest normal x, x*K1(x)
-    is its limit 1 to double precision (K1 itself may overflow there), so it
-    is taken as 1; a nan ``a`` keeps its x, and K1 refuses."""
+    order a, where ``live``; 0 elsewhere (the zero-rate convention).
+
+    The exact form has no cancellation: where x <= 2 it is
+    -expm1(-a) + exp(-a)*(1 - x*K1(x)), and where x > 2 it is
+    1 - x*(e^x*K1(x))*exp(-a - x), so exp(-a) and K1 cannot underflow
+    apart.  An x below the smallest normal double or above _X_CAP (0 or
+    inf past the double range) is taken at that bound, where x*K1(x)
+    already is its limit, 1 or 0, to double precision.
+    """
     out = a
     if not asymptotic:
-        decay = np.exp(-a)
-        at_limit = (x < _TINY) & ~np.isnan(decay)
-        x = np.where(live & (decay != 0) & ~at_limit, x, 1.0)
-        out = 1.0 - np.where(at_limit, decay, decay * x * bessel_k1(x))
+        out = _k1_map(_outage_terms, np.clip(np.where(live, x, 1.0), _TINY, _X_CAP), a)
     return _scalar(np.where(live, out, 0.0))
 
 
-def _eps_product(params: SystemParams):
-    """(p, r) with sqrt(eps1*eps2) = sqrt(p)*r: p = eps1*eps2 and r = 1 where
-    that product is a normal double, else p = 1 and r = sqrt(eps1)*sqrt(eps2),
-    which cannot under- or overflow where the product does."""
-    with np.errstate(over="ignore"):
-        prod = params.eps1 * params.eps2
-    normal = _normal(prod)
-    return (np.where(normal, prod, 1.0),
-            np.where(normal, 1.0, np.sqrt(params.eps1) * np.sqrt(params.eps2)))
+def _outage_terms(x, xk1, omx, ek1, a):
+    """_k1_outage's exact form on one slice, from the K1 family of x."""
+    return np.where(x <= _K1_SPLIT, -np.expm1(-a) + np.exp(-a) * omx,
+                    1.0 - x * ek1 * np.exp(-a - x))
+
+
+def _k1_arguments(params: SystemParams, gamma, a, x, af: bool):
+    """(a, x) of the MF or AF connection outage 1 - exp(-a)*x*K1(x).
+
+    With q = gamma*sigma2/ps, a = q*(r/eps1 + 1/eps2) and
+    x = 2q*sqrt((r + s)/(eps1*eps2)), where MF has r = 1 and s = 0, and AF
+    r = (ps + pd)/ps and s = 1/gamma.  ``a`` and ``x`` are the scheme's
+    direct values.  They are kept where ps, sigma2, eps1, eps2 and gamma
+    lie in [2^-150, 2^150] (and, for AF, pd <= 2^150), for then no product
+    or quotient in them leaves the normal range.  Elsewhere both come from
+    sums of logs, which can neither overflow nor be nan.
+    """
+    direct = params.pd <= _DIRECT if af else True
+    for v in (params.ps, params.sigma2, params.eps1, params.eps2, gamma):
+        direct = direct & (v >= 1.0 / _DIRECT) & (v <= _DIRECT)
+    if np.all(direct):
+        return a, x
+    with np.errstate(divide="ignore", over="ignore"):  # log(0) of pd = 0; exp past the range
+        log_ps, log_e1, log_e2 = np.log(params.ps), np.log(params.eps1), np.log(params.eps2)
+        log_q = np.log(gamma) + np.log(params.sigma2) - log_ps
+        log_r = np.logaddexp(log_ps, np.log(params.pd)) - log_ps if af else 0.0
+        log_r_s = np.logaddexp(log_r, -np.log(gamma)) if af else 0.0
+        return (np.where(direct, a, np.exp(log_q + np.logaddexp(log_r - log_e1, -log_e2))),
+                np.where(direct, x, 2.0 * np.exp(log_q + (log_r_s - log_e1 - log_e2) / 2)))
 
 
 def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
@@ -154,15 +177,8 @@ def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
     gamma_1 = _gamma(rd) + 0.5
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         a = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_1 * params.sigma2 / params.ps
-        prod, root = _eps_product(params)
-        x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(prod) * root)
-        if not np.all(_normal(a) & _normal(x)):
-            # a product left the double range: the value that is not normal
-            # comes from logs, which cannot overflow or be nan
-            log_q = np.log(gamma_1) + np.log(params.sigma2) - np.log(params.ps)
-            log_e1, log_e2 = np.log(params.eps1), np.log(params.eps2)
-            a = np.where(_normal(a), a, np.exp(log_q + np.logaddexp(-log_e1, -log_e2)))
-            x = np.where(_normal(x), x, 2.0 * np.exp(log_q - (log_e1 + log_e2) / 2))
+        x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(params.eps1 * params.eps2))
+    a, x = _k1_arguments(params, gamma_1, a, x, af=False)
     return _k1_outage(rd > 0, a, x, asymptotic)
 
 
@@ -173,10 +189,12 @@ def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
     """
     gamma_o = _gamma(np.asarray(rd, dtype=float))
     safe = np.where(gamma_o > 0, gamma_o, 1.0)
-    ratio = (params.ps + params.pd) / params.ps
-    a = (safe * params.sigma2 / params.ps) * (ratio / params.eps1 + 1.0 / params.eps2)
-    prod, root = _eps_product(params)
-    x = (2.0 * safe * params.sigma2 / params.ps) * (np.sqrt((ratio + 1.0 / safe) / prod) / root)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = (params.ps + params.pd) / params.ps
+        a = (safe * params.sigma2 / params.ps) * (ratio / params.eps1 + 1.0 / params.eps2)
+        x = (2.0 * safe * params.sigma2 / params.ps) * np.sqrt((ratio + 1.0 / safe)
+                                                               / (params.eps1 * params.eps2))
+    a, x = _k1_arguments(params, safe, a, x, af=True)
     return _k1_outage(gamma_o > 0, a, x, asymptotic)
 
 

@@ -270,21 +270,27 @@ class TestPlumbing:
         assert scipy_loaded_after("import mfrelay") == {"scipy.special": False,
                                                         "scipy.stats": False}
 
-    @pytest.mark.parametrize("op, special", [("fig2", False), ("fig3", False), ("fig5", True)])
-    def test_scipy_special_loads_only_for_k1(self, op, special):
-        # the full-CSIT rates and exponents need no special function
-        loaded = scipy_loaded_after(cli_run(op, "--axis-points", "3"))
-        assert loaded == {"scipy.special": special, "scipy.stats": False}
+    @pytest.mark.parametrize("op, k1", [("fig2", False), ("fig3", False), ("fig5", True)])
+    def test_scipy_special_loads_only_for_k1(self, op, k1):
+        # the full-CSIT rates and exponents need no special function; K1, once
+        # scipy.special's, is numpy code now, so fig5 leaves scipy unloaded too
+        source = ("from mfrelay import numerics\n"
+                  "calls = []\n"
+                  "family = numerics._k1_family\n"
+                  "numerics._k1_family = lambda x: calls.append(x.size) or family(x)\n"
+                  + cli_run(op, "--axis-points", "3")
+                  + f"\nassert bool(calls) == {k1}")
+        loaded = scipy_loaded_after(source)
+        assert loaded == {"scipy.special": False, "scipy.stats": False}
 
     def test_first_special_calls_under_threads(self):
         # four threads make the first bessel_k1 and chi-square calls of a fresh
-        # interpreter at once; each must see the lazily imported functions
+        # interpreter at once; each must get the bits of a later serial call
         code = textwrap.dedent("""
             import sys, threading
             import numpy as np
             from mfrelay.latticesim import _uniformity_pvalue
             from mfrelay.numerics import bessel_k1
-            assert "scipy.special" not in sys.modules
             xs = np.geomspace(1e-3, 800.0, 4001)
             stats = np.linspace(0.0, 200.0, 41)
             barrier = threading.Barrier(4)
@@ -297,11 +303,43 @@ class TestPlumbing:
                 t.start()
             for t in threads:
                 t.join()
-            from scipy.special import chdtrc, k1
-            k1_ref, p_ref = k1(xs), chdtrc(63, stats)
+            assert "scipy.special" not in sys.modules
+            k1_serial = bessel_k1(xs)
+            p_serial = np.array([_uniformity_pvalue(s) for s in stats])
             for k1_vals, p_vals in results:
-                assert k1_vals.tobytes() == k1_ref.tobytes()
-                assert np.array(p_vals).tobytes() == p_ref.tobytes()
+                assert k1_vals.tobytes() == k1_serial.tobytes()
+                assert np.array(p_vals).tobytes() == p_serial.tobytes()
+            from scipy.special import chdtrc, k1
+            assert np.allclose(k1_serial, k1(xs), rtol=1e-12, atol=0.0)
+            assert np.allclose(p_serial, chdtrc(63, stats), rtol=1e-12, atol=0.0)
+            print("ok")
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+    def test_runs_without_scipy(self):
+        # a None entry in sys.modules makes every import of scipy, or of a
+        # submodule of it, raise ImportError: each op must run all the same
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            sys.modules["scipy"] = None
+            import numpy as np
+            import mfrelay
+            from mfrelay import cli
+            for argv in (["fig2"], ["fig3"], ["fig4", "--mc-samples", "1000"], ["fig5"],
+                         ["sweep", "--mc-samples", "1000"], ["chain", "--mc-samples", "3000"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv + ["--axis-points", "3"] * (argv[0] != "chain")) == 0
+            params = mfrelay.SystemParams(ps=1.0, pd=10.0, sigma2=1.0)
+            real = mfrelay.ChannelRealization.from_gains(3.0, 3.0)
+            cfg = mfrelay.LatticeConfig(ps=1.0, n_symbols=3000, seed=1)
+            assert mfrelay.scan_scaling(params, real, cfg, [0.7, 0.8], [0.75]).shape == (2, 1)
+            batch = mfrelay.SystemParams(ps=np.geomspace(1.0, 1e18, 1000), pd=10.0, sigma2=1.0)
+            for conn in (mfrelay.p_conn_mf, mfrelay.p_conn_af):
+                p = conn(batch, np.linspace(0.0, 8.0, 1000))
+                assert np.all((p >= 0.0) & (p <= 1.0))
+            assert [m for m in sys.modules if m.startswith("scipy.")] == []
             print("ok")
         """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -640,9 +678,18 @@ def test_secrecy_outage_where_ps_eps1_overflows(tmp_path, capsys):
     assert np.all(columns(header, rows)["p_secrecy"] == 1.0)
 
 
-def test_nan_af_exponent_is_refused(tmp_path, capsys):
-    # AF's a is 0 * inf = nan at ps = 100: refused in one line, not a traceback
+def test_af_exponent_out_of_range_runs(tmp_path, capsys):
+    # AF's direct a is 0 * inf = nan in these rows, where K1 used to refuse
+    # it; a and x come from logs, so the column holds the library's values
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sigma2": 5e-324, "eps1": 5e-324,
                                "axis_points": 3, "mc_samples": 50}))
-    assert_one_error_line(run_cli(["sweep", "--config", str(cfg)]), capsys)
+    out = tmp_path / "t.csv"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = read_table(out)
+    col = columns(header, rows)
+    want = [p_conn_af(SystemParams(ps=ps, pd=10.0, sigma2=5e-324, eps1=5e-324), 1.0)
+            for ps in col["ps"]]
+    assert np.allclose(col["p_conn_af"], want, rtol=1e-11, atol=0.0)
+    assert 0.0 < min(want) and max(want) <= 1.0

@@ -38,7 +38,7 @@ def test_k1_exact_zero_past_underflow():
 
 def test_k1_allocates_about_its_output():
     x = np.linspace(1e-3, 60.0, 100_000)
-    # the first call imports scipy.special; measure a call, not the import
+    # a first call leaves any one-time setup out of the measurement
     bessel_k1(1.0)
     tracemalloc.start()
     try:

@@ -241,3 +241,17 @@ class TestScalingDomain:
             ChainReport(measured_relay_power=1.0, measured_residual_var=0.5,
                         measured_folded_var=0.5, analytic_sigma_e2=0.5,
                         uniformity_pvalue=0.5, alpha=float("nan"), beta=0.5)
+
+
+def test_chain_reports_its_identity_drift():
+    # the largest |fold(r - y)| over all blocks: within the run's own 1e-9*delta
+    # check, and the same for any worker count
+    params, real, cfg = setup(g1=2.0, g2=5.0, n=2 * _BLOCK + 7, seed=9)
+    reports = []
+    for workers in (1, 2):
+        with mock.patch.object(channel, "_WORKERS", workers):
+            reports.append(simulate_chain(params, real, cfg))
+    drift = reports[0].max_identity_drift
+    assert type(drift) is float
+    assert 0.0 < drift <= 1e-9 * cfg.delta
+    assert reports[1] == reports[0]

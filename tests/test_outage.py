@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import k1
 
 from mfrelay import channel
 from mfrelay.asymptotics import Scheme
 from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, rng_stream,
                              sample_gains, thresholds)
-from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _mc_counts, mc_outage,
-                            outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
+from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _k1_outage, _mc_counts,
+                            mc_outage, outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
                             p_secrecy, p_secrecy_threshold, tradeoff_residual)
 from mfrelay.rates import _relay_sinr, af_rates, cutset_capacity, mf_rates, relay_capacity
 
@@ -42,6 +41,28 @@ def _secrecy_reference(p, gamma_s):
         ps, pd, sigma2, eps1, eps2, gs = map(mp.mpf, (p.ps, p.pd, p.sigma2, p.eps1, p.eps2,
                                                       gamma_s))
         return float(ps * eps1 / (ps * eps1 + pd * eps2 * gs) * mp.exp(-gs * sigma2 / (ps * eps1)))
+
+
+def _conn_reference(p, gamma, af):
+    """The exact MF (gamma = gamma_1) or AF (gamma = gamma_o) connection
+    outage 1 - exp(-a)*x*K1(x) in mpmath, as -expm1(-a) + exp(-a)*(1 - x*K1(x))
+    so that a small outage keeps its digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        ps, pd, sigma2, eps1, eps2, g = map(mp.mpf, (p.ps, p.pd, p.sigma2, p.eps1, p.eps2, gamma))
+        q = g * sigma2 / ps
+        r, s = ((ps + pd) / ps, 1 / g) if af else (1, 0)
+        a = q * (r / eps1 + 1 / eps2)
+        x = 2 * q * mp.sqrt((r + s) / (eps1 * eps2))
+        if a > 800 or x > 800:
+            return 1.0  # exp(-a)*x*K1(x) < 1e-340, as x*K1(x) <= 1 and e^x*K1(x) < 2
+        if x < 1e-20:
+            # the two leading terms of DLMF 10.31.1; the next is x^2 times smaller
+            one_minus_x_k1 = x ** 2 / 4 * (2 * mp.log(2 / x) + 1 - 2 * mp.euler)
+        else:
+            with mp.workdps(90):  # the subtraction loses 40 digits at x = 1e-20
+                one_minus_x_k1 = 1 - x * mp.besselk(1, x)
+        return float(-mp.expm1(-a) + mp.exp(-a) * one_minus_x_k1)
 
 
 class TestSecrecy:
@@ -95,12 +116,18 @@ class TestSecrecy:
         ps, sigma2, eps1, eps2 = powers
         p = SystemParams(ps=ps, pd=pd, sigma2=sigma2, eps1=eps1, eps2=eps2)
         rc = RateConfig(rd=rd, rs=rd * frac)
-        got = p_secrecy(p, rc)
-        assert 0.0 <= got <= 1.0
+        th = thresholds(rc)
         # the logs carry an absolute error of about 1e-13 into an exponent
-        # of at most 745, so 1e-9 relative, and the result may be subnormal
-        want = _secrecy_reference(p, thresholds(rc).gamma_s)
-        assert abs(got - want) <= 1e-9 * want + 1e-300
+        # of at most 745, so 1e-9 relative, and the result may be subnormal;
+        # the references take the thresholds as the library rounds them, and
+        # the zero-rate convention (AF's gamma_o is 0 also for rd below 8e-17)
+        for got, want in ((p_secrecy(p, rc), _secrecy_reference(p, th.gamma_s)),
+                          (p_conn_mf(p, rd), _conn_reference(p, th.gamma_1, af=False)
+                           if rd > 0 else 0.0),
+                          (p_conn_af(p, rd), _conn_reference(p, th.gamma_o, af=True)
+                           if th.gamma_o > 0 else 0.0)):
+            assert 0.0 <= got <= 1.0
+            assert abs(got - want) <= 1e-9 * want + 1e-300
         assert np.isfinite(tradeoff_residual(p, rc))
 
 
@@ -144,6 +171,19 @@ class TestConnMf:
             assert rel[1] < 0.02
             assert rel[2] < 0.006
             assert rel[0] > rel[1] > rel[2]
+
+
+@pytest.mark.parametrize("snr", [1e3, 1e6, 1e9, 1e12, 1e15, 1e18])
+@pytest.mark.parametrize("rho", [1.0, 1.5])  # pd = snr^rho; AF at pd >> ps
+@pytest.mark.parametrize("conn", [p_conn_mf, p_conn_af])
+def test_connection_outage_relative_error_at_high_snr(snr, rho, conn):
+    # 1 - exp(-a)*x*K1(x) cancels as x -> 0: its direct form was 2.6e-5 off
+    # at snr = 1e12 and read 0 at 1e18
+    p = params(ps=snr, pd=snr ** rho)
+    th = thresholds(RateConfig(1.0, 0.5))
+    af = conn is p_conn_af
+    want = _conn_reference(p, th.gamma_o if af else th.gamma_1, af)
+    assert abs(conn(p, 1.0) - want) <= 1e-10 * want
 
 
 class TestConnAf:
@@ -409,11 +449,12 @@ def test_events_are_rates_below_rd(ps, pd, sigma2, g1, g2, rd, rs_frac):
 
 def _p_conn_mf_offset_form(p, rd, asymptotic):
     """MF connection outage with gamma_1 written as 2^(2 rd) - 1/2 instead of
-    gamma_o + 1/2; the two round alike while 2^(2 rd) < 2^52 (rd < 26)."""
+    gamma_o + 1/2; the two round alike while 2^(2 rd) < 2^52 (rd < 26).
+    Its a and x feed the one K1 outage form that p_conn_mf uses."""
     gamma_1 = np.float_power(2.0, 2.0 * rd) - 0.5
     a = (1.0 / p.eps1 + 1.0 / p.eps2) * gamma_1 * p.sigma2 / p.ps
     x = 2.0 * gamma_1 * p.sigma2 / (p.ps * np.sqrt(p.eps1 * p.eps2))
-    return np.where(rd > 0, a if asymptotic else 1.0 - np.exp(-a) * x * k1(x), 0.0)
+    return _k1_outage(rd > 0, a, x, asymptotic)
 
 
 def _random_points(n, rd_max, seed):
@@ -460,12 +501,14 @@ class TestConnectionOutageWhereExpUnderflows:
             for conn in (p_conn_mf, p_conn_af, p_conn_cutset_lower):
                 assert conn(p, 0.0) == 0.0
 
-    def test_nan_exponent_is_refused(self):
-        # AF's a = (gamma_o*sigma2/ps) * (ratio/eps1 + 1/eps2) is 0 * inf = nan
-        p = params(ps=100.0, sigma2=5e-324, eps1=5e-324)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="bessel_k1"):
-                p_conn_af(p, 1.0)
+    def test_af_products_out_of_range_come_from_logs(self):
+        # the direct a was 0 * inf = nan at the first point (K1 refused it), and
+        # safe*sigma2 overflowed to inf at the second, which read 1.0
+        for p, rd in ((params(ps=100.0, sigma2=5e-324, eps1=5e-324), 1.0),
+                      (params(ps=1e300, pd=1.0, sigma2=1e9, eps1=1e10, eps2=1e10), 500.0)):
+            want = _conn_reference(p, thresholds(RateConfig(rd, 0.0)).gamma_o, af=True)
+            assert abs(p_conn_af(p, rd) - want) <= 1e-10 * want
+        assert abs(want - 0.970814828586) < 1e-12
 
     def test_overflowed_x_with_live_exp_is_not_1(self):
         # eps1*eps2 underflows to 0, but sqrt(eps1)*sqrt(eps2) does not: the
