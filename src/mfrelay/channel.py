@@ -172,10 +172,11 @@ def _slices(m: int, size: int = _SLICE):
     return (slice(start, start + size) for start in range(0, m, size))
 
 
-def _map_blocks(fn, n: int, streams, rows: int) -> list:
-    """[fn(streams(index), buf) for each (index, size) in _blocks(n)], in
-    index order, where buf is a (rows, size) view of a float buffer that
-    belongs to the thread running the block and is made once per call.
+def _map_blocks(fn, n: int, streams, rows: int, slice_rows: int = 0) -> list:
+    """[fn(streams(index), buf, scratch) for each (index, size) in
+    _blocks(n)], in index order, where buf is a (rows, size) view of a float
+    buffer and scratch a (slice_rows, min(size, _SLICE)) one; both belong to
+    the thread running the block and are made once per call.
 
     The blocks run on min(_WORKERS, blocks) threads, each block under the
     caller's np.errstate; ``streams`` is called in the calling thread.
@@ -191,8 +192,9 @@ def _map_blocks(fn, n: int, streams, rows: int) -> list:
     def run(rng, size):
         if not hasattr(local, "buf"):
             local.buf = np.empty((rows, width))
+            local.scratch = np.empty((slice_rows, min(width, _SLICE)))
         with np.errstate(**err):
-            return fn(rng, local.buf[:, :size])
+            return fn(rng, local.buf[:, :size], local.scratch[:, :size])
 
     results, pending = [], collections.deque()
     # futures imports its thread module here, on first use, not with mfrelay

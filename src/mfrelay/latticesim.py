@@ -8,7 +8,8 @@ cell folds a non-negligible tail of the residual at these operating points,
 the report carries both the linear residual variance (the quantity the
 equivalent-noise formula describes; validated against it) and the folded
 variance of the cell-reduced output.  The exact modulo-algebra identity
-fold(linear residual) == chain output is asserted on every run.
+fold(linear residual) == chain output is asserted on every symbol of every
+operating point; a batch of operating points runs on one set of draws.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +57,11 @@ class LatticeConfig:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Measured chain statistics against the analytic equivalent noise."""
+    """Measured chain statistics against the analytic equivalent noise.
+
+    Each field is a float for a single operating point, or an array of the
+    batch's broadcast shape holding one value per operating point.
+    """
 
     measured_relay_power: float
     measured_residual_var: float   # linear residual, the sigma_e^2 estimand
@@ -71,7 +77,7 @@ class ChainReport:
     def __post_init__(self):
         for p in (self.measured_relay_power, self.measured_residual_var,
                   self.measured_folded_var, self.analytic_sigma_e2):
-            if p < 0:
+            if np.any(np.asarray(p) < 0):
                 raise ValueError("powers must be nonnegative")
         _check_scalings(self.alpha, self.beta)
 
@@ -82,13 +88,24 @@ def _check_scalings(*scalings):
         raise ValueError("scaling factors must lie in (0, 1]")
 
 
+def _fold(x, delta, tmp):
+    """x - delta*floor(x/delta + 0.5), written over x; ``tmp`` is scratch
+    of x's shape.  The one cell reduction of mod_lattice and the chain."""
+    np.divide(x, delta, out=tmp)
+    tmp += 0.5
+    np.floor(tmp, out=tmp)
+    tmp *= delta
+    x -= tmp
+    return x
+
+
 def mod_lattice(x, delta):
     """Reduce x modulo delta*Z into [-delta/2, delta/2); the +delta/2
     boundary maps to -delta/2."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    x = np.asarray(x, dtype=float)
-    return _scalar(x - delta * np.floor(x / delta + 0.5))
+    x = np.array(x, dtype=float)  # a copy for the fold to overwrite
+    return _scalar(_fold(x, delta, np.empty_like(x)))
 
 
 def mmse_scalings(params: SystemParams, real: ChannelRealization):
@@ -132,107 +149,197 @@ def _uniformity_pvalue(stat: float) -> float:
 
 
 def _block_draws(rng, draws, delta, params):
-    """Fill rows 0-4 of ``draws`` with one block's (u, u1, x_d, n_r, n_d).
+    """Fill rows 0-4 of ``draws`` with one block's (u, u1, z, n_r, n_d).
 
-    They do not depend on the scalings, so one set of blocks serves any
-    number of (alpha, beta) pairs.  The in-place forms are bitwise equal
-    to rng.uniform(-delta/2, delta/2, m) and s * rng.standard_normal(m).
+    z is the jamming x_d at unit power: a chain at jamming power pd uses
+    sqrt(pd)*z.  None of the rows depends on pd or the scalings, so one set
+    of blocks serves any number of operating points.  The in-place forms
+    are bitwise equal to rng.uniform(-delta/2, delta/2, m) and
+    s * rng.standard_normal(m).
     """
     for row in draws[:2]:  # source dither (x_s = u at the zero codeword), relay dither
         rng.random(out=row)
         row *= delta
         row += -delta / 2
+    rng.standard_normal(out=draws[2])
     s_n = np.sqrt(params.sigma2)
-    for row, s in zip(draws[2:5], (np.sqrt(params.pd), s_n, s_n)):
+    for row in draws[3:5]:
         rng.standard_normal(out=row)
-        row *= s
+        row *= s_n
+
+
+class _Case(NamedTuple):
+    """One operating point of the chain: sqrt(pd), the amplitudes and the
+    scalings, as floats."""
+
+    s_d: float
+    h1: float
+    h2: float
+    alpha: float
+    beta: float
+
+
+# The chain in three stages, each written in place over slice-sized arrays
+# (``draws`` is a slice of the block's rows 0-4, ``tmp`` scratch).  The
+# operations and their order are those of the chain's formulas, so every
+# value is bitwise what evaluating the formula would give.
+
+def _relay_stage(draws, case, delta, x_r, tmp):
+    """x_r = fold(beta*y_r/h1 + u1), y_r = h1*x_s + h2*x_d + n_r; of the
+    scalings it depends on beta only."""
+    u, u1, z, n_r, _ = draws
+    np.multiply(case.h1, u, out=x_r)
+    np.multiply(case.s_d, z, out=tmp)  # x_d
+    tmp *= case.h2
+    x_r += tmp
+    x_r += n_r
+    x_r *= case.beta
+    x_r /= case.h1
+    x_r += u1
+    _fold(x_r, delta, tmp)
+
+
+def _destination_stage(draws, case, delta, x_r, y, tmp):
+    """y = fold(alpha*y_d/h2 - beta*(h2/h1)*x_d - u - u1), y_d = h2*x_r + n_d:
+    the destination strips its own jamming and both dithers."""
+    u, u1, z, _, n_d = draws
+    np.multiply(case.h2, x_r, out=y)
+    y += n_d
+    y *= case.alpha
+    y /= case.h2
+    np.multiply(case.s_d, z, out=tmp)
+    tmp *= case.beta * (case.h2 / case.h1)
+    y -= tmp
+    y -= u
+    y -= u1
+    _fold(y, delta, tmp)
+
+
+def _residual_stage(draws, case, x_r, r, tmp):
+    """r = (alpha - 1)*x_r + (beta - 1)*x_s + beta*n_r/h1 + alpha*n_d/h2,
+    the linear residual."""
+    u, _, _, n_r, n_d = draws
+    np.multiply(case.alpha - 1.0, x_r, out=r)
+    np.multiply(case.beta - 1.0, u, out=tmp)
+    r += tmp
+    np.multiply(case.beta, n_r, out=tmp)
+    tmp /= case.h1
+    r += tmp
+    np.multiply(case.alpha, n_d, out=tmp)
+    tmp /= case.h2
+    r += tmp
+
+
+def _identity_drift(r, y, out, delta, tmp):
+    """max |fold(r - y)| over a slice, computed in ``out`` (r's or y's
+    array, or scratch).  The whole modulo algebra collapses to
+    y == fold(r); a drift beyond 1e-9*delta is refused."""
+    np.subtract(r, y, out=out)
+    drift = float(np.max(np.abs(_fold(out, delta, tmp), out=out)))
+    if drift > 1e-9 * delta:
+        raise RuntimeError(f"modulo-chain identity violated (drift {drift:.3e})")
+    return drift
+
+
+def _sum_of_squares(row):
+    """Sum of the squares of a block row, squared in place; summed over the
+    whole row, in numpy's pairwise order for that length."""
+    np.square(row, out=row)
+    return np.sum(row)
 
 
 def _check_chain(params, real, cfg):
-    """Refuse a chain that cannot run: a dead hop, or a lattice sized for
-    another power than params.ps (the dither would use one, the scalings the
-    other)."""
-    if real.g1 <= 0 or real.g2 <= 0:
+    """Refuse a chain that cannot run: an array ps or sigma2 (every
+    operating point shares one lattice and one noise draw), a dead hop, or
+    a lattice sized for another power than params.ps (the dither would use
+    one, the scalings the other)."""
+    if np.ndim(params.ps) or np.ndim(params.sigma2):
+        raise ValueError("chain simulation needs a scalar ps and sigma2")
+    if np.any(np.asarray(real.g1) <= 0) or np.any(np.asarray(real.g2) <= 0):
         raise ValueError("chain simulation needs g1 > 0 and g2 > 0")
     if cfg.ps != params.ps:
         raise ValueError(f"LatticeConfig.ps ({cfg.ps}) must equal params.ps ({params.ps})")
 
 
-def _map_chain_blocks(params, real, cfg, fn, extra_rows=0):
-    """[fn(draws)] over the blocks of cfg, in index order; ``draws`` holds
-    the block's draws in rows 0-4 and ``extra_rows`` free rows after them."""
+def _map_chain_blocks(params, cfg, fn):
+    """[fn(draws, x_r, w, scratch)] over the blocks of cfg, in index order:
+    ``draws`` holds the block's draws, x_r and w are free rows of the
+    block's length, and scratch two free slice-sized rows."""
     delta = cfg.delta
 
-    def block(rng, draws):
-        _block_draws(rng, draws, delta, params)
-        return fn(draws)
+    def block(rng, buf, scratch):
+        _block_draws(rng, buf[:5], delta, params)
+        return fn(buf[:5], buf[5], buf[6], scratch)
 
     return _map_blocks(block, int(cfg.n_symbols), lambda index: rng_stream(cfg.seed, index),
-                       5 + extra_rows)
-
-
-def _chain_block(real, delta, draws, alpha, beta):
-    """(x_r, folded, linear_residual, identity drift) of a block's draws, or
-    a slice of them."""
-    u, u1, x_d, n_r, n_d = draws
-    h1, h2 = real.h1, real.h2
-    x_s = u
-    y_r = h1 * x_s + h2 * x_d + n_r
-    x_r = mod_lattice(beta * y_r / h1 + u1, delta)
-    y_d = h2 * x_r + n_d
-    y = mod_lattice(alpha * y_d / h2 - beta * (h2 / h1) * x_d - u - u1, delta)
-    r = (alpha - 1.0) * x_r + (beta - 1.0) * x_s + beta * n_r / h1 + alpha * n_d / h2
-    # the whole modulo algebra collapses to y == fold(r); enforce it
-    drift = np.max(np.abs(mod_lattice(r - y, delta)))
-    if drift > 1e-9 * delta:
-        raise RuntimeError(f"modulo-chain identity violated (drift {drift:.3e})")
-    return x_r, y, r, drift
+                       7, 2)
 
 
 def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeConfig,
-                   alpha: float | None = None, beta: float | None = None) -> ChainReport:
+                   alpha=None, beta=None) -> ChainReport:
     """Run the full chain and report measured second moments.
 
     ``alpha``/``beta`` default to the MMSE values; passing 1.0 shows the
-    penalty of forwarding without scaling.  Blocks use independent
-    substreams and are accumulated in index order, so results are
-    reproducible for a given (config, seed).
+    penalty of forwarding without scaling.  ``params.pd``, the gains and
+    amplitudes of ``real``, and ``alpha``/``beta`` broadcast: arrays of
+    one shape run one chain per operating point, and the report's fields
+    are arrays of that shape.  ``params.ps`` (which must equal ``cfg.ps``)
+    and ``params.sigma2`` are scalars.  Every operating point runs on the
+    same blocks, each drawn once; blocks use independent substreams and
+    are accumulated in index order, so each point equals its own scalar
+    call bit for bit and results are reproducible for a given
+    (config, seed).
     """
     _check_chain(params, real, cfg)
     a_opt, b_opt = mmse_scalings(params, real)
-    alpha = a_opt if alpha is None else float(alpha)
-    beta = b_opt if beta is None else float(beta)
+    alpha = np.asarray(a_opt if alpha is None else alpha, dtype=float)
+    beta = np.asarray(b_opt if beta is None else beta, dtype=float)
     _check_scalings(alpha, beta)
+    shape = np.broadcast_shapes(*map(np.shape, (params.pd, real.h1, real.h2, alpha, beta)))
+    point = np.broadcast_arrays(np.sqrt(params.pd), real.h1, real.h2, alpha, beta)
+    cases = [_Case(*map(float, values)) for values in zip(*(np.ravel(v) for v in point))]
     delta = cfg.delta
     edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
 
-    def block(draws):
-        drift = 0.0
-        for s in _slices(draws.shape[1]):
-            # the slice's outputs overwrite the draws it has used up
-            draws[0, s], draws[1, s], draws[2, s], d = _chain_block(real, delta, draws[:, s],
-                                                                    alpha, beta)
-            drift = max(drift, d)
-        hist = np.histogram(draws[0], bins=edges)[0]
-        np.square(draws[:3], out=draws[:3])
-        return np.array([np.sum(row) for row in draws[:3]]), hist, drift
+    def block(draws, x_r, w, scratch):
+        squares = np.empty((len(cases), 3))
+        hists = np.empty((len(cases), _UNIFORMITY_BINS), dtype=np.int64)
+        drifts = np.empty(len(cases))
+        for k, case in enumerate(cases):
+            drift = 0.0
+            for s in _slices(x_r.size):  # x_r, y into w, and the identity check
+                r, tmp = scratch[:, :x_r[s].size]
+                _relay_stage(draws[:, s], case, delta, x_r[s], tmp)
+                _destination_stage(draws[:, s], case, delta, x_r[s], w[s], tmp)
+                _residual_stage(draws[:, s], case, x_r[s], r, tmp)
+                drift = max(drift, _identity_drift(r, w[s], r, delta, tmp))
+            squares[k, 1] = _sum_of_squares(w)
+            for s in _slices(x_r.size):  # r into w, again from x_r
+                _residual_stage(draws[:, s], case, x_r[s], w[s], scratch[1, :x_r[s].size])
+            squares[k, 2] = _sum_of_squares(w)
+            hists[k] = np.histogram(x_r, bins=edges)[0]
+            squares[k, 0] = _sum_of_squares(x_r)
+            drifts[k] = drift
+        return squares, hists, drifts
 
-    squares, hists, drifts = zip(*_map_chain_blocks(params, real, cfg, block))
-    squares, hist = sum(squares), sum(hists)
-    sum_xr2, sum_y2, sum_r2 = map(float, squares)
+    squares, hists, drifts = zip(*_map_chain_blocks(params, cfg, block))
+    squares, hist, drift = sum(squares), sum(hists), np.max(drifts, axis=0)
     n = int(cfg.n_symbols)
     expected = n / _UNIFORMITY_BINS
-    stat = float(np.sum((hist - expected) ** 2) / expected)
-    pvalue = _uniformity_pvalue(stat)
+    pvalues = [_uniformity_pvalue(np.sum((h - expected) ** 2) / expected) for h in hist]
+
+    def field(values):
+        return _scalar(np.array(values, dtype=float).reshape(shape))
+
     return ChainReport(
-        measured_relay_power=sum_xr2 / n,
-        measured_residual_var=sum_r2 / n,
-        measured_folded_var=sum_y2 / n,
-        analytic_sigma_e2=float(sigma_e_sq(params, real)),
-        uniformity_pvalue=pvalue,
-        alpha=alpha,
-        beta=beta,
-        max_identity_drift=float(max(drifts)),
+        measured_relay_power=field(squares[:, 0] / n),
+        measured_residual_var=field(squares[:, 2] / n),
+        measured_folded_var=field(squares[:, 1] / n),
+        analytic_sigma_e2=field(np.broadcast_to(sigma_e_sq(params, real), shape)),
+        uniformity_pvalue=field(pvalues),
+        alpha=field(point[3]),
+        beta=field(point[4]),
+        max_identity_drift=field(drift),
     )
 
 
@@ -242,25 +349,35 @@ def scan_scaling(params: SystemParams, real: ChannelRealization, cfg: LatticeCon
 
     Draws each block once and evaluates every grid point on it (common
     random numbers), so the empirical argmin lands within one grid step
-    of the MMSE pair.  Each point sums its blocks in index order and
-    equals ``simulate_chain(..., alpha, beta).measured_residual_var``.
-    Returns an array of shape (len(alpha_grid), len(beta_grid)).
+    of the MMSE pair; the relay stage, which depends on beta only, runs
+    once per block and beta.  Each point sums its blocks in index order
+    and equals ``simulate_chain(..., alpha, beta).measured_residual_var``.
+    ``params`` and ``real`` describe one operating point.  Returns an
+    array of shape (len(alpha_grid), len(beta_grid)).
     """
     _check_chain(params, real, cfg)
+    if any(np.ndim(v) for v in (params.pd, real.h1, real.h2)):
+        raise ValueError("scan_scaling runs one operating point: scalar pd and gains")
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
     _check_scalings(alpha_grid, beta_grid)
     delta = cfg.delta
+    s_d, h1, h2 = float(np.sqrt(params.pd)), float(real.h1), float(real.h2)
 
-    def block(draws):
-        r = draws[5]
+    def block(draws, x_r, r, scratch):
         sums = np.empty((alpha_grid.size, beta_grid.size))
-        for i, a in enumerate(alpha_grid):
-            for j, b in enumerate(beta_grid):
-                for s in _slices(r.size):
-                    r[s] = _chain_block(real, delta, draws[:5, s], a, b)[2]
-                np.square(r, out=r)
-                sums[i, j] = np.sum(r)
+        for j, b in enumerate(beta_grid):
+            relay = _Case(s_d, h1, h2, None, b)  # the relay reads beta alone
+            for s in _slices(x_r.size):
+                _relay_stage(draws[:, s], relay, delta, x_r[s], scratch[1, :x_r[s].size])
+            for i, a in enumerate(alpha_grid):
+                case = _Case(s_d, h1, h2, a, b)
+                for s in _slices(x_r.size):
+                    y, tmp = scratch[:, :x_r[s].size]
+                    _destination_stage(draws[:, s], case, delta, x_r[s], y, tmp)
+                    _residual_stage(draws[:, s], case, x_r[s], r[s], tmp)
+                    _identity_drift(r[s], y, y, delta, tmp)
+                sums[i, j] = _sum_of_squares(r)
         return sums
 
-    return sum(_map_chain_blocks(params, real, cfg, block, extra_rows=1)) / int(cfg.n_symbols)
+    return sum(_map_chain_blocks(params, cfg, block)) / int(cfg.n_symbols)

@@ -241,7 +241,7 @@ def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: 
         raise ValueError("mc_outage needs n >= 1 samples")
     th = thresholds(config)
 
-    def block(rng, buf):
+    def block(rng, buf, _scratch):
         g1, g2 = sample_gains(params, rng, buf.shape[1], out=buf)
         hits = np.zeros((len(schemes), 3), dtype=np.int64)
         with np.errstate(over="ignore"):  # an SNR of inf compares as its limit does

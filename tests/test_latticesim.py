@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfrelay import channel, latticesim
+from mfrelay import channel, cli, latticesim
 from mfrelay.channel import _BLOCK, ChannelRealization, SystemParams, rng_stream
 from mfrelay.latticesim import (ChainReport, LatticeConfig, _uniformity_pvalue,
                                 mmse_scalings, mod_lattice,
@@ -45,6 +45,31 @@ class TestModLattice:
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             mod_lattice(1.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(delta=st.floats(min_value=1e-6, max_value=1e6),
+           units=st.lists(st.one_of(st.floats(min_value=-1e15, max_value=1e15),
+                                    st.integers(-10 ** 6, 10 ** 6).map(lambda k: k + 0.5),
+                                    st.sampled_from([-0.0, 0.0, 0.5, -0.5])),
+                          min_size=1, max_size=20))
+    def test_fold_is_the_cell_expression(self, delta, units):
+        # the in-place fold of mod_lattice and the chain stages against the
+        # expression it replaced: ties at +-delta/2, -0.0 and |x| up to 1e15*delta
+        x = np.array(units) * delta
+        want = x - delta * np.floor(x / delta + 0.5)
+        kept = x.copy()
+        assert mod_lattice(x, delta).tobytes() == want.tobytes()
+        assert x.tobytes() == kept.tobytes()  # the input is not overwritten
+        got = x.copy()
+        assert latticesim._fold(got, delta, np.empty_like(got)) is got
+        assert got.tobytes() == want.tobytes()
+        for v, w in zip(x, want):
+            assert np.float64(mod_lattice(float(v), delta)).tobytes() == w.tobytes()
+
+    def test_ties_and_signed_zero(self):
+        d = 2.5
+        assert mod_lattice([d / 2, -d / 2], d).tolist() == [-d / 2, -d / 2]
+        assert np.signbit(mod_lattice(-0.0, d))
 
 
 class TestLatticeConfig:
@@ -186,6 +211,7 @@ def test_block_draws_equal_fresh_draws(ps, m):
             np.sqrt(params.sigma2) * rng.standard_normal(m)]
     draws = np.empty((6, _BLOCK))[:, :m]
     latticesim._block_draws(rng_stream(4, 1), draws, delta, params)
+    draws[2] *= np.sqrt(params.pd)  # x_d is drawn at unit power, scaled per operating point
     for got, w in zip(draws, want):
         assert got.tobytes() == w.tobytes()
 
@@ -236,6 +262,24 @@ class TestScalingDomain:
         with pytest.raises(ValueError, match="LatticeConfig.ps"):
             scan_scaling(params, real, cfg, [0.5], [0.5])
 
+    @pytest.mark.parametrize("ps, sigma2, g1", [(1.0, 1.0, [3.0, 0.0]),
+                                                (np.array([1.0, 1.0]), 1.0, 3.0),
+                                                (1.0, np.array([1.0, 2.0]), 3.0)])
+    def test_batch_refused_before_drawing(self, ps, sigma2, g1, no_draws):
+        # one dead hop in a batch, or an array ps or sigma2 (one lattice and
+        # one noise draw serve every operating point)
+        params = SystemParams(ps=ps, pd=np.array([0.0, 10.0]), sigma2=sigma2)
+        real = ChannelRealization.from_gains(g1, 3.0)
+        cfg = LatticeConfig(ps=1.0, n_symbols=10 ** 6)
+        with pytest.raises(ValueError, match="chain simulation needs"):
+            simulate_chain(params, real, cfg)
+
+    def test_scan_refuses_a_batch_before_drawing(self, no_draws):
+        params, _, cfg = setup()
+        real = ChannelRealization.from_gains([2.0, 3.0], 3.0)
+        with pytest.raises(ValueError, match="one operating point"):
+            scan_scaling(params, real, cfg, [0.5], [0.5])
+
     def test_report_refuses_nan(self):
         with pytest.raises(ValueError, match="scaling factors must lie in"):
             ChainReport(measured_relay_power=1.0, measured_residual_var=0.5,
@@ -255,3 +299,122 @@ def test_chain_reports_its_identity_drift():
     assert type(drift) is float
     assert 0.0 < drift <= 1e-9 * cfg.delta
     assert reports[1] == reports[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(g1=st.floats(1e-3, 1e3), g2=st.floats(1e-3, 1e3), pd=st.sampled_from([0.0, 10.0, 1e6]),
+       alpha=st.floats(1e-3, 1.0), beta=st.floats(1e-3, 1.0),
+       signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])))
+def test_stages_equal_the_chain_formulas(g1, g2, pd, alpha, beta, signs):
+    # the chain as its formulas read, evaluated whole, against the in-place stages
+    params = SystemParams(ps=2.0, pd=pd, sigma2=0.7)
+    real = ChannelRealization.from_gains(g1, g2, *signs)
+    delta = LatticeConfig(ps=2.0, n_symbols=1).delta
+    draws = np.empty((5, 1000))
+    latticesim._block_draws(rng_stream(1, 0), draws, delta, params)
+    u, u1, z, n_r, n_d = draws
+    h1, h2 = real.h1, real.h2
+    x_d = np.sqrt(pd) * z
+    y_r = h1 * u + h2 * x_d + n_r
+    x_r = mod_lattice(beta * y_r / h1 + u1, delta)
+    y_d = h2 * x_r + n_d
+    y = mod_lattice(alpha * y_d / h2 - beta * (h2 / h1) * x_d - u - u1, delta)
+    r = (alpha - 1.0) * x_r + (beta - 1.0) * u + beta * n_r / h1 + alpha * n_d / h2
+
+    case = latticesim._Case(float(np.sqrt(pd)), h1, h2, alpha, beta)
+    got, tmp = np.empty((3, 1000)), np.empty(1000)
+    latticesim._relay_stage(draws, case, delta, got[0], tmp)
+    latticesim._destination_stage(draws, case, delta, got[0], got[1], tmp)
+    latticesim._residual_stage(draws, case, got[0], got[2], tmp)
+    for have, want in zip(got, (x_r, y, r)):
+        assert have.tobytes() == want.tobytes()
+    drift = latticesim._identity_drift(got[2], got[1], tmp.copy(), delta, tmp)
+    assert drift == np.max(np.abs(mod_lattice(r - y, delta)))
+
+
+def _chain_grid():
+    """run_chain's grid: gain pairs down, jamming powers (0 among them) across."""
+    g1, g2 = (np.array(cli.CHAIN_GAIN_GRID)[:, [k]] for k in (0, 1))
+    return np.array(cli.CHAIN_PD_GRID), ChannelRealization.from_gains(g1, g2)
+
+
+def _fields(report):
+    return {f: np.asarray(getattr(report, f), dtype=float)
+            for f in ChainReport.__dataclass_fields__}
+
+
+def _assert_batch_equals_scalar_calls(params, real, cfg, alpha=None, beta=None):
+    batch = _fields(simulate_chain(params, real, cfg, alpha=alpha, beta=beta))
+    shape = batch["alpha"].shape
+    pd, h1, h2, g1, g2, a, b = (np.broadcast_to(v, shape) for v in
+                                (params.pd, real.h1, real.h2, real.g1, real.g2,
+                                 np.nan if alpha is None else alpha,
+                                 np.nan if beta is None else beta))
+    for idx in np.ndindex(shape):
+        point = SystemParams(ps=params.ps, pd=float(pd[idx]), sigma2=params.sigma2)
+        one = ChannelRealization(g1=float(g1[idx]), g2=float(g2[idx]),
+                                 h1=float(h1[idx]), h2=float(h2[idx]))
+        scalar = simulate_chain(point, one, cfg, alpha=None if alpha is None else a[idx],
+                                beta=None if beta is None else b[idx])
+        for name, values in batch.items():
+            got = getattr(scalar, name)
+            assert type(got) is float
+            # tobytes tells -0.0 from 0.0
+            assert values[idx].tobytes() == np.float64(got).tobytes(), (name, idx)
+
+
+@pytest.mark.parametrize("n", [1, 20000, _BLOCK - 1, _BLOCK + 5, 3 * _BLOCK + 1])
+def test_batch_equals_scalar_calls(n):
+    # each operating point of one batched call is its own scalar call, bit
+    # for bit, for any worker count
+    pd, real = _chain_grid()
+    params = SystemParams(ps=1.0, pd=pd, sigma2=1.0)
+    cfg = LatticeConfig(ps=1.0, n_symbols=n, seed=n)
+    runs = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(channel, "_WORKERS", workers):
+            runs.append(_fields(simulate_chain(params, real, cfg)))
+    for run in runs[1:]:
+        assert all(run[f].tobytes() == runs[0][f].tobytes() for f in run)
+    assert runs[0]["alpha"].shape == (3, 3)
+    _assert_batch_equals_scalar_calls(params, real, cfg)
+
+
+def test_batch_of_scalings_equals_scalar_calls():
+    params, real, cfg = setup(g1=2.0, g2=5.0, pd=0.0, n=_BLOCK + 5, seed=3)
+    _assert_batch_equals_scalar_calls(params, real, cfg, alpha=np.array([[0.6], [0.75], [1.0]]),
+                                      beta=np.array([0.7, 1.0]))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts the blocks drawn and the symbols the relay stage processes."""
+    counts = {"blocks": 0, "relayed": 0}
+    block_draws, relay_stage = latticesim._block_draws, latticesim._relay_stage
+
+    def draws(rng, rows, delta, params):
+        counts["blocks"] += 1
+        block_draws(rng, rows, delta, params)
+
+    def relay(draws, case, delta, x_r, tmp):
+        counts["relayed"] += x_r.size
+        relay_stage(draws, case, delta, x_r, tmp)
+
+    monkeypatch.setattr(latticesim, "_block_draws", draws)
+    monkeypatch.setattr(latticesim, "_relay_stage", relay)
+    return counts
+
+
+def test_chain_grid_draws_each_block_once(counted):
+    n = 3 * _BLOCK + 1
+    cli.run_chain({"ps": 1.0, "sigma2": 1.0, "eps1": 1.0, "eps2": 1.0,
+                   "mc_samples": n, "seed": 2})
+    assert counted["blocks"] == 4  # not 9 * 4
+    assert counted["relayed"] == 9 * n
+
+
+def test_scan_relays_once_per_beta(counted):
+    params, real, cfg = setup(n=3 * _BLOCK + 1)
+    scan_scaling(params, real, cfg, [0.6, 0.75, 1.0], [0.7, 0.9])
+    assert counted["blocks"] == 4
+    assert counted["relayed"] == 2 * cfg.n_symbols  # 2 betas per block, not 6 pairs
