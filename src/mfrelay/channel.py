@@ -9,7 +9,9 @@ matching 1/2 log2 prefactor.
 from __future__ import annotations
 
 import collections
+import numbers
 import os
+import sys
 import threading
 from concurrent import futures
 from dataclasses import dataclass
@@ -25,6 +27,14 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def _all_finite(*vals) -> bool:
     return all(np.all(np.isfinite(v)) for v in vals)
+
+
+def _is_number(value, integral: bool = False) -> bool:
+    """The one rule for a number set by a caller or a config: a real scalar
+    that a double holds finitely, and not a bool (an int to Python); where
+    ``integral``, a count or seed, also a whole one (1e6 counts)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and (not integral or value == int(value)))
 
 
 @dataclass(frozen=True)
@@ -172,11 +182,10 @@ def _slices(m: int, size: int = _SLICE):
     return (slice(start, start + size) for start in range(0, m, size))
 
 
-def _map_blocks(fn, n: int, streams, rows: int, slice_rows: int = 0) -> list:
-    """[fn(streams(index), buf, scratch) for each (index, size) in
-    _blocks(n)], in index order, where buf is a (rows, size) view of a float
-    buffer and scratch a (slice_rows, min(size, _SLICE)) one; both belong to
-    the thread running the block and are made once per call.
+def _map_blocks(fn, n: int, streams, rows: int) -> list:
+    """[fn(streams(index), buf) for each (index, size) in _blocks(n)], in
+    index order, where buf is a (rows, size) view of a float buffer that
+    belongs to the thread running the block and is made once per call.
 
     The blocks run on min(_WORKERS, blocks) threads, each block under the
     caller's np.errstate; ``streams`` is called in the calling thread.
@@ -192,9 +201,8 @@ def _map_blocks(fn, n: int, streams, rows: int, slice_rows: int = 0) -> list:
     def run(rng, size):
         if not hasattr(local, "buf"):
             local.buf = np.empty((rows, width))
-            local.scratch = np.empty((slice_rows, min(width, _SLICE)))
         with np.errstate(**err):
-            return fn(rng, local.buf[:, :size], local.scratch[:, :size])
+            return fn(rng, local.buf[:, :size])
 
     results, pending = [], collections.deque()
     # futures imports its thread module here, on first use, not with mfrelay

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import estimate_gsdof, estimate_gsdg, gsdg_closed_form, gsdof_closed_form
-from .channel import ChannelRealization, RateConfig, SystemParams, _pd_at_rho, thresholds
+from .channel import (ChannelRealization, RateConfig, SystemParams, _is_number, _pd_at_rho,
+                      thresholds)
 from .latticesim import LatticeConfig, simulate_chain
 from .outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
 from .rates import Scheme, rate_report
@@ -91,10 +92,8 @@ def _validate(cfg: dict, given: dict):
             ok, kind = isinstance(value, str), "a path"
         elif key in _CHOICES:
             ok, kind = isinstance(value, str) and value in _CHOICES[key], f"one of {_CHOICES[key]}"
-        else:  # a bool is an int to Python, and an int may be too large for a double
-            ok = (not isinstance(value, bool) and isinstance(value, (int, float))
-                  and abs(value) <= sys.float_info.max
-                  and (key not in _INTEGRAL or value == int(value)))
+        else:
+            ok = _is_number(value, integral=key in _INTEGRAL)
             kind = "an integer" if key in _INTEGRAL else "a finite number"
         if not ok:
             raise ConfigError(f"{key} must be {kind}, not {value!r}")

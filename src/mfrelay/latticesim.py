@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemParams, _map_blocks, _slices, rng_stream
+from .channel import (_SLICE, ChannelRealization, SystemParams, _is_number, _map_blocks,
+                      _slices, rng_stream)
 from .numerics import _scalar
 from .rates import sigma_e_sq
 
@@ -46,7 +47,10 @@ class LatticeConfig:
     def __post_init__(self):
         if not np.isfinite(self.ps) or self.ps <= 0:
             raise ValueError("ps must be positive and finite")
-        if int(self.n_symbols) < 1:
+        for name in ("n_symbols", "seed"):
+            if not _is_number(getattr(self, name), integral=True):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
 
     @property
@@ -102,8 +106,8 @@ def _fold(x, delta, tmp):
 def mod_lattice(x, delta):
     """Reduce x modulo delta*Z into [-delta/2, delta/2); the +delta/2
     boundary maps to -delta/2."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     x = np.array(x, dtype=float)  # a copy for the fold to overwrite
     return _scalar(_fold(x, delta, np.empty_like(x)))
 
@@ -177,6 +181,11 @@ class _Case(NamedTuple):
     h2: float
     alpha: float
     beta: float
+
+    @property
+    def relay(self):
+        """What the relay stage reads: all but alpha."""
+        return self._replace(alpha=None)
 
 
 # The chain in three stages, each written in place over slice-sized arrays
@@ -261,20 +270,6 @@ def _check_chain(params, real, cfg):
         raise ValueError(f"LatticeConfig.ps ({cfg.ps}) must equal params.ps ({params.ps})")
 
 
-def _map_chain_blocks(params, cfg, fn):
-    """[fn(draws, x_r, w, scratch)] over the blocks of cfg, in index order:
-    ``draws`` holds the block's draws, x_r and w are free rows of the
-    block's length, and scratch two free slice-sized rows."""
-    delta = cfg.delta
-
-    def block(rng, buf, scratch):
-        _block_draws(rng, buf[:5], delta, params)
-        return fn(buf[:5], buf[5], buf[6], scratch)
-
-    return _map_blocks(block, int(cfg.n_symbols), lambda index: rng_stream(cfg.seed, index),
-                       7, 2)
-
-
 def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeConfig,
                    alpha=None, beta=None) -> ChainReport:
     """Run the full chain and report measured second moments.
@@ -285,10 +280,11 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     one shape run one chain per operating point, and the report's fields
     are arrays of that shape.  ``params.ps`` (which must equal ``cfg.ps``)
     and ``params.sigma2`` are scalars.  Every operating point runs on the
-    same blocks, each drawn once; blocks use independent substreams and
-    are accumulated in index order, so each point equals its own scalar
-    call bit for bit and results are reproducible for a given
-    (config, seed).
+    same blocks, each drawn once, and a point that differs from the one
+    before it (in C order) in alpha alone reuses that point's relay pass.
+    Blocks use independent substreams and are accumulated in index order,
+    so each point equals its own scalar call bit for bit and results are
+    reproducible for a given (config, seed).
     """
     _check_chain(params, real, cfg)
     a_opt, b_opt = mmse_scalings(params, real)
@@ -298,10 +294,15 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     shape = np.broadcast_shapes(*map(np.shape, (params.pd, real.h1, real.h2, alpha, beta)))
     point = np.broadcast_arrays(np.sqrt(params.pd), real.h1, real.h2, alpha, beta)
     cases = [_Case(*map(float, values)) for values in zip(*(np.ravel(v) for v in point))]
-    delta = cfg.delta
+    # a point reuses the relay output of the point before it when they share it
+    relays = [k == 0 or case.relay != cases[k - 1].relay for k, case in enumerate(cases)]
+    delta, n = cfg.delta, int(cfg.n_symbols)
     edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
 
-    def block(draws, x_r, w, scratch):
+    def block(rng, buf):
+        draws, x_r, w = buf[:5], buf[5], buf[6]
+        _block_draws(rng, draws, delta, params)
+        scratch = np.empty((2, min(x_r.size, _SLICE)))
         squares = np.empty((len(cases), 3))
         hists = np.empty((len(cases), _UNIFORMITY_BINS), dtype=np.int64)
         drifts = np.empty(len(cases))
@@ -309,7 +310,8 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
             drift = 0.0
             for s in _slices(x_r.size):  # x_r, y into w, and the identity check
                 r, tmp = scratch[:, :x_r[s].size]
-                _relay_stage(draws[:, s], case, delta, x_r[s], tmp)
+                if relays[k]:
+                    _relay_stage(draws[:, s], case, delta, x_r[s], tmp)
                 _destination_stage(draws[:, s], case, delta, x_r[s], w[s], tmp)
                 _residual_stage(draws[:, s], case, x_r[s], r, tmp)
                 drift = max(drift, _identity_drift(r, w[s], r, delta, tmp))
@@ -317,14 +319,17 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
             for s in _slices(x_r.size):  # r into w, again from x_r
                 _residual_stage(draws[:, s], case, x_r[s], w[s], scratch[1, :x_r[s].size])
             squares[k, 2] = _sum_of_squares(w)
-            hists[k] = np.histogram(x_r, bins=edges)[0]
-            squares[k, 0] = _sum_of_squares(x_r)
+            if relays[k]:  # x_r squared into w, so that the next alpha still has it
+                hists[k] = np.histogram(x_r, bins=edges)[0]
+                squares[k, 0] = np.sum(np.square(x_r, out=w))
+            else:
+                hists[k], squares[k, 0] = hists[k - 1], squares[k - 1, 0]
             drifts[k] = drift
         return squares, hists, drifts
 
-    squares, hists, drifts = zip(*_map_chain_blocks(params, cfg, block))
+    results = _map_blocks(block, n, lambda index: rng_stream(cfg.seed, index), 7)
+    squares, hists, drifts = zip(*results)
     squares, hist, drift = sum(squares), sum(hists), np.max(drifts, axis=0)
-    n = int(cfg.n_symbols)
     expected = n / _UNIFORMITY_BINS
     pvalues = [_uniformity_pvalue(np.sum((h - expected) ** 2) / expected) for h in hist]
 
@@ -347,37 +352,19 @@ def scan_scaling(params: SystemParams, real: ChannelRealization, cfg: LatticeCon
                  alpha_grid, beta_grid) -> np.ndarray:
     """Measured linear-residual variance over a grid of scaling pairs.
 
-    Draws each block once and evaluates every grid point on it (common
-    random numbers), so the empirical argmin lands within one grid step
-    of the MMSE pair; the relay stage, which depends on beta only, runs
-    once per block and beta.  Each point sums its blocks in index order
-    and equals ``simulate_chain(..., alpha, beta).measured_residual_var``.
-    ``params`` and ``real`` describe one operating point.  Returns an
-    array of shape (len(alpha_grid), len(beta_grid)).
+    One simulate_chain call over the grid, alpha across and beta down:
+    every grid point runs on the same blocks (common random numbers), so
+    the empirical argmin lands within one grid step of the MMSE pair, and
+    the relay stage runs once per block and beta.  Each point equals
+    ``simulate_chain(..., alpha, beta).measured_residual_var``.  ``params``
+    and ``real`` describe one operating point, and the grids are 1-d.
+    Returns an array of shape (len(alpha_grid), len(beta_grid)).
     """
-    _check_chain(params, real, cfg)
     if any(np.ndim(v) for v in (params.pd, real.h1, real.h2)):
         raise ValueError("scan_scaling runs one operating point: scalar pd and gains")
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
-    _check_scalings(alpha_grid, beta_grid)
-    delta = cfg.delta
-    s_d, h1, h2 = float(np.sqrt(params.pd)), float(real.h1), float(real.h2)
-
-    def block(draws, x_r, r, scratch):
-        sums = np.empty((alpha_grid.size, beta_grid.size))
-        for j, b in enumerate(beta_grid):
-            relay = _Case(s_d, h1, h2, None, b)  # the relay reads beta alone
-            for s in _slices(x_r.size):
-                _relay_stage(draws[:, s], relay, delta, x_r[s], scratch[1, :x_r[s].size])
-            for i, a in enumerate(alpha_grid):
-                case = _Case(s_d, h1, h2, a, b)
-                for s in _slices(x_r.size):
-                    y, tmp = scratch[:, :x_r[s].size]
-                    _destination_stage(draws[:, s], case, delta, x_r[s], y, tmp)
-                    _residual_stage(draws[:, s], case, x_r[s], r[s], tmp)
-                    _identity_drift(r[s], y, y, delta, tmp)
-                sums[i, j] = _sum_of_squares(r)
-        return sums
-
-    return sum(_map_chain_blocks(params, cfg, block)) / int(cfg.n_symbols)
+    if alpha_grid.ndim != 1 or beta_grid.ndim != 1:
+        raise ValueError("scan_scaling needs 1-d alpha and beta grids")
+    report = simulate_chain(params, real, cfg, alpha=alpha_grid[None, :], beta=beta_grid[:, None])
+    return np.ascontiguousarray(report.measured_residual_var.T)

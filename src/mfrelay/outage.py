@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (RateConfig, SystemParams, Thresholds, _gamma, _map_blocks, _slices,
-                      rng_stream, sample_gains, thresholds)
+from .channel import (RateConfig, SystemParams, Thresholds, _gamma, _is_number, _map_blocks,
+                      _slices, rng_stream, sample_gains, thresholds)
 from .numerics import _K1_SPLIT, _TINY, Interval, _k1_map, _scalar
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
@@ -236,12 +236,12 @@ def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: 
     Each block is drawn once and every scheme's connection event is
     evaluated on it, so the schemes are compared on the same fading.
     """
+    if not _is_number(n, integral=True) or n < 1:
+        raise ValueError(f"mc_outage needs an integer n >= 1 samples, not {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError("mc_outage needs n >= 1 samples")
     th = thresholds(config)
 
-    def block(rng, buf, _scratch):
+    def block(rng, buf):
         g1, g2 = sample_gains(params, rng, buf.shape[1], out=buf)
         hits = np.zeros((len(schemes), 3), dtype=np.int64)
         with np.errstate(over="ignore"):  # an SNR of inf compares as its limit does

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from mfrelay import channel
-from mfrelay.channel import (_BLOCK, _SLICE, ChannelRealization, RateConfig, SystemParams,
-                             _blocks, _map_blocks, derived_ratios, rng_stream, sample_gains,
+from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, _blocks,
+                             _map_blocks, derived_ratios, rng_stream, sample_gains,
                              sample_realization, thresholds)
 
 
@@ -182,7 +182,7 @@ class TestMapBlocks:
             yield
 
     def test_results_in_index_order(self):
-        def fn(index, buf, scratch):
+        def fn(index, buf):
             time.sleep(0.02 * (index == 0))  # block 0 finishes last
             return index, buf.shape
 
@@ -192,7 +192,7 @@ class TestMapBlocks:
     def test_blocks_see_the_callers_errstate(self):
         with np.errstate(over="raise", under="ignore"):
             caller = np.geterr()
-            seen = _map_blocks(lambda rng, buf, scratch: np.geterr(), self.N, lambda index: index, 1)
+            seen = _map_blocks(lambda rng, buf: np.geterr(), self.N, lambda index: index, 1)
         assert seen == [caller] * 6
 
     def test_streams_called_in_the_callers_thread(self):
@@ -202,29 +202,24 @@ class TestMapBlocks:
             callers.append(threading.get_ident())
             return index
 
-        _map_blocks(lambda rng, buf, scratch: None, self.N, streams, 1)
+        _map_blocks(lambda rng, buf: None, self.N, streams, 1)
         assert callers == [threading.get_ident()] * 6
 
     def test_one_buffer_per_thread(self):
-        def fn(rng, buf, scratch):
-            assert scratch.shape == (2, min(buf.shape[1], _SLICE))
-            return threading.get_ident(), (id(buf.base), id(scratch.base))
-
-        seen = _map_blocks(fn, self.N, lambda index: index, 1, 2)
+        seen = _map_blocks(lambda rng, buf: (threading.get_ident(), id(buf.base)),
+                           self.N, lambda index: index, 1)
         buffers = {}
         for thread, buffer in seen:
             buffers.setdefault(thread, set()).add(buffer)
         assert threading.get_ident() not in buffers
         assert all(len(ids) == 1 for ids in buffers.values())
-        scratch_ids = {scratch for ids in buffers.values() for _, scratch in ids}
-        assert len(scratch_ids) == len(buffers)  # the scratch, too, is the thread's own
 
     def test_a_failing_block_raises_in_the_caller(self):
         n = 40 * _BLOCK
         error = RuntimeError("block 1")
         ran = []
 
-        def fn(index, buf, scratch):
+        def fn(index, buf):
             ran.append(index)
             if index == 1:
                 raise error

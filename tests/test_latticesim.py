@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,11 @@ class TestModLattice:
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             mod_lattice(1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not a NaN with a RuntimeWarning
+            for delta in (-1.0, float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ValueError, match="delta must be positive and finite"):
+                    mod_lattice(1.0, delta)
 
     @settings(max_examples=300, deadline=None)
     @given(delta=st.floats(min_value=1e-6, max_value=1e6),
@@ -83,6 +89,14 @@ class TestLatticeConfig:
             LatticeConfig(ps=0.0, n_symbols=10)
         with pytest.raises(ValueError):
             LatticeConfig(ps=1.0, n_symbols=0)
+        # the CLI's rule for counts and seeds: a whole number, not a bool or a string
+        for bad in ({"n_symbols": 2.5}, {"n_symbols": "5"}, {"n_symbols": True},
+                    {"n_symbols": float("inf")}, {"n_symbols": 10, "seed": 1.5},
+                    {"n_symbols": 10, "seed": False}, {"n_symbols": 10, "seed": "1"},
+                    {"n_symbols": 10, "seed": float("nan")}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                LatticeConfig(ps=1.0, **bad)
+        assert LatticeConfig(ps=1.0, n_symbols=1e6, seed=np.int64(3)).n_symbols == 10 ** 6
 
 
 class TestSimulateChain:
@@ -246,10 +260,12 @@ class TestScalingDomain:
             simulate_chain(params, real, cfg, alpha=alpha, beta=beta)
 
     @pytest.mark.parametrize("alphas, betas", [([0.5, float("nan")], [0.5]),
-                                               ([0.5], [float("nan")]), ([0.5], [1.2])])
+                                               ([0.5], [float("nan")]), ([0.5], [1.2]),
+                                               (0.5, [0.5]), ([[0.5, 0.6]], [0.5])])
     def test_scan_scaling_refuses_before_drawing(self, alphas, betas, no_draws):
         params, real, cfg = setup()
-        with pytest.raises(ValueError, match="scaling factors must lie in"):
+        grids = np.ndim(alphas) == np.ndim(betas) == 1
+        with pytest.raises(ValueError, match="scaling factors must lie in" if grids else "1-d"):
             scan_scaling(params, real, cfg, alphas, betas)
 
     @pytest.mark.parametrize("lattice_ps", [1.0, 100.0])
@@ -413,8 +429,14 @@ def test_chain_grid_draws_each_block_once(counted):
     assert counted["relayed"] == 9 * n
 
 
-def test_scan_relays_once_per_beta(counted):
+@pytest.mark.parametrize("scan", [
+    scan_scaling,
+    # the batch scan_scaling makes: alpha across, beta down
+    lambda params, real, cfg, alphas, betas: simulate_chain(
+        params, real, cfg, alpha=np.array(alphas)[None, :], beta=np.array(betas)[:, None]),
+], ids=["scan_scaling", "simulate_chain"])
+def test_scan_relays_once_per_beta(counted, scan):
     params, real, cfg = setup(n=3 * _BLOCK + 1)
-    scan_scaling(params, real, cfg, [0.6, 0.75, 1.0], [0.7, 0.9])
+    scan(params, real, cfg, [0.6, 0.75, 1.0], [0.7, 0.9])
     assert counted["blocks"] == 4
     assert counted["relayed"] == 2 * cfg.n_symbols  # 2 betas per block, not 6 pairs

@@ -416,6 +416,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_outage(params(), RateConfig(rd=1.0, rs=0.5), Scheme.MF, 0, 1)
 
+    @pytest.mark.parametrize("n", [2.5, "5", True, float("nan"), float("inf")])
+    def test_sample_count_must_be_an_integer(self, n):
+        rc = RateConfig(rd=1.0, rs=0.5)
+        with pytest.raises(ValueError, match="integer n >= 1"):
+            mc_outage(params(), rc, Scheme.MF, n, 1)
+        with pytest.raises(ValueError, match="integer n >= 1"):
+            _mc_counts(params(), rc, (Scheme.MF,), n, 1)
+
+    def test_integral_float_count(self):
+        rc = RateConfig(rd=1.0, rs=0.5)
+        want = mc_outage(params(), rc, Scheme.MF, 10 ** 4, 1)
+        assert mc_outage(params(), rc, Scheme.MF, 1e4, 1) == want  # a whole float counts, as in the CLI
+
     def test_estimate_fields(self):
         est = MCEstimate.from_counts(250, 1000)
         assert est.p_hat == 0.25
