@@ -26,13 +26,20 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 
 def _all_finite(*vals) -> bool:
-    return all(np.all(np.isfinite(v)) for v in vals)
+    """Whether each value is a finite real number (``_is_number``) or an
+    int or float numpy array or scalar of finite entries; a str, a bool or
+    a list is not."""
+    return all(np.all(np.isfinite(v)) if isinstance(v, (np.ndarray, np.generic))
+               and v.dtype.kind in "iuf" else _is_number(v) for v in vals)
 
 
 def _is_number(value, integral: bool = False) -> bool:
     """The one rule for a number set by a caller or a config: a real scalar
     that a double holds finitely, and not a bool (an int to Python); where
-    ``integral``, a count or seed, also a whole one (1e6 counts)."""
+    ``integral``, a count or seed, also a whole one (1e6 counts).  A numpy
+    float is compared in double precision, not the double maximum in its own."""
+    if isinstance(value, np.floating):
+        value = float(value)
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max and (not integral or value == int(value)))
 
@@ -164,9 +171,13 @@ def rng_stream(seed: int, index=None) -> np.random.Generator:
 
     ``index`` (an int or tuple of ints) selects an independent substream;
     disjoint indices give independent streams for the same seed, which is
-    how Monte Carlo work is partitioned reproducibly.
+    how Monte Carlo work is partitioned reproducibly.  The seed and each
+    index entry must be whole numbers; 1.0 draws what 1 draws.
     """
-    indices = () if index is None else (index,) if np.ndim(index) == 0 else index
+    indices = () if index is None else (index,) if np.ndim(index) == 0 else tuple(index)
+    for name, value in (("seed", seed), *(("index entry", i) for i in indices)):
+        if not _is_number(value, integral=True):
+            raise ValueError(f"rng_stream {name} must be a whole number, not {value!r}")
     # numpy takes the 128-bit Philox key from SeedSequence([seed, *indices])
     return np.random.Generator(np.random.Philox([int(seed), *map(int, indices)]))
 

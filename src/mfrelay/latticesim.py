@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (_SLICE, ChannelRealization, SystemParams, _is_number, _map_blocks,
-                      _slices, rng_stream)
+from .channel import (_SLICE, ChannelRealization, SystemParams, _all_finite, _is_number,
+                      _map_blocks, _slices, rng_stream)
 from .numerics import _scalar
 from .rates import sigma_e_sq
 
@@ -45,7 +45,7 @@ class LatticeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.ps) or self.ps <= 0:
+        if not _all_finite(self.ps) or self.ps <= 0:
             raise ValueError("ps must be positive and finite")
         for name in ("n_symbols", "seed"):
             if not _is_number(getattr(self, name), integral=True):

@@ -1,17 +1,19 @@
 """Special functions and small numeric utilities.
 
 The outage closed forms need K1, the first-order modified Bessel function
-of the second kind, in three shapes: x*K1(x), 1 - x*K1(x) (which tends to
-0 as x -> 0, so it must not be formed by that subtraction) and the
-exp-scaled e^x*K1(x).  ``_k1_family`` computes all three in numpy, in the
-Cephes manner, and ``_k1_map`` runs it over an array a slice at a time:
+of the second kind, in one shape per branch of x.  ``_k1_kernel`` computes
+it in numpy, in the Cephes manner, and ``_k1_map`` runs it over an array a
+slice at a time:
 
-* for x <= 2, from the ascending series of DLMF 10.31.1 in y = x^2/4,
+* for x <= 2, 1 - x*K1(x) (which tends to 0 as x -> 0, so it must not be
+  formed by that subtraction), from the ascending series of DLMF 10.31.1
+  in y = x^2/4,
   1 - x*K1(x) = -x*ln(x/2)*I1(x) + y*sum (psi(k+1) + psi(k+2)) y^k / (k!(k+1)!),
   13 terms of each series, with coefficients built from ``math`` at import;
-* for x > 2, from a 25-term Chebyshev series of sqrt(x)*e^x*K1(x) in
-  t = 4/x - 1, summed by Clenshaw's recurrence; ``tools/k1_chebyshev.py``
-  generates the coefficients with mpmath.
+* for x > 2, the exp-scaled e^x*K1(x) (which does not underflow), from a
+  25-term Chebyshev series of sqrt(x)*e^x*K1(x) in t = 4/x - 1, summed by
+  Clenshaw's recurrence; ``tools/k1_chebyshev.py`` generates the
+  coefficients with mpmath.
 
 Against 40-digit mpmath, K1 is within 1e-15 relative on [1e-300, 700] and
 1 - x*K1(x) within 4e-16 on [1e-150, 2].  ``bessel_k1`` is K1 itself,
@@ -126,7 +128,7 @@ def _clenshaw(coefs, t):
 
 
 def _k1_series(x):
-    """The K1 family where x <= 2, from DLMF 10.31.1, in place where it can be."""
+    """1 - x*K1(x) where x <= 2, from DLMF 10.31.1, in place where it can be."""
     # below 2*_TINY, 1 - x*K1(x) underflows to 0 with or without the floor,
     # which keeps the log of the smallest subnormal's half finite
     h = np.maximum(0.5 * x, _TINY)
@@ -138,60 +140,47 @@ def _k1_series(x):
     omx += log_term
     omx *= h  # then by h again: y * bracket would underflow with y first
     omx *= h
-    xk1 = 1.0 - omx
-    ek1 = np.exp(x)
-    ek1 *= xk1
-    ek1 /= x
-    return xk1, omx, ek1
+    return omx
 
 
 def _k1_chebyshev(x):
-    """The K1 family where x > 2, from the Chebyshev fit of sqrt(x)*e^x*K1(x)."""
-    root = np.sqrt(x)
-    scaled = _clenshaw(_K1_CHEB, 4.0 / x - 1.0)
-    xk1 = np.exp(-x)
-    xk1 *= root
-    xk1 *= scaled
-    scaled /= root
-    return xk1, 1.0 - xk1, scaled
+    """e^x*K1(x) where x > 2, from the Chebyshev fit of sqrt(x)*e^x*K1(x)."""
+    return _clenshaw(_K1_CHEB, 4.0 / x - 1.0) / np.sqrt(x)
 
 
-def _k1_family(x):
-    """(x*K1(x), 1 - x*K1(x), e^x*K1(x)) of a 1-d array of x > 0, three arrays.
+def _k1_kernel(x):
+    """The K1 kernel of a 1-d array of x > 0: 1 - x*K1(x) where x <= 2 and
+    e^x*K1(x) above, the shape that neither cancels nor underflows there.
 
     Each point takes one branch by its own value, so it gets the same bits
-    alone or inside any array.  Each result is accurate where it is used:
-    1 - x*K1(x) has no cancellation for x <= 2, and e^x*K1(x) does not
-    underflow for x > 2.
+    alone or inside any array.
     """
     small = x <= _K1_SPLIT
     if small.all():
         return _k1_series(x)
     if not small.any():
         return _k1_chebyshev(x)
-    out = np.empty((3, x.size))
+    out = np.empty(x.size)
     for branch, idx in ((_k1_series, np.flatnonzero(small)),
                         (_k1_chebyshev, np.flatnonzero(~small))):
-        # one row at a time: a 2-d fancy assignment is several times slower
-        for row, values in zip(out, branch(x[idx])):
-            row[idx] = values
-    return tuple(out)
+        out[idx] = branch(x[idx])
+    return out
 
 
 def _k1_map(fn, x, *args):
-    """fn(x, x*K1(x), 1 - x*K1(x), e^x*K1(x), *args) elementwise, for x > 0.
+    """fn(x, k, *args) elementwise, for x > 0, with k the ``_k1_kernel`` of x.
 
-    x and ``args`` broadcast to one shape, and the K1 family and ``fn`` run
+    x and ``args`` broadcast to one shape, and the kernel and ``fn`` run
     over slices of at most _K1_SLICE points, so their temporaries stay in
     cache and only the result is as large as x.
     """
     x, *args = np.broadcast_arrays(np.asarray(x, dtype=float), *args)
     flat = [np.ravel(v) for v in (x, *args)]
     out = np.empty(x.size)
-    with np.errstate(over="ignore"):  # e^x*K1(x) passes the largest double below x ~ 5.6e-309
+    with np.errstate(over="ignore"):  # K1(x) passes the largest double below x ~ 5.6e-309
         for s in _slices(out.size, _K1_SLICE):
             part = [v[s] for v in flat]
-            out[s] = fn(part[0], *_k1_family(part[0]), *part[1:])
+            out[s] = fn(part[0], _k1_kernel(part[0]), *part[1:])
     return out.reshape(x.shape)
 
 
@@ -204,7 +193,8 @@ def bessel_k1(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("bessel_k1 requires finite x > 0")
-    return _scalar(_k1_map(lambda v, xk1, omx, ek1: xk1 / v, arr))
+    return _scalar(_k1_map(
+        lambda v, k: np.where(v <= _K1_SPLIT, (1.0 - k) / v, k * np.exp(-v)), arr))
 
 
 def _scalar(out):

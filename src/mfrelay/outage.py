@@ -136,32 +136,41 @@ def _k1_outage(live, a, x, asymptotic: bool):
     return _scalar(np.where(live, out, 0.0))
 
 
-def _outage_terms(x, xk1, omx, ek1, a):
-    """_k1_outage's exact form on one slice, from the K1 family of x."""
-    return np.where(x <= _K1_SPLIT, -np.expm1(-a) + np.exp(-a) * omx,
-                    1.0 - x * ek1 * np.exp(-a - x))
+def _outage_terms(x, k, a):
+    """_k1_outage's exact form on one slice, from the K1 kernel k of x."""
+    return np.where(x <= _K1_SPLIT, -np.expm1(-a) + np.exp(-a) * k,
+                    1.0 - x * k * np.exp(-a - x))
 
 
-def _k1_arguments(params: SystemParams, gamma, a, x, af: bool):
+def _k1_arguments(params: SystemParams, gamma, af: bool):
     """(a, x) of the MF or AF connection outage 1 - exp(-a)*x*K1(x).
 
     With q = gamma*sigma2/ps, a = q*(r/eps1 + 1/eps2) and
     x = 2q*sqrt((r + s)/(eps1*eps2)), where MF has r = 1 and s = 0, and AF
-    r = (ps + pd)/ps and s = 1/gamma.  ``a`` and ``x`` are the scheme's
-    direct values.  They are kept where ps, sigma2, eps1, eps2 and gamma
-    lie in [2^-150, 2^150] (and, for AF, pd <= 2^150), for then no product
-    or quotient in them leaves the normal range.  Elsewhere both come from
-    sums of logs, which can neither overflow nor be nan.
+    r = (ps + pd)/ps and s = 1/gamma.  They are taken as these direct
+    products and quotients where ps, sigma2, eps1, eps2 and gamma lie in
+    [2^-150, 2^150] (and, for AF, pd <= 2^150), for then none of them
+    leaves the normal range.  Elsewhere both come from sums of logs, which
+    can neither overflow nor be nan.
     """
-    direct = params.pd <= _DIRECT if af else True
-    for v in (params.ps, params.sigma2, params.eps1, params.eps2, gamma):
+    ps, pd, sigma2, eps1, eps2 = params.ps, params.pd, params.sigma2, params.eps1, params.eps2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if af:
+            ratio = (ps + pd) / ps
+            a = (gamma * sigma2 / ps) * (ratio / eps1 + 1.0 / eps2)
+            x = (2.0 * gamma * sigma2 / ps) * np.sqrt((ratio + 1.0 / gamma) / (eps1 * eps2))
+        else:
+            a = (1.0 / eps1 + 1.0 / eps2) * gamma * sigma2 / ps
+            x = 2.0 * gamma * sigma2 / (ps * np.sqrt(eps1 * eps2))
+    direct = pd <= _DIRECT if af else True
+    for v in (ps, sigma2, eps1, eps2, gamma):
         direct = direct & (v >= 1.0 / _DIRECT) & (v <= _DIRECT)
     if np.all(direct):
         return a, x
     with np.errstate(divide="ignore", over="ignore"):  # log(0) of pd = 0; exp past the range
-        log_ps, log_e1, log_e2 = np.log(params.ps), np.log(params.eps1), np.log(params.eps2)
-        log_q = np.log(gamma) + np.log(params.sigma2) - log_ps
-        log_r = np.logaddexp(log_ps, np.log(params.pd)) - log_ps if af else 0.0
+        log_ps, log_e1, log_e2 = np.log(ps), np.log(eps1), np.log(eps2)
+        log_q = np.log(gamma) + np.log(sigma2) - log_ps
+        log_r = np.logaddexp(log_ps, np.log(pd)) - log_ps if af else 0.0
         log_r_s = np.logaddexp(log_r, -np.log(gamma)) if af else 0.0
         return (np.where(direct, a, np.exp(log_q + np.logaddexp(log_r - log_e1, -log_e2))),
                 np.where(direct, x, 2.0 * np.exp(log_q + (log_r_s - log_e1 - log_e2) / 2)))
@@ -174,12 +183,7 @@ def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
     Returns 0 at rd = 0 by the zero-rate convention.
     """
     rd = np.asarray(rd, dtype=float)
-    gamma_1 = _gamma(rd) + 0.5
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_1 * params.sigma2 / params.ps
-        x = 2.0 * gamma_1 * params.sigma2 / (params.ps * np.sqrt(params.eps1 * params.eps2))
-    a, x = _k1_arguments(params, gamma_1, a, x, af=False)
-    return _k1_outage(rd > 0, a, x, asymptotic)
+    return _k1_outage(rd > 0, *_k1_arguments(params, _gamma(rd) + 0.5, af=False), asymptotic)
 
 
 def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
@@ -189,13 +193,7 @@ def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
     """
     gamma_o = _gamma(np.asarray(rd, dtype=float))
     safe = np.where(gamma_o > 0, gamma_o, 1.0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = (params.ps + params.pd) / params.ps
-        a = (safe * params.sigma2 / params.ps) * (ratio / params.eps1 + 1.0 / params.eps2)
-        x = (2.0 * safe * params.sigma2 / params.ps) * np.sqrt((ratio + 1.0 / safe)
-                                                               / (params.eps1 * params.eps2))
-    a, x = _k1_arguments(params, safe, a, x, af=True)
-    return _k1_outage(gamma_o > 0, a, x, asymptotic)
+    return _k1_outage(gamma_o > 0, *_k1_arguments(params, safe, af=True), asymptotic)
 
 
 def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:

@@ -12,6 +12,7 @@ from mfrelay import channel
 from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, _blocks,
                              _map_blocks, derived_ratios, rng_stream, sample_gains,
                              sample_realization, thresholds)
+from mfrelay.latticesim import LatticeConfig
 
 
 def test_derived_ratios_examples():
@@ -94,6 +95,38 @@ def test_rng_stream_equals_the_hand_built_philox_key(seed, index):
     want = np.random.Philox(key=np.random.SeedSequence(key).generate_state(2, np.uint64))
     got = rng_stream(seed, index).bit_generator
     assert np.array_equal(got.random_raw(8), want.random_raw(8))
+
+
+@pytest.mark.parametrize("seed, index", [(1.5, None), (1, (0, 2.7)), (1, 0.5), (np.nan, None),
+                                         ("1", None), (True, None)])
+def test_rng_stream_refuses_what_is_not_a_whole_number(seed, index):
+    with pytest.raises(ValueError, match="rng_stream (seed|index entry) must be a whole number"):
+        rng_stream(seed, index)
+
+
+def test_rng_stream_takes_whole_floats_and_numpy_ints_as_ints():
+    want = rng_stream(1, (0, 2)).random(8).tobytes()
+    for seed, index in ((1.0, (0, 2)), (np.int64(1), (np.int64(0), 2.0)),
+                        (np.float32(1), (0, np.float32(2)))):
+        assert rng_stream(seed, index).random(8).tobytes() == want
+
+
+_RECORDS = {
+    "SystemParams": lambda v: SystemParams(ps=v, pd=1.0, sigma2=1.0),
+    "RateConfig": lambda v: RateConfig(rd=v, rs=0.0),
+    "LatticeConfig": lambda v: LatticeConfig(ps=v, n_symbols=10),
+}
+
+
+@pytest.mark.parametrize("record", sorted(_RECORDS))
+def test_records_refuse_fields_that_are_not_real_numbers(record):
+    # np.isfinite used to raise a TypeError on a str, and a bool counted as 1
+    make = _RECORDS[record]
+    for value in ("1", True, None, 1 + 0j, [1.0], np.array([True]), np.array(["1"])):
+        with pytest.raises(ValueError):
+            make(value)
+    for value in (2, 2.0, np.int64(2), np.float32(2.0), np.array(2.0), np.array([2])):
+        make(value)
 
 
 def test_substreams_are_independent():

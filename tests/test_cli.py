@@ -276,8 +276,8 @@ class TestPlumbing:
         # scipy.special's, is numpy code now, so fig5 leaves scipy unloaded too
         source = ("from mfrelay import numerics\n"
                   "calls = []\n"
-                  "family = numerics._k1_family\n"
-                  "numerics._k1_family = lambda x: calls.append(x.size) or family(x)\n"
+                  "kernel = numerics._k1_kernel\n"
+                  "numerics._k1_kernel = lambda x: calls.append(x.size) or kernel(x)\n"
                   + cli_run(op, "--axis-points", "3")
                   + f"\nassert bool(calls) == {k1}")
         loaded = scipy_loaded_after(source)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfrelay.numerics import _K1_CHEB, Interval, _k1_family, bessel_k1, slope_fit
+from mfrelay.numerics import _K1_CHEB, Interval, _k1_kernel, bessel_k1, slope_fit
 
 # oracle: mpmath.besselk(1, x) at 40 digits
 K1_ORACLE = {
@@ -122,6 +122,20 @@ def test_k1_within_1e14_of_mpmath_over_the_double_range():
             assert abs(v - ref) <= 1e-14 * ref, f"x={x}"
 
 
+def test_k1_within_1e15_of_mpmath_where_it_is_normal():
+    # the bound the module states, with each branch sampled on its own
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(13)
+    xs = np.concatenate([10.0 ** rng.uniform(-300.0, np.log10(2.0), 200),
+                         10.0 ** rng.uniform(np.log10(2.0), np.log10(700.0), 200),
+                         [1e-300, 2.0, np.nextafter(2.0, 3.0), 700.0]])
+    vals = bessel_k1(xs)
+    with mp.workdps(40):
+        for x, v in zip(xs, vals):
+            ref = mp.besselk(1, mp.mpf(float(x)))
+            assert abs(v - ref) <= 1e-15 * ref, f"x={x}"
+
+
 def _one_minus_x_k1(X, mp):
     """1 - X*K1(X) in mpmath: below 1e-20 from its two leading terms,
     (X^2/4)*(2*ln(2/X) + 1 - 2*euler), whose relative error is below
@@ -133,38 +147,35 @@ def _one_minus_x_k1(X, mp):
         return +(1 - X * mp.besselk(1, X))
 
 
-def test_k1_family_against_mpmath():
-    # x*K1(x) to 1e-15 until it underflows, 1 - x*K1(x) without cancellation
-    # up to x = 2, and e^x*K1(x) without underflow above it
+def test_k1_kernel_against_mpmath():
+    # 1 - x*K1(x) without cancellation up to x = 2, and e^x*K1(x) without
+    # underflow above it; K1 itself is covered by the bessel_k1 tests
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(12)
     small = np.concatenate([10.0 ** rng.uniform(-150.0, np.log10(2.0), 120), [1e-150, 2.0]])
+    # the fit's live range, where e^-x*K1 has not yet underflowed, and its tail
     large = np.concatenate([10.0 ** rng.uniform(np.log10(2.0), 3.0, 60),
+                            10.0 ** rng.uniform(3.0, 300.0, 60),
                             [np.nextafter(2.0, 3.0), 1e300]])
-    xs = np.concatenate([small, large])
-    xk1, omx, ek1 = _k1_family(xs)
     with mp.workdps(40):
-        for x, v, w, e in zip(xs, xk1, omx, ek1):
+        for x, k in zip(small, _k1_kernel(small)):
+            ref = _one_minus_x_k1(mp.mpf(float(x)), mp)
+            assert abs(k - ref) <= 1e-15 * ref, f"x={x}"
+        for x, k in zip(large, _k1_kernel(large)):
             X = mp.mpf(float(x))
-            k = mp.besselk(1, X)
-            if x <= 700.0:
-                assert abs(v - X * k) <= 1e-15 * X * k, f"x={x}"
-            if x <= 2.0:
-                ref = _one_minus_x_k1(X, mp)
-                assert abs(w - ref) <= 1e-15 * ref, f"x={x}"
-            else:
-                assert abs(e - mp.exp(X) * k) <= 1e-15 * mp.exp(X) * k, f"x={x}"
+            ref = mp.exp(X) * mp.besselk(1, X)
+            assert abs(k - ref) <= 1e-15 * ref, f"x={x}"
 
 
-def test_k1_family_is_elementwise():
+def test_k1_kernel_is_elementwise():
     # a point takes its branch by its own value: the same bits alone, in a
     # mixed array and in an array longer than a slice
     xs = np.concatenate([np.geomspace(1e-6, 60.0, 50), [2.0, np.nextafter(2.0, 3.0)]])
     long = np.tile(xs, 400)
-    together = np.array(_k1_family(xs))
+    together = _k1_kernel(xs)
     for i, x in enumerate(xs):
-        assert np.array(_k1_family(np.array([x]))).tobytes() == together[:, i:i + 1].tobytes()
-    assert np.array(_k1_family(long)).tobytes() == np.tile(together, 400).tobytes()
+        assert _k1_kernel(np.array([x])).tobytes() == together[i:i + 1].tobytes()
+    assert _k1_kernel(long).tobytes() == np.tile(together, 400).tobytes()
 
 
 def test_chebyshev_table_is_its_script_output():

@@ -429,6 +429,12 @@ class TestMonteCarlo:
         want = mc_outage(params(), rc, Scheme.MF, 10 ** 4, 1)
         assert mc_outage(params(), rc, Scheme.MF, 1e4, 1) == want  # a whole float counts, as in the CLI
 
+    @pytest.mark.parametrize("seed, stream", [(1.5, 0), (1, 2.7)])
+    def test_seed_and_stream_must_be_whole(self, seed, stream):
+        # int() used to make seed 1.5 run seed 1 and stream 2.7 run stream 2
+        with pytest.raises(ValueError, match="must be a whole number"):
+            mc_outage(params(), RateConfig(rd=1.0, rs=0.5), Scheme.MF, 1000, seed, stream)
+
     def test_estimate_fields(self):
         est = MCEstimate.from_counts(250, 1000)
         assert est.p_hat == 0.25
@@ -470,6 +476,18 @@ def _p_conn_mf_offset_form(p, rd, asymptotic):
     return _k1_outage(rd > 0, a, x, asymptotic)
 
 
+def _p_conn_af_direct_form(p, rd, asymptotic):
+    """AF connection outage from its direct a and x, written out here as the
+    products and quotients they are inside [2^-150, 2^150], where no log
+    form replaces them.  They feed the one K1 outage form that p_conn_af uses."""
+    gamma_o = np.float_power(2.0, 2.0 * rd) - 1.0
+    safe = np.where(gamma_o > 0, gamma_o, 1.0)
+    ratio = (p.ps + p.pd) / p.ps
+    a = (safe * p.sigma2 / p.ps) * (ratio / p.eps1 + 1.0 / p.eps2)
+    x = (2.0 * safe * p.sigma2 / p.ps) * np.sqrt((ratio + 1.0 / safe) / (p.eps1 * p.eps2))
+    return _k1_outage(gamma_o > 0, a, x, asymptotic)
+
+
 def _random_points(n, rd_max, seed):
     rng = np.random.default_rng(seed)
     p = SystemParams(ps=10.0 ** rng.uniform(-3, 12, n), pd=10.0 ** rng.uniform(-3, 12, n),
@@ -486,6 +504,12 @@ class TestOneThresholdFormula:
         for asymptotic in (False, True):
             got = p_conn_mf(p, rd, asymptotic=asymptotic)
             assert got.tobytes() == _p_conn_mf_offset_form(p, rd, asymptotic).tobytes()
+
+    def test_p_conn_af_equals_the_direct_form_in_the_box(self):
+        p, rd, _ = _random_points(200_000, 26.0, 5)
+        for asymptotic in (False, True):
+            got = p_conn_af(p, rd, asymptotic=asymptotic)
+            assert got.tobytes() == _p_conn_af_direct_form(p, rd, asymptotic).tobytes()
 
     def test_p_secrecy_is_the_threshold_law_at_gamma_s(self):
         p, rd, rs = _random_points(20_000, 511.0, 4)
