@@ -1,9 +1,10 @@
 """Special functions and small numeric utilities.
 
 The outage closed forms need K1, the first-order modified Bessel function
-of the second kind, in one shape per branch of x.  ``_k1_kernel`` computes
-it in numpy, in the Cephes manner, and ``_k1_map`` runs it over an array a
-slice at a time:
+of the second kind, in one shape per branch of x, computed in numpy in the
+Cephes manner.  ``_k1_map`` splits an array at x = 2 once per slice and
+hands each branch's points, with that branch's shape, to that branch's
+formula:
 
 * for x <= 2, 1 - x*K1(x) (which tends to 0 as x -> 0, so it must not be
   formed by that subtraction), from the ascending series of DLMF 10.31.1
@@ -31,7 +32,7 @@ from .channel import _slices
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
 _K1_SPLIT = 2.0  # the series serves x <= _K1_SPLIT, the Chebyshev fit x above it
-# the K1 kernel keeps about 15 slice-sized temporaries alive; at 2^13 points
+# a branch's K1 shape keeps about 15 slice-sized temporaries alive; at 2^13 points
 # they take under 1 MB, and larger slices were no faster
 _K1_SLICE = 1 << 13
 
@@ -148,39 +149,27 @@ def _k1_chebyshev(x):
     return _clenshaw(_K1_CHEB, 4.0 / x - 1.0) / np.sqrt(x)
 
 
-def _k1_kernel(x):
-    """The K1 kernel of a 1-d array of x > 0: 1 - x*K1(x) where x <= 2 and
-    e^x*K1(x) above, the shape that neither cancels nor underflows there.
+def _k1_map(small, large, x, *args):
+    """small(x, 1 - x*K1(x), *args) where x <= _K1_SPLIT and
+    large(x, e^x*K1(x), *args) where x is above it, elementwise, for x > 0.
 
-    Each point takes one branch by its own value, so it gets the same bits
-    alone or inside any array.
-    """
-    small = x <= _K1_SPLIT
-    if small.all():
-        return _k1_series(x)
-    if not small.any():
-        return _k1_chebyshev(x)
-    out = np.empty(x.size)
-    for branch, idx in ((_k1_series, np.flatnonzero(small)),
-                        (_k1_chebyshev, np.flatnonzero(~small))):
-        out[idx] = branch(x[idx])
-    return out
-
-
-def _k1_map(fn, x, *args):
-    """fn(x, k, *args) elementwise, for x > 0, with k the ``_k1_kernel`` of x.
-
-    x and ``args`` broadcast to one shape, and the kernel and ``fn`` run
-    over slices of at most _K1_SLICE points, so their temporaries stay in
-    cache and only the result is as large as x.
+    x and ``args`` broadcast to one shape.  Each slice of at most _K1_SLICE
+    points is split by index once, and each formula runs on its own
+    branch's points only, so a point gets the same bits alone or inside any
+    array.  The temporaries stay in cache and only the result is as large
+    as x.
     """
     x, *args = np.broadcast_arrays(np.asarray(x, dtype=float), *args)
     flat = [np.ravel(v) for v in (x, *args)]
     out = np.empty(x.size)
     with np.errstate(over="ignore"):  # K1(x) passes the largest double below x ~ 5.6e-309
         for s in _slices(out.size, _K1_SLICE):
-            part = [v[s] for v in flat]
-            out[s] = fn(part[0], _k1_kernel(part[0]), *part[1:])
+            below = flat[0][s] <= _K1_SPLIT
+            for fn, kernel, idx in ((small, _k1_series, np.flatnonzero(below)),
+                                    (large, _k1_chebyshev, np.flatnonzero(~below))):
+                if idx.size:
+                    v, *rest = (f[s][idx] for f in flat)
+                    out[s][idx] = fn(v, kernel(v), *rest)
     return out.reshape(x.shape)
 
 
@@ -193,8 +182,7 @@ def bessel_k1(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("bessel_k1 requires finite x > 0")
-    return _scalar(_k1_map(
-        lambda v, k: np.where(v <= _K1_SPLIT, (1.0 - k) / v, k * np.exp(-v)), arr))
+    return _scalar(_k1_map(lambda v, k: (1.0 - k) / v, lambda v, k: k * np.exp(-v), arr))
 
 
 def _scalar(out):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import (RateConfig, SystemParams, Thresholds, _gamma, _is_number, _map_blocks,
                       _slices, rng_stream, sample_gains, thresholds)
-from .numerics import _K1_SPLIT, _TINY, Interval, _k1_map, _scalar
+from .numerics import _TINY, Interval, _k1_map, _scalar
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
 def _normal(v):
@@ -64,11 +64,11 @@ class OutageProbs:
 
 def p_conn_cutset_lower(params: SystemParams, rd: float):
     """Connection-outage lower bound from the cut-set capacity:
-    1 - exp(-(1/eps1 + 1/eps2) * gamma_o * sigma2 / ps), and 0 at rd = 0."""
+    1 - exp(-a) with a = (1/eps1 + 1/eps2) * gamma_o * sigma2 / ps, which is
+    MF's a at gamma_o (from logs outside the normal range), and 0 at rd = 0."""
     gamma_o = _gamma(np.asarray(rd, dtype=float))
-    expo = (1.0 / params.eps1 + 1.0 / params.eps2) * gamma_o * params.sigma2 / params.ps
-    # an infinite 1/eps times 0 is nan
-    return _scalar(np.where(gamma_o > 0, -np.expm1(-expo), 0.0))
+    a, _ = _k1_arguments(params, np.where(gamma_o > 0, gamma_o, 1.0), af=False)
+    return _scalar(np.where(gamma_o > 0, -np.expm1(-a), 0.0))
 
 
 def _secrecy_terms(params: SystemParams, gamma_s):
@@ -132,14 +132,10 @@ def _k1_outage(live, a, x, asymptotic: bool):
     """
     out = a
     if not asymptotic:
-        out = _k1_map(_outage_terms, np.clip(np.where(live, x, 1.0), _TINY, _X_CAP), a)
+        out = _k1_map(lambda x, k, a: -np.expm1(-a) + np.exp(-a) * k,
+                      lambda x, k, a: 1.0 - x * k * np.exp(-a - x),
+                      np.clip(np.where(live, x, 1.0), _TINY, _X_CAP), a)
     return _scalar(np.where(live, out, 0.0))
-
-
-def _outage_terms(x, k, a):
-    """_k1_outage's exact form on one slice, from the K1 kernel k of x."""
-    return np.where(x <= _K1_SPLIT, -np.expm1(-a) + np.exp(-a) * k,
-                    1.0 - x * k * np.exp(-a - x))
 
 
 def _k1_arguments(params: SystemParams, gamma, af: bool):

@@ -139,6 +139,20 @@ class TestSweep:
         mc_lower = np.maximum(col["p_conn_mf_mc"], col["p_secrecy_mc"])
         assert np.all(mc_lower <= col["p_total_mf_mc"] + 1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ["--axis-min", "1e300", "--axis-max", "1e300", "--sigma2", "1e-300", "--eps1", "1e-320"],
+        ["--axis-min", "6.4e153", "--axis-max", "6.4e153", "--sigma2", "1.38e-192",
+         "--eps1", "5.7e110", "--eps2", "3.6e-75", "--rd", "437"],
+    ])
+    def test_cutset_bounds_the_schemes_at_the_edge_of_the_double_range(self, argv, tmp_path):
+        # the bound's exponent overflowed there, so the lower bound read 1
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--out", str(out), "--axis", "ps", "--axis-points", "1",
+                        *argv]) == 0
+        col = columns(*read_table(out)[1:])
+        assert col["p_conn_cutset"] < 1.0
+        assert col["p_conn_cutset"] <= col["p_conn_mf"] and col["p_conn_cutset"] <= col["p_conn_af"]
+
     def test_rho_locked_pd(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--out", str(out), "--axis", "ps",
@@ -276,8 +290,9 @@ class TestPlumbing:
         # scipy.special's, is numpy code now, so fig5 leaves scipy unloaded too
         source = ("from mfrelay import numerics\n"
                   "calls = []\n"
-                  "kernel = numerics._k1_kernel\n"
-                  "numerics._k1_kernel = lambda x: calls.append(x.size) or kernel(x)\n"
+                  "for name in ('_k1_series', '_k1_chebyshev'):\n"
+                  "    kernel = getattr(numerics, name)\n"
+                  "    setattr(numerics, name, lambda x, kernel=kernel: calls.append(x.size) or kernel(x))\n"
                   + cli_run(op, "--axis-points", "3")
                   + f"\nassert bool(calls) == {k1}")
         loaded = scipy_loaded_after(source)

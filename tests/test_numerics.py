@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfrelay.numerics import _K1_CHEB, Interval, _k1_kernel, bessel_k1, slope_fit
+from mfrelay.numerics import (_K1_CHEB, _K1_SLICE, Interval, _k1_chebyshev, _k1_map, _k1_series,
+                              bessel_k1, slope_fit)
 
 # oracle: mpmath.besselk(1, x) at 40 digits
 K1_ORACLE = {
@@ -147,7 +148,7 @@ def _one_minus_x_k1(X, mp):
         return +(1 - X * mp.besselk(1, X))
 
 
-def test_k1_kernel_against_mpmath():
+def test_k1_branches_against_mpmath():
     # 1 - x*K1(x) without cancellation up to x = 2, and e^x*K1(x) without
     # underflow above it; K1 itself is covered by the bessel_k1 tests
     mp = pytest.importorskip("mpmath")
@@ -158,24 +159,55 @@ def test_k1_kernel_against_mpmath():
                             10.0 ** rng.uniform(3.0, 300.0, 60),
                             [np.nextafter(2.0, 3.0), 1e300]])
     with mp.workdps(40):
-        for x, k in zip(small, _k1_kernel(small)):
+        for x, k in zip(small, _k1_series(small)):
             ref = _one_minus_x_k1(mp.mpf(float(x)), mp)
             assert abs(k - ref) <= 1e-15 * ref, f"x={x}"
-        for x, k in zip(large, _k1_kernel(large)):
+        for x, k in zip(large, _k1_chebyshev(large)):
             X = mp.mpf(float(x))
             ref = mp.exp(X) * mp.besselk(1, X)
             assert abs(k - ref) <= 1e-15 * ref, f"x={x}"
 
 
-def test_k1_kernel_is_elementwise():
+def _shape(x, k):
+    """A branch formula that returns the branch's K1 shape itself."""
+    return k
+
+
+def test_k1_map_is_elementwise():
     # a point takes its branch by its own value: the same bits alone, in a
     # mixed array and in an array longer than a slice
     xs = np.concatenate([np.geomspace(1e-6, 60.0, 50), [2.0, np.nextafter(2.0, 3.0)]])
     long = np.tile(xs, 400)
-    together = _k1_kernel(xs)
+    together = _k1_map(_shape, _shape, xs)
     for i, x in enumerate(xs):
-        assert _k1_kernel(np.array([x])).tobytes() == together[i:i + 1].tobytes()
-    assert _k1_kernel(long).tobytes() == np.tile(together, 400).tobytes()
+        assert _k1_map(_shape, _shape, np.array([x])).tobytes() == together[i:i + 1].tobytes()
+    assert _k1_map(_shape, _shape, long).tobytes() == np.tile(together, 400).tobytes()
+
+
+def test_k1_map_gives_each_formula_only_its_own_points():
+    # the split is made once, by index: neither formula sees a point of the
+    # other branch, and between them they see every point once, with the
+    # argument that belongs to it
+    rng = np.random.default_rng(4)
+    xs = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, _K1_SLICE + 999),
+                         [2.0, np.nextafter(2.0, 3.0)]])
+    rng.shuffle(xs)
+    seen = {"small": [], "large": []}
+
+    def branch(name):
+        def fn(x, k, tag):
+            seen[name].append(x.copy())
+            assert np.array_equal(tag, -x)
+            return tag
+        return fn
+
+    out = _k1_map(branch("small"), branch("large"), xs, -xs)
+    assert np.array_equal(out, -xs)
+    small, large = np.concatenate(seen["small"]), np.concatenate(seen["large"])
+    assert len(seen["small"]) == len(seen["large"]) == 2  # two slices, both mixed
+    assert np.all(small <= 2.0) and np.all(large > 2.0)
+    assert small.size + large.size == xs.size
+    assert 2.0 in small and np.nextafter(2.0, 3.0) in large
 
 
 def test_chebyshev_table_is_its_script_output():

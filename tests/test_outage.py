@@ -43,6 +43,14 @@ def _secrecy_reference(p, gamma_s):
         return float(ps * eps1 / (ps * eps1 + pd * eps2 * gs) * mp.exp(-gs * sigma2 / (ps * eps1)))
 
 
+def _cutset_reference(p, gamma_o):
+    """The cut-set bound -expm1(-a) at threshold gamma_o in 50-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        ps, sigma2, eps1, eps2, g = map(mp.mpf, (p.ps, p.sigma2, p.eps1, p.eps2, gamma_o))
+        return float(-mp.expm1(-(1 / eps1 + 1 / eps2) * g * sigma2 / ps))
+
+
 def _conn_reference(p, gamma, af):
     """The exact MF (gamma = gamma_1) or AF (gamma = gamma_o) connection
     outage 1 - exp(-a)*x*K1(x) in mpmath, as -expm1(-a) + exp(-a)*(1 - x*K1(x))
@@ -125,6 +133,8 @@ class TestSecrecy:
                           (p_conn_mf(p, rd), _conn_reference(p, th.gamma_1, af=False)
                            if rd > 0 else 0.0),
                           (p_conn_af(p, rd), _conn_reference(p, th.gamma_o, af=True)
+                           if th.gamma_o > 0 else 0.0),
+                          (p_conn_cutset_lower(p, rd), _cutset_reference(p, th.gamma_o)
                            if th.gamma_o > 0 else 0.0)):
             assert 0.0 <= got <= 1.0
             assert abs(got - want) <= 1e-9 * want + 1e-300
@@ -567,5 +577,5 @@ class TestConnectionOutageWhereExpUnderflows:
     def test_eps_product_out_of_range_keeps_its_root(self, scale):
         # eps1*eps2 under- or overflows, yet a and x equal those at unit means
         p = params(ps=1.0 / scale, pd=10.0 / scale, eps1=scale, eps2=scale)
-        for conn in (p_conn_mf, p_conn_af):
+        for conn in (p_conn_mf, p_conn_af, p_conn_cutset_lower):
             assert conn(p, 1.0) == pytest.approx(conn(params(ps=1.0), 1.0), rel=1e-12)
