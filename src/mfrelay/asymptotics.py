@@ -12,9 +12,11 @@ import numpy as np
 from .channel import ChannelRealization, RateConfig, SystemParams, _pd_at_rho
 from .numerics import _scalar, slope_fit
 from .outage import p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy
-from .rates import Scheme, af_rates, mf_rates, secrecy_upper_bound
+from .rates import Scheme, rate_report
 
 DEFAULT_SNR_GRID = tuple(np.logspace(6, 12, 10))
+# the rate_report field estimate_gsdof fits per scheme; the upper bound otherwise
+_RATE_FIELD = {Scheme.MF: "rs_mf", Scheme.AF: "rs_af"}
 
 
 def _check_rho(rho) -> np.ndarray:
@@ -63,10 +65,8 @@ def estimate_gsdof(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,
     grid, params = _snr_points(rho, snr_grid)
     if real is None:
         real = ChannelRealization.from_gains(1.0, 1.0)
-    # built per call, so a tracer that rebinds these names sees the calls
-    rate = {Scheme.MF: lambda p, r: mf_rates(p, r).rs,
-            Scheme.AF: lambda p, r: af_rates(p, r).rs_af}.get(scheme, secrecy_upper_bound)
-    return slope_fit(zip(np.log(grid), rate(params, real) * np.log(2.0)))
+    rate = getattr(rate_report(params, real), _RATE_FIELD.get(scheme, "upper_bound_u"))
+    return slope_fit(zip(np.log(grid), rate * np.log(2.0)))
 
 
 def estimate_gsdg(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,
@@ -80,7 +80,7 @@ def estimate_gsdg(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,
     grid, params = _snr_points(rho, snr_grid)
     if config is None:
         config = RateConfig(rd=1.0, rs=0.5)
-    # built per call, as in estimate_gsdof
+    # built per call, so a tracer that rebinds these names sees the calls
     conn = {Scheme.MF: p_conn_mf, Scheme.AF: p_conn_af}.get(scheme, p_conn_cutset_lower)
     p_t = np.maximum(conn(params, config.rd), p_secrecy(params, config))
     if np.any(p_t <= 0.0):

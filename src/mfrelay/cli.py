@@ -16,7 +16,8 @@ the experiment would ignore (one it does not read, its own axis, or pd
 with rho) or of the wrong type is refused with one error line.  Output is
 CSV with '#' metadata lines and 12-significant-digit cells; identical
 (config, seed) pairs produce byte-identical files.  Exit codes: 0 ok, 2
-invalid config (a library ValueError during the run too), 3 I/O failure.
+invalid config (a library ValueError or a non-finite cell during the run
+too), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -281,8 +282,9 @@ def format_table(cfg: dict, header, table: np.ndarray) -> str:
         f"# config: {json.dumps(meta, sort_keys=True)}",
         ",".join(header),
     ]
-    if not np.all(np.isfinite(table)):
-        raise RuntimeError("non-finite cell in output table")
+    if not np.all(np.isfinite(table)):  # the run left a model's double range
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        raise ValueError(f"non-finite cell in output table: {header[col]} in row {row + 1}")
     # + 0.0 writes -0.0 as 0
     lines += [",".join(f"{v + 0.0:.12g}" for v in row) for row in table.tolist()]
     return "\n".join(lines) + "\n"

@@ -64,10 +64,13 @@ class OutageProbs:
 
 def p_conn_cutset_lower(params: SystemParams, rd: float):
     """Connection-outage lower bound from the cut-set capacity:
-    1 - exp(-a) with a = (1/eps1 + 1/eps2) * gamma_o * sigma2 / ps, which is
-    MF's a at gamma_o (from logs outside the normal range), and 0 at rd = 0."""
+    1 - exp(-a) with a = (1/eps1 + 1/eps2) * gamma_o * sigma2 / ps, and 0 at
+    rd = 0.  The a is the smaller of MF's and AF's a at gamma_o (from logs
+    outside the normal range), which are equal at pd = 0 but for rounding,
+    so the bound never reads above either scheme's outage."""
     gamma_o = _gamma(np.asarray(rd, dtype=float))
-    a, _ = _k1_arguments(params, np.where(gamma_o > 0, gamma_o, 1.0), af=False)
+    safe = np.where(gamma_o > 0, gamma_o, 1.0)
+    a = np.minimum(*(_k1_arguments(params, safe, af)[0] for af in (False, True)))
     return _scalar(np.where(gamma_o > 0, -np.expm1(-a), 0.0))
 
 

@@ -3,6 +3,10 @@ rates of the modulo-forward (MF), amplify-forward (AF), and lattice
 decode-forward (DF) relaying schemes.  The Monte Carlo outage events
 reuse the end-to-end and relay SNRs written here.
 
+``rate_report`` is the one place a rate quantity is formed: it takes the
+noise, relay and cut-set terms once each, and ``mf_rates``, ``af_rates``,
+``secrecy_upper_bound`` and ``mf_gap`` are views of its fields.
+
 Every function broadcasts over array-valued parameter/realization fields.
 All logarithms are base 2, so rates are in bits per real dimension;
 negative-rate clips return exactly 0.
@@ -70,9 +74,47 @@ def relay_capacity(params: SystemParams, real: ChannelRealization):
     return 0.5 * np.log2(1.0 + _relay_sinr(params, real.g1, real.g2))
 
 
+@dataclass(frozen=True)
+class RateReport:
+    """All per-realization rate quantities in one record."""
+
+    cd_upper: float
+    cr: float
+    upper_bound_u: float
+    sigma_e2: float
+    rd_mf_exact: float
+    rd_mf_lower: float
+    rr: float
+    rs_mf: float
+    snr_af: float
+    rs_af: float
+    gap: float
+
+
+def rate_report(params: SystemParams, real: ChannelRealization) -> RateReport:
+    """Every rate quantity of the realization, each formed once here; the
+    views below read its fields.  ``cr`` and ``rr`` are both the relay rate.
+
+    MF pairs its closed lower-bound destination rate with the relay rate
+    (the form the 1/2-bit gap bounds); AF's rate is taken after the
+    destination cancels its jamming.
+    """
+    se2 = sigma_e_sq(params, real)
+    rr = relay_capacity(params, real)
+    cd = cutset_capacity(params, real)
+    rd_lower = _pos(0.5 * np.log2(0.5 + _e2e_snr(Scheme.MF, params, real.g1, real.g2)))
+    rs_mf = _pos(rd_lower - rr)
+    snr_af = _e2e_snr(Scheme.AF, params, real.g1, real.g2)
+    u = _pos(cd - rr)
+    return RateReport(cd_upper=cd, cr=rr, upper_bound_u=u, sigma_e2=se2,
+                      rd_mf_exact=_pos(0.5 * np.log2(params.ps / se2)), rd_mf_lower=rd_lower,
+                      rr=rr, rs_mf=rs_mf, snr_af=snr_af,
+                      rs_af=_pos(0.5 * np.log2(1.0 + snr_af) - rr), gap=u - rs_mf)
+
+
 def secrecy_upper_bound(params: SystemParams, real: ChannelRealization):
     """[cut-set capacity - relay capacity]^+, valid for any forwarding."""
-    return _pos(cutset_capacity(params, real) - relay_capacity(params, real))
+    return rate_report(params, real).upper_bound_u
 
 
 @dataclass(frozen=True)
@@ -84,14 +126,9 @@ class MfRates:
 
 
 def mf_rates(params: SystemParams, real: ChannelRealization) -> MfRates:
-    """Achievable MF rates; the secrecy rate pairs the closed lower-bound
-    destination rate with the relay rate (the form the 1/2-bit gap bounds).
-    """
-    se2 = sigma_e_sq(params, real)
-    rd_exact = _pos(0.5 * np.log2(params.ps / se2))
-    rd_lower = _pos(0.5 * np.log2(0.5 + _e2e_snr(Scheme.MF, params, real.g1, real.g2)))
-    rr = relay_capacity(params, real)
-    return MfRates(rd_exact=rd_exact, rd_lower=rd_lower, rr=rr, rs=_pos(rd_lower - rr))
+    """Achievable MF rates, read from ``rate_report``."""
+    rep = rate_report(params, real)
+    return MfRates(rd_exact=rep.rd_mf_exact, rd_lower=rep.rd_mf_lower, rr=rep.rr, rs=rep.rs_mf)
 
 
 @dataclass(frozen=True)
@@ -102,9 +139,19 @@ class AfRates:
 
 def af_rates(params: SystemParams, real: ChannelRealization) -> AfRates:
     """Post-cancellation SNR and secrecy rate of amplify-and-forward."""
-    snr_af = _e2e_snr(Scheme.AF, params, real.g1, real.g2)
-    rs_af = _pos(0.5 * np.log2(1.0 + snr_af) - relay_capacity(params, real))
-    return AfRates(snr_af=snr_af, rs_af=rs_af)
+    rep = rate_report(params, real)
+    return AfRates(snr_af=rep.snr_af, rs_af=rep.rs_af)
+
+
+def mf_gap(params: SystemParams, real: ChannelRealization):
+    """Gap of the MF secrecy rate to the upper bound, both clipped.
+
+    Lies in [0, 1/2] wherever g1*g2 and the SNR products are normal
+    doubles: at most 1/2 bit when both are positive, and below 1/2
+    whenever the MF rate clips to zero.  Past that range the direct
+    products can underflow, and the gap can read far above 1/2.
+    """
+    return rate_report(params, real).gap
 
 
 @dataclass(frozen=True)
@@ -134,49 +181,3 @@ def df_comparison(t) -> DfComparison:
         ),
     )
     return DfComparison(r_df=_scalar(r_df), gap_mf_df=_scalar(gap))
-
-
-def mf_gap(params: SystemParams, real: ChannelRealization):
-    """Gap of the MF secrecy rate to the upper bound, both clipped.
-
-    Lies in [0, 1/2] for every realization: at most 1/2 bit when both are
-    positive, and below 1/2 whenever the MF rate clips to zero.
-    """
-    return secrecy_upper_bound(params, real) - mf_rates(params, real).rs
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """All per-realization rate quantities in one record."""
-
-    cd_upper: float
-    cr: float
-    upper_bound_u: float
-    sigma_e2: float
-    rd_mf_exact: float
-    rd_mf_lower: float
-    rr: float
-    rs_mf: float
-    snr_af: float
-    rs_af: float
-    gap: float
-
-
-def rate_report(params: SystemParams, real: ChannelRealization) -> RateReport:
-    mf = mf_rates(params, real)
-    af = af_rates(params, real)
-    cd = cutset_capacity(params, real)
-    u = _pos(cd - mf.rr)
-    return RateReport(
-        cd_upper=cd,
-        cr=mf.rr,
-        upper_bound_u=u,
-        sigma_e2=sigma_e_sq(params, real),
-        rd_mf_exact=mf.rd_exact,
-        rd_mf_lower=mf.rd_lower,
-        rr=mf.rr,
-        rs_mf=mf.rs,
-        snr_af=af.snr_af,
-        rs_af=af.rs_af,
-        gap=u - mf.rs,
-    )

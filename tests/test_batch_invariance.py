@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfrelay import (ChannelRealization, RateConfig, Scheme, SystemParams, bessel_k1,
-                     df_comparison, gsdg_closed_form, gsdof_closed_form, mod_lattice,
-                     outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy,
-                     p_secrecy_threshold, rate_report, thresholds, tradeoff_residual)
+from mfrelay import (ChannelRealization, RateConfig, Scheme, SystemParams, af_rates, bessel_k1,
+                     df_comparison, gsdg_closed_form, gsdof_closed_form, mf_gap, mf_rates,
+                     mod_lattice, outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
+                     p_secrecy, p_secrecy_threshold, rate_report, secrecy_upper_bound,
+                     thresholds, tradeoff_residual)
 
 def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
@@ -68,7 +69,8 @@ def test_closed_forms_are_batch_invariant(points):
         (p_conn_cutset_lower, (params, rc.rd), [(p, c.rd) for p, c, _ in alone]),
         (p_secrecy, (params, rc), [(p, c) for p, c, _ in alone]),
         (outage_probs, (params, rc), [(p, c) for p, c, _ in alone]),
-        (rate_report, (params, real), [(p, g) for p, _, g in alone]),
+        *((fn, (params, real), [(p, g) for p, _, g in alone])
+          for fn in (rate_report, mf_rates, af_rates, secrecy_upper_bound, mf_gap)),
     ]
     for fn, batch, each in checks:
         assert_same_bits(fn, batch, each)

@@ -264,6 +264,18 @@ class TestPlumbing:
         assert len(proc.stderr.splitlines()) == 1  # no overflow warning, no traceback
         assert proc.stderr.startswith("error: rd must be below 512")
 
+    def test_non_finite_cell_exits_2(self):
+        # AF's SNR denominator underflows to 0 at sigma2 = pd = 1e-300, so rs_af reads inf
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfrelay", "fig2", "--axis-min", "1e-300", "--axis-max",
+             "1e-300", "--axis-points", "1", "--sigma2", "1e-300"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["error: non-finite cell in output table: "
+                                            "rs_af in row 1"]
+        assert proc.stdout == ""
+
     def test_io_failure_exits_3(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "t.csv"
         assert run_cli(["fig2", "--axis-points", "3", "--out", str(missing_dir)]) == 3

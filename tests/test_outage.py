@@ -138,6 +138,8 @@ class TestSecrecy:
                            if th.gamma_o > 0 else 0.0)):
             assert 0.0 <= got <= 1.0
             assert abs(got - want) <= 1e-9 * want + 1e-300
+        cut = p_conn_cutset_lower(p, rd)
+        assert cut <= p_conn_mf(p, rd) and cut <= p_conn_af(p, rd)
         assert np.isfinite(tradeoff_residual(p, rc))
 
 
@@ -238,6 +240,17 @@ class TestClosedFormRanges:
                          eps2=10.0 ** rng.uniform(-1, 1, n))
         for rd in (0.25, 1.0, 3.0):
             assert np.all(p_conn_cutset_lower(p, rd) <= p_conn_mf(p, rd) + 1e-12)
+
+    def test_cutset_below_af_where_the_exponents_round_apart(self):
+        # at pd = 0 MF's and AF's a are equal in exact arithmetic, but AF's
+        # rounds one ulp below here; MF's a put the bound one ulp above AF
+        p = params(ps=2.544368187907291e38, pd=0.0, sigma2=126.40008819047684,
+                   eps1=1.0551810109034164e31, eps2=0.04567558232595234)
+        rd = 39.94476633482685
+        cut = p_conn_cutset_lower(p, rd)
+        assert cut <= p_conn_af(p, rd) and cut <= p_conn_mf(p, rd)
+        assert cut == pytest.approx(_cutset_reference(p, thresholds(RateConfig(rd, 0.0)).gamma_o),
+                                    rel=1e-15)
 
     def test_mf_below_af_under_strong_jamming(self):
         # ordering regime: pd >= ps, rd >= 1/2 (the reference figure setting)

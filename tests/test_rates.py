@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mfrelay import rates
 from mfrelay.channel import ChannelRealization, SystemParams, rng_stream, sample_realization
 from mfrelay.rates import (af_rates, cutset_capacity, df_comparison, mf_gap,
                            mf_rates, rate_report, relay_capacity,
@@ -200,3 +201,33 @@ class TestCrossSchemeInvariants:
         assert rep.cd_upper == cutset_capacity(params(), gains(1.0, 1.0))
         assert 0.0 < rep.sigma_e2 <= params().ps
         assert rep.gap == pytest.approx(rep.upper_bound_u - rep.rs_mf)
+
+
+class TestOneRateBuilder:
+    def test_report_forms_each_term_once(self, monkeypatch):
+        counts = {}
+
+        def counted(name):
+            fn = getattr(rates, name)
+
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("sigma_e_sq", "relay_capacity", "cutset_capacity"):
+            monkeypatch.setattr(rates, name, counted(name))
+        rate_report(*random_draws(11, n=50))
+        assert counts == {"sigma_e_sq": 1, "relay_capacity": 1, "cutset_capacity": 1}
+
+    @pytest.mark.parametrize("point", [random_draws(12), (params(pd=3.0), gains(1.0, 4.0))],
+                             ids=["random_draws", "scalar"])
+    def test_views_read_the_report_bit_for_bit(self, point):
+        rep, mf, af = rate_report(*point), mf_rates(*point), af_rates(*point)
+        views = [(mf.rd_exact, rep.rd_mf_exact), (mf.rd_lower, rep.rd_mf_lower),
+                 (mf.rr, rep.rr), (mf.rs, rep.rs_mf), (af.snr_af, rep.snr_af),
+                 (af.rs_af, rep.rs_af), (secrecy_upper_bound(*point), rep.upper_bound_u),
+                 (mf_gap(*point), rep.gap), (rep.cr, rep.rr)]
+        for view, field in views:
+            assert type(view) is type(field)
+            assert np.asarray(view).tobytes() == np.asarray(field).tobytes()
