@@ -44,38 +44,41 @@ def gsdg_closed_form(scheme: Scheme, rho):
 
 
 def _snr_points(rho, snr_grid):
-    """The validated grid and one SystemParams holding its points at sigma2 = 1."""
-    _check_rho(rho)
+    """The validated grid and one SystemParams holding its points at
+    sigma2 = 1: rho's axes lead and the grid runs along the last axis."""
+    rho = _check_rho(rho)
     grid = np.asarray(snr_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("snr_grid must be a 1-d grid with >= 2 points")
     if np.any(np.diff(grid) <= 0) or grid[0] < 1e4:
         raise ValueError("snr_grid must be increasing with min >= 1e4")
-    return grid, SystemParams(ps=grid, pd=_pd_at_rho(grid, 1.0, rho), sigma2=1.0)
+    return grid, SystemParams(ps=grid, pd=_pd_at_rho(grid, 1.0, rho[..., None]), sigma2=1.0)
 
 
-def estimate_gsdof(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,
-                   real: ChannelRealization | None = None) -> float:
-    """Finite-SNR slope estimate of the secure DoF at a given rho.
+def estimate_gsdof(scheme: Scheme, rho, snr_grid=DEFAULT_SNR_GRID,
+                   real: ChannelRealization | None = None):
+    """Finite-SNR slope estimate of the secure DoF at each rho.
 
     Evaluates the grid with ps = snr*sigma2 and pd = snr^rho*sigma2, then
-    fits the rate (in nats) against ln(snr).  The limit is independent of
-    the fixed scalar realization, which defaults to g1 = g2 = 1.
+    fits the rate (in nats) against ln(snr).  Broadcasts over rho: an
+    array of rho gives one estimate per entry, from one (rho, snr) grid.
+    The limit is independent of the fixed scalar realization, which
+    defaults to g1 = g2 = 1.
     """
     grid, params = _snr_points(rho, snr_grid)
     if real is None:
         real = ChannelRealization.from_gains(1.0, 1.0)
     rate = getattr(rate_report(params, real), _RATE_FIELD.get(scheme, "upper_bound_u"))
-    return slope_fit(zip(np.log(grid), rate * np.log(2.0)))
+    return slope_fit(np.log(grid), rate * np.log(2.0))
 
 
-def estimate_gsdg(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,
-                  config: RateConfig | None = None) -> float:
+def estimate_gsdg(scheme: Scheme, rho, snr_grid=DEFAULT_SNR_GRID,
+                  config: RateConfig | None = None):
     """Finite-SNR decay-exponent estimate of the secure diversity gain.
 
     Uses the closed-form outage probabilities, with the total outage
     proxied by max(connection, secrecy) (the two bounds share the
-    exponent).
+    exponent).  Broadcasts over rho as ``estimate_gsdof`` does.
     """
     grid, params = _snr_points(rho, snr_grid)
     if config is None:
@@ -85,4 +88,4 @@ def estimate_gsdg(scheme: Scheme, rho: float, snr_grid=DEFAULT_SNR_GRID,
     p_t = np.maximum(conn(params, config.rd), p_secrecy(params, config))
     if np.any(p_t <= 0.0):
         raise ValueError("total outage proxy underflowed to 0 on the grid")
-    return -slope_fit(zip(np.log(grid), np.log(p_t)))
+    return -slope_fit(np.log(grid), np.log(p_t))

@@ -89,7 +89,11 @@ def derived_ratios(params: SystemParams):
 
 def _pd_at_rho(ps, sigma2, rho):  # the pd whose rho derived_ratios returns
     # float_power rounds as the scalar pow does; np.power's SIMD loop may not
-    return np.float_power(ps / sigma2, rho) * sigma2
+    with np.errstate(over="ignore"):
+        pd = np.float_power(ps / sigma2, rho) * sigma2
+    if np.any(np.isinf(pd)):  # a NaN pd (sigma2 = 0) is left to SystemParams
+        raise ValueError("rho is too large: pd = snr^rho * sigma2 overflows a double")
+    return pd
 
 
 @dataclass(frozen=True)

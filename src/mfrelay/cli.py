@@ -150,13 +150,13 @@ def run_fig2(cfg: dict):
 
 
 def _run_rho(cfg: dict, prefix: str, closed_form, estimate):
-    """Upper/MF/AF closed forms, one call per column, then MF/AF estimates per rho."""
+    """Upper/MF/AF closed forms and MF/AF estimates, one call per column."""
     header = ["rho"] + [f"{prefix}_{col}" for col in
                         ("upper", "mf", "af", "mf_numeric", "af_numeric")]
     rho = _axis_values(cfg)
     return header, np.column_stack(
         [rho, *(closed_form(s, rho) for s in (Scheme.UPPER, Scheme.MF, Scheme.AF)),
-         *([estimate(s, float(r)) for r in rho] for s in (Scheme.MF, Scheme.AF))])
+         *(estimate(s, rho) for s in (Scheme.MF, Scheme.AF))])
 
 
 def run_fig3(cfg: dict):

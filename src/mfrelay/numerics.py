@@ -191,17 +191,20 @@ def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def slope_fit(points) -> float:
-    """Least-squares slope of log_y against log_x.
+def slope_fit(log_x, log_y):
+    """Least-squares slope of log_y against log_x, along log_y's last axis.
 
-    ``points`` is a sequence of (log_x, log_y) pairs with strictly
-    increasing log_x; used to read off high-SNR exponents.
+    ``log_x`` is a strictly increasing 1-d grid of at least 2 points and
+    the last axis of ``log_y`` runs along it; each leading index of log_y
+    is a fit of its own, and a 1-d log_y gives a float.  Used to read off
+    high-SNR exponents.  Each fit takes its own ``np.dot``, so a row gets
+    the same bits alone or inside an array.
     """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("slope_fit needs at least 2 (log_x, log_y) points")
-    xs, ys = pts[:, 0], pts[:, 1]
+    xs, ys = np.asarray(log_x, dtype=float), np.asarray(log_y, dtype=float)
+    if xs.ndim != 1 or xs.size < 2 or ys.ndim == 0 or ys.shape[-1] != xs.size:
+        raise ValueError("slope_fit needs a 1-d log_x of >= 2 points matching log_y's last axis")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("slope_fit requires strictly increasing log_x")
     xc = xs - xs.mean()
-    return float(np.dot(xc, ys - ys.mean()) / np.dot(xc, xc))
+    yc = (ys - ys.mean(axis=-1, keepdims=True)).reshape(-1, xs.size)
+    return _scalar(np.reshape([np.dot(y, xc) for y in yc], ys.shape[:-1]) / np.dot(xc, xc))

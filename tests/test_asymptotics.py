@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,22 +95,21 @@ def _gsdof_per_snr(scheme, rho, real):
     """Reference: one scalar SystemParams per grid point."""
     rate = {Scheme.UPPER: secrecy_upper_bound, Scheme.MF: lambda p, r: mf_rates(p, r).rs,
             Scheme.AF: lambda p, r: af_rates(p, r).rs_af}[scheme]
-    pts = []
+    ys = []
     for snr in DEFAULT_SNR_GRID:
         params = SystemParams(ps=snr, pd=snr ** rho, sigma2=1.0)
-        pts.append((np.log(snr), rate(params, real) * np.log(2.0)))
-    return slope_fit(pts)
+        ys.append(rate(params, real) * np.log(2.0))
+    return slope_fit(np.log(DEFAULT_SNR_GRID), ys)
 
 
 def _gsdg_per_snr(scheme, rho, config):
     conn = {Scheme.UPPER: p_conn_cutset_lower, Scheme.MF: p_conn_mf,
             Scheme.AF: p_conn_af}[scheme]
-    pts = []
+    ys = []
     for snr in DEFAULT_SNR_GRID:
         params = SystemParams(ps=snr, pd=snr ** rho, sigma2=1.0)
-        p_t = max(conn(params, config.rd), p_secrecy(params, config))
-        pts.append((np.log(snr), np.log(p_t)))
-    return -slope_fit(pts)
+        ys.append(np.log(max(conn(params, config.rd), p_secrecy(params, config))))
+    return -slope_fit(np.log(DEFAULT_SNR_GRID), ys)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.UPPER, Scheme.MF, Scheme.AF])
@@ -121,3 +122,15 @@ def test_estimators_equal_per_snr_loop(scheme, rho):
         _gsdof_per_snr(scheme, rho, real), rel=1e-12, abs=0)
     assert estimate_gsdg(scheme, rho, config=config) == pytest.approx(
         _gsdg_per_snr(scheme, rho, config), rel=1e-12, abs=0)
+
+
+def test_overflowing_rho_is_refused_by_name_without_a_warning():
+    # pd = snr^rho overflows at the grid's top: a ValueError names rho, and
+    # no overflow RuntimeWarning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimate in (estimate_gsdof, estimate_gsdg):
+            with pytest.raises(ValueError, match="rho is too large"):
+                estimate(Scheme.MF, 26.0)
+            with pytest.raises(ValueError, match="rho is too large"):
+                estimate(Scheme.MF, [1.0, 26.0])

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfrelay import (ChannelRealization, RateConfig, Scheme, SystemParams, af_rates, bessel_k1,
-                     df_comparison, gsdg_closed_form, gsdof_closed_form, mf_gap, mf_rates,
+                     df_comparison, estimate_gsdg, estimate_gsdof, gsdg_closed_form,
+                     gsdof_closed_form, mf_gap, mf_rates,
                      mod_lattice, outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
                      p_secrecy, p_secrecy_threshold, rate_report, secrecy_upper_bound,
                      thresholds, tradeoff_residual)
@@ -103,6 +104,45 @@ def test_rho_laws_are_batch_invariant(rhos):
         for scheme in (Scheme.UPPER, Scheme.MF, Scheme.AF):
             assert_same_bits(lambda r: law(scheme, r), (np.array(rhos),), [(r,) for r in rhos])
             assert all(type(law(scheme, r)) is float for r in rhos)
+
+
+_ESTIMATORS = (
+    lambda s, r: estimate_gsdof(s, r, real=ChannelRealization.from_gains(0.3, 2.5)),
+    lambda s, r: estimate_gsdg(s, r, config=RateConfig(rd=2.0, rs=1.0)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=30))
+def test_rho_estimators_are_batch_invariant(rhos):
+    # one (rho, snr) grid gives each rho the bits of its own scalar call
+    for estimate in _ESTIMATORS:
+        for scheme in (Scheme.UPPER, Scheme.MF, Scheme.AF):
+            assert_same_bits(lambda r: estimate(scheme, r), (np.array(rhos),), [(r,) for r in rhos])
+
+
+def test_rho_estimators_keep_rho_shape():
+    rho = np.array([[0.5, 1.0, 1.5], [2.0, 2.5, 3.0]])
+    for estimate in (estimate_gsdof, estimate_gsdg):
+        for scheme in (Scheme.UPPER, Scheme.MF, Scheme.AF):
+            out = estimate(scheme, rho)
+            assert out.shape == rho.shape
+            alone = np.array([[estimate(scheme, float(r)) for r in row] for row in rho])
+            assert np.array_equal(out.view(np.uint64), alone.view(np.uint64))
+            assert type(estimate(scheme, 1.5)) is float
+            assert type(estimate(scheme, np.array(1.5))) is float
+            assert estimate(scheme, [1.5]).shape == (1,)
+            assert estimate(scheme, np.empty((0, 2))).shape == (0, 2)
+
+
+def test_rho_array_of_grid_length_is_not_paired_with_the_grid():
+    # a rho array as long as the SNR grid gives one slope per rho, not one
+    # slope of rho and snr paired point by point
+    rho = np.linspace(0.0, 3.0, 10)
+    for estimate in (estimate_gsdof, estimate_gsdg):
+        out = np.asarray(estimate(Scheme.MF, rho))
+        assert out.shape == (10,)
+        assert out.tolist() == [estimate(Scheme.MF, r) for r in rho.tolist()]
 
 
 @settings(max_examples=100, deadline=None)

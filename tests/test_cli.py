@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mfrelay import cli
 from mfrelay.channel import ChannelRealization, RateConfig, SystemParams, thresholds
 from mfrelay.cli import SWEEPABLE, _axis_values, load_config, main, run_fig2, run_sweep
 from mfrelay.outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
@@ -412,6 +413,21 @@ def test_golden_csv_bytes(name, tmp_path):
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
 
+def test_rho_figures_call_each_estimator_once_per_scheme(monkeypatch, tmp_path):
+    # one array call per numeric column, not one call per rho
+    calls = []
+    for name in ("estimate_gsdof", "estimate_gsdg"):
+        def counted(scheme, rho, *args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls.append((_name, scheme))
+            return _fn(scheme, rho, *args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    for experiment in ("fig3", "fig5"):
+        assert run_cli([experiment, "--out", str(tmp_path / "t.csv")]) == 0
+    assert sorted(calls, key=str) == sorted(
+        [(n, s) for n in ("estimate_gsdof", "estimate_gsdg") for s in (Scheme.MF, Scheme.AF)],
+        key=str)
+
+
 def assert_one_error_line(code, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
@@ -453,11 +469,14 @@ def assert_one_error_line(code, capsys):
      "--axis-points", "2", "--rho", "1"],   # a row's snr = ps/0 with pd derived from it
     ["sweep", "--axis", "rs", "--axis-min", "0", "--axis-max", "2", "--axis-points", "3",
      "--axis-scale", "linear"],             # rs = 2 would run at rs = rd = 1
+    ["fig3", "--axis-max", "30"],           # 1e12^30 overflows at the grid's top
 ])
 def test_ignored_or_invalid_flags_rejected(argv, capsys):
     line = assert_one_error_line(exit_code(argv), capsys)
     if argv == ["chain", "--mc-samples", "0"]:  # the flag's name, not LatticeConfig's field
         assert line == "error: mc_samples must be >= 1"
+    if argv[-1:] in (["600.5"], ["30"]):  # pd overflows: the line names rho
+        assert "rho" in line
 
 
 @pytest.mark.parametrize("experiment, data", [

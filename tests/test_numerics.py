@@ -77,13 +77,13 @@ def test_k1_array_shape_roundtrip():
 
 def test_slope_fit_exact_lines():
     xs = np.linspace(0.0, 5.0, 7)
-    assert slope_fit(zip(xs, xs + 3.0)) == pytest.approx(1.0, abs=1e-12)
-    assert slope_fit(zip(xs, -0.5 * xs + 2.0)) == pytest.approx(-0.5, abs=1e-12)
+    assert slope_fit(xs, xs + 3.0) == pytest.approx(1.0, abs=1e-12)
+    assert slope_fit(xs, -0.5 * xs + 2.0) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_slope_fit_three_noisy_points():
     # hand least squares on (0, 0.1), (1, 0.9), (2, 2.2): slope = 1.05
-    assert slope_fit([(0.0, 0.1), (1.0, 0.9), (2.0, 2.2)]) == pytest.approx(1.05, abs=1e-12)
+    assert slope_fit([0.0, 1.0, 2.0], [0.1, 0.9, 2.2]) == pytest.approx(1.05, abs=1e-12)
 
 
 def test_slope_fit_shift_invariance():
@@ -91,16 +91,37 @@ def test_slope_fit_shift_invariance():
     xs = np.sort(rng.uniform(0, 10, 12))
     xs += np.arange(12) * 1e-6  # ensure strictly increasing
     ys = rng.normal(size=12)
-    base = slope_fit(zip(xs, ys))
+    base = slope_fit(xs, ys)
     for c in (-7.0, 3.5, 1e6):
-        assert slope_fit(zip(xs, ys + c)) == pytest.approx(base, rel=1e-9, abs=1e-9)
+        assert slope_fit(xs, ys + c) == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
 def test_slope_fit_argument_errors():
     with pytest.raises(ValueError):
-        slope_fit([(0.0, 1.0)])
+        slope_fit([0.0], [1.0])
     with pytest.raises(ValueError):
-        slope_fit([(0.0, 1.0), (0.0, 2.0)])  # not strictly increasing
+        slope_fit([0.0, 0.0], [1.0, 2.0])  # not strictly increasing
+
+
+def test_slope_fit_rows_equal_1d_fits():
+    # each row of a 2-d log_y is its own fit, with the bits of a 1-d call
+    rng = np.random.default_rng(11)
+    xs = np.log(np.logspace(6, 12, 10))
+    ys = rng.normal(size=(40, 10)) * rng.uniform(1e-3, 1e3, size=(40, 1))
+    rows = slope_fit(xs, ys)
+    alone = np.array([slope_fit(xs, y) for y in ys])
+    assert rows.shape == (40,) and all(type(slope_fit(xs, y)) is float for y in ys[:3])
+    assert np.array_equal(rows.view(np.uint64), alone.view(np.uint64))
+    assert slope_fit(xs, ys.reshape(5, 8, 10)).shape == (5, 8)
+
+
+def test_slope_fit_refuses_a_mismatched_last_axis():
+    xs = np.arange(4.0)
+    for ys in (np.zeros(3), np.zeros((4, 3)), np.zeros((4, 5)), 1.0):
+        with pytest.raises(ValueError):
+            slope_fit(xs, ys)
+    with pytest.raises(ValueError):
+        slope_fit(np.zeros((2, 4)), np.zeros(4))  # log_x must be 1-d
 
 
 def test_interval():
