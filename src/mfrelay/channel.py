@@ -23,6 +23,12 @@ _SLICE = 1 << 15  # elementwise work runs on slices of a block short enough to s
 # one thread per CPU this process may run on; tests patch it
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _normal(v):
+    """Where v is a normal double: not 0, subnormal, infinite or nan."""
+    return (v >= _TINY) & (v < np.inf)
 
 
 def _all_finite(*vals) -> bool:
@@ -78,20 +84,37 @@ class SystemParams:
 
 
 def derived_ratios(params: SystemParams):
-    """(snr, inr, rho) with rho = log(inr)/log(snr); needs snr > 1."""
-    snr = params.snr
-    inr = params.inr
-    if np.any(np.asarray(snr) <= 1.0):
-        raise ValueError("rho is undefined for snr <= 1 (0 dB)")
-    rho = np.log(inr) / np.log(snr)
+    """(snr, inr, rho) with rho = log(inr)/log(snr); needs snr > 1.
+
+    Where snr or inr is not a finite normal double (ps/sigma2 or pd/sigma2
+    left the double range), rho is (ln pd - ln sigma2)/(ln ps - ln sigma2)
+    instead, from logs that stay in range; pd = 0 gives -inf, without a
+    warning.
+    """
+    # snr or inr may overflow, log(0) is -inf, and an inf/inf rho is redone
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        snr, inr = params.snr, params.inr
+        if np.any(np.asarray(snr) <= 1.0):
+            raise ValueError("rho is undefined for snr <= 1 (0 dB)")
+        rho = np.log(inr) / np.log(snr)
+        off = ~(_normal(snr) & _normal(inr))
+        if np.any(off):
+            s2 = np.log(params.sigma2)
+            # [()] keeps a scalar's rho a numpy scalar, as the direct form gives it
+            rho = np.where(off, (np.log(params.pd) - s2) / (np.log(params.ps) - s2), rho)[()]
     return snr, inr, rho
 
 
-def _pd_at_rho(ps, sigma2, rho):  # the pd whose rho derived_ratios returns
+def _pd_at_rho(ps, sigma2, rho):
+    """The pd whose rho derived_ratios returns: snr^rho * sigma2, or where
+    that reads inf, exp(rho*ln ps + (1 - rho)*ln sigma2), which stays finite
+    where only snr overflows.  A ValueError names rho where pd itself
+    overflows a double; a nan pd (sigma2 = 0) is left to SystemParams."""
     # float_power rounds as the scalar pow does; np.power's SIMD loop may not
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pd = np.float_power(ps / sigma2, rho) * sigma2
-    if np.any(np.isinf(pd)):  # a NaN pd (sigma2 = 0) is left to SystemParams
+        pd = np.where(np.isinf(pd), np.exp(rho * np.log(ps) + (1.0 - rho) * np.log(sigma2)), pd)
+    if np.any(np.isinf(pd)):
         raise ValueError("rho is too large: pd = snr^rho * sigma2 overflows a double")
     return pd
 
@@ -127,8 +150,12 @@ class Thresholds:
 
 
 def _gamma(rate):
-    """2^(2 rate) - 1, the SNR threshold of a rate; a ValueError names rd
-    where the power would overflow a double (rate >= 512)."""
+    """2^(2 rate) - 1, the SNR threshold of a rate: the one threshold map,
+    and so the one gate for a rate from a caller.  A ValueError names rd
+    where the rate is negative or nan, which has no threshold, and where
+    the power would overflow a double (rate >= 512)."""
+    if not np.all(np.asarray(rate) >= 0.0):
+        raise ValueError("rd must be a nonnegative number of bits, not negative or nan")
     if np.any(np.asarray(rate) >= 512.0):
         raise ValueError("rd must be below 512 bits: 2^(2 rd) overflows a double")
     # float_power rounds as the scalar pow does, so a point gets the same bits

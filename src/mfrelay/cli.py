@@ -140,10 +140,9 @@ def _axis_values(cfg: dict) -> np.ndarray:
 
 
 def run_fig2(cfg: dict):
-    """Rates versus pd with ps = sqrt(pd), unit gains and noise."""
+    """Rates versus pd with ps = sqrt(pd) and unit gains."""
     pd = _axis_values(cfg)
-    params = SystemParams(ps=np.sqrt(pd), pd=pd, sigma2=float(cfg["sigma2"]),
-                          eps1=float(cfg["eps1"]), eps2=float(cfg["eps2"]))
+    params = SystemParams(ps=np.sqrt(pd), pd=pd, sigma2=float(cfg["sigma2"]))
     rep = rate_report(params, ChannelRealization.from_gains(1.0, 1.0))
     return (["pd", "rs_mf", "rs_af", "upper_bound", "gap"],
             np.column_stack([pd, rep.rs_mf, rep.rs_af, rep.upper_bound_u, rep.gap]))
@@ -232,8 +231,7 @@ def run_chain(cfg: dict):
     # on the same draws
     g1, g2 = (np.array(CHAIN_GAIN_GRID)[:, [k]] for k in (0, 1))
     pd = np.array(CHAIN_PD_GRID)
-    params = SystemParams(ps=float(cfg["ps"]), pd=pd, sigma2=float(cfg["sigma2"]),
-                          eps1=float(cfg["eps1"]), eps2=float(cfg["eps2"]))
+    params = SystemParams(ps=float(cfg["ps"]), pd=pd, sigma2=float(cfg["sigma2"]))
     lattice = LatticeConfig(ps=params.ps, n_symbols=int(cfg["mc_samples"]), seed=int(cfg["seed"]))
     report = simulate_chain(params, ChannelRealization.from_gains(g1, g2), lattice)
     cols = (g1, g2, params.ps, pd, report.alpha, report.beta, report.measured_relay_power,
@@ -256,7 +254,7 @@ _SWEEP_READS = PARAM_KEYS + ("mc_samples",)
 # The one place an experiment's policy lives: defaults, axis and the keys
 # load_config accepts.  A key is read unless it is the row's axis.
 _TABLE = {
-    "fig2": _Experiment(run_fig2, ("pd",), ("sigma2", "eps1", "eps2"),
+    "fig2": _Experiment(run_fig2, ("pd",), ("sigma2",),
                         {"axis": "pd", "axis_min": 1.0, "axis_max": 1e8,
                          "axis_points": 33, "axis_scale": "log"}),
     "fig3": _Experiment(run_fig3, ("rho",), (), _RHO_AXIS),
@@ -267,7 +265,7 @@ _TABLE = {
     "sweep": _Experiment(run_sweep, SWEEPABLE, _SWEEP_READS,
                          {"axis": "ps", "axis_min": 1.0, "axis_max": 1e4,
                           "axis_points": 25, "axis_scale": "log"}),
-    "chain": _Experiment(run_chain, (), ("ps", "sigma2", "eps1", "eps2", "mc_samples"),
+    "chain": _Experiment(run_chain, (), ("ps", "sigma2", "mc_samples"),
                          {"ps": 1.0, "mc_samples": 1000000}),
 }
 EXPERIMENTS = tuple(_TABLE)

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _slices
+from .channel import _TINY, _slices
 
-_TINY = np.finfo(float).tiny  # the smallest normal double
 _K1_SPLIT = 2.0  # the series serves x <= _K1_SPLIT, the Chebyshev fit x above it
 # a branch's K1 shape keeps about 15 slice-sized temporaries alive; at 2^13 points
 # they take under 1 MB, and larger slices were no faster

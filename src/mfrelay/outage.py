@@ -1,9 +1,15 @@
-"""Outage probabilities without transmitter CSI: closed forms, their
-high-SNR approximations, the connection/secrecy tradeoff relation, the
-total-outage bound pair, and Monte Carlo estimators validating all of it.
+"""Outage probabilities without transmitter CSI: exact closed forms, the
+connection/secrecy tradeoff relation, the total-outage bound pair, and
+Monte Carlo estimators validating all of it.
+
+The paper's first-order laws (the leading high-SNR term of each outage,
+whose exponent gives the secure diversity gain) are documented with each
+closed form and checked by the tests against it; ``asymptotics`` holds
+their exponents.
 
 Zero-rate conventions: rd = 0 makes every closed-form connection outage 0
 (continuity of the thresholds), and rd = rs makes the secrecy outage 1.
+A negative or nan rate or threshold is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -12,14 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (RateConfig, SystemParams, Thresholds, _gamma, _is_number, _map_blocks,
-                      _slices, rng_stream, sample_gains, thresholds)
-from .numerics import _TINY, Interval, _k1_map, _scalar
+from .channel import (_TINY, RateConfig, SystemParams, Thresholds, _gamma, _is_number,
+                      _map_blocks, _normal, _slices, rng_stream, sample_gains, thresholds)
+from .numerics import Interval, _k1_map, _scalar
 from .rates import Scheme, _e2e_snr, _relay_sinr
-
-def _normal(v):
-    """Where v is a normal double: not 0, subnormal, infinite or nan."""
-    return (v >= _TINY) & (v < np.inf)
 
 
 @dataclass(frozen=True)
@@ -97,24 +99,30 @@ def _secrecy_terms(params: SystemParams, gamma_s):
             log_ps_eps1 = np.log(params.ps) + np.log(params.eps1)
             log_gamma_s = np.log(gamma_s)
             log_ratio = np.log(params.pd) + np.log(params.eps2) + log_gamma_s - log_ps_eps1
+            log_ratio = np.where(params.pd > 0, log_ratio, -np.inf)  # not -inf + inf
             pref = np.where(direct, pref, np.exp(-np.logaddexp(0.0, log_ratio)))
             u = np.where(u_direct, u, np.exp(log_gamma_s + np.log(params.sigma2) - log_ps_eps1))
     return pref, u
 
 
-def p_secrecy_threshold(params: SystemParams, gamma_s, asymptotic: bool = False):
-    """Secrecy outage at a given SNR threshold gamma_s (scheme-independent).
+def p_secrecy_threshold(params: SystemParams, gamma_s):
+    """Secrecy outage at a given SNR threshold gamma_s (scheme-independent):
+    ps*eps1/(ps*eps1 + pd*eps2*gamma_s) * exp(-gamma_s*sigma2/(ps*eps1)).
 
-    Exact: ps*eps1/(ps*eps1 + pd*eps2*gamma_s) * exp(-gamma_s*sigma2/(ps*eps1)).
-    Asymptotic drops the exponential to first order (high ps).
+    At high ps its first order is pref*(1 - u), with the (pref, u) of
+    ``_secrecy_terms``.  A negative or nan gamma_s is refused with a
+    ValueError; gamma_s = inf gives 0.
     """
-    pref, u = _secrecy_terms(params, np.asarray(gamma_s, dtype=float))
-    return _scalar(pref * (1.0 - u) if asymptotic else pref * np.exp(-u))
+    gamma_s = np.asarray(gamma_s, dtype=float)
+    if not np.all(gamma_s >= 0.0):
+        raise ValueError("gamma_s must be a nonnegative threshold, not negative or nan")
+    pref, u = _secrecy_terms(params, gamma_s)
+    return _scalar(pref * np.exp(-u))
 
 
-def p_secrecy(params: SystemParams, config: RateConfig, asymptotic: bool = False):
+def p_secrecy(params: SystemParams, config: RateConfig):
     """Secrecy outage probability for a rate pair (1 when rd = rs)."""
-    return p_secrecy_threshold(params, _gamma(config.rd - config.rs), asymptotic)
+    return p_secrecy_threshold(params, _gamma(config.rd - config.rs))
 
 
 _DIRECT = 2.0 ** 150  # the direct a and x of inputs in [1/_DIRECT, _DIRECT] stay normal
@@ -122,22 +130,21 @@ _DIRECT = 2.0 ** 150  # the direct a and x of inputs in [1/_DIRECT, _DIRECT] sta
 _X_CAP = 1e300
 
 
-def _k1_outage(live, a, x, asymptotic: bool):
-    """The MF and AF connection outage 1 - exp(-a)*x*K1(x), or its first
-    order a, where ``live``; 0 elsewhere (the zero-rate convention).
+def _k1_outage(live, a, x):
+    """The MF and AF connection outage 1 - exp(-a)*x*K1(x) where ``live``;
+    0 elsewhere (the zero-rate convention).  Its first order at high SNR,
+    where a and x go to 0, is a.
 
-    The exact form has no cancellation: where x <= 2 it is
+    The form has no cancellation: where x <= 2 it is
     -expm1(-a) + exp(-a)*(1 - x*K1(x)), and where x > 2 it is
     1 - x*(e^x*K1(x))*exp(-a - x), so exp(-a) and K1 cannot underflow
     apart.  An x below the smallest normal double or above _X_CAP (0 or
     inf past the double range) is taken at that bound, where x*K1(x)
     already is its limit, 1 or 0, to double precision.
     """
-    out = a
-    if not asymptotic:
-        out = _k1_map(lambda x, k, a: -np.expm1(-a) + np.exp(-a) * k,
-                      lambda x, k, a: 1.0 - x * k * np.exp(-a - x),
-                      np.clip(np.where(live, x, 1.0), _TINY, _X_CAP), a)
+    out = _k1_map(lambda x, k, a: -np.expm1(-a) + np.exp(-a) * k,
+                  lambda x, k, a: 1.0 - x * k * np.exp(-a - x),
+                  np.clip(np.where(live, x, 1.0), _TINY, _X_CAP), a)
     return _scalar(np.where(live, out, 0.0))
 
 
@@ -175,24 +182,25 @@ def _k1_arguments(params: SystemParams, gamma, af: bool):
                 np.where(direct, x, 2.0 * np.exp(log_q + (log_r_s - log_e1 - log_e2) / 2)))
 
 
-def p_conn_mf(params: SystemParams, rd: float, asymptotic: bool = False):
+def p_conn_mf(params: SystemParams, rd: float):
     """Connection outage of the modulo-forward achievable rate (independent
-    of pd).  Exact form uses gamma_1 = gamma_o + 1/2 and K1; the
-    asymptotic variant is (1/eps1 + 1/eps2) * gamma_1 * sigma2 / ps.
-    Returns 0 at rd = 0 by the zero-rate convention.
+    of pd), from gamma_1 = gamma_o + 1/2 and K1.  At high SNR it falls as
+    its first order (1/eps1 + 1/eps2) * gamma_1 * sigma2 / ps.  Returns 0
+    at rd = 0 by the zero-rate convention.
     """
     rd = np.asarray(rd, dtype=float)
-    return _k1_outage(rd > 0, *_k1_arguments(params, _gamma(rd) + 0.5, af=False), asymptotic)
+    return _k1_outage(rd > 0, *_k1_arguments(params, _gamma(rd) + 0.5, af=False))
 
 
-def p_conn_af(params: SystemParams, rd: float, asymptotic: bool = False):
+def p_conn_af(params: SystemParams, rd: float):
     """Connection outage of amplify-and-forward (depends on pd through the
-    power wasted on forwarding the jamming signal).  Returns 0 at rd = 0,
-    where the closed form's 1/gamma_o is singular.
+    power wasted on forwarding the jamming signal).  At high SNR it falls
+    as its first order (gamma_o*sigma2/ps)*((ps + pd)/(ps*eps1) + 1/eps2).
+    Returns 0 at rd = 0, where the closed form's 1/gamma_o is singular.
     """
     gamma_o = _gamma(np.asarray(rd, dtype=float))
     safe = np.where(gamma_o > 0, gamma_o, 1.0)
-    return _k1_outage(gamma_o > 0, *_k1_arguments(params, safe, af=True), asymptotic)
+    return _k1_outage(gamma_o > 0, *_k1_arguments(params, safe, af=True))
 
 
 def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:
@@ -201,23 +209,23 @@ def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:
     return OutageProbs.from_components(p_conn_mf(params, config.rd), p_secrecy(params, config))
 
 
-def tradeoff_residual(params: SystemParams, config: RateConfig, exact: bool = True):
+def tradeoff_residual(params: SystemParams, config: RateConfig):
     """Left side minus 1 of the high-SNR linear relation tying the secrecy
-    and connection outage probabilities together.
+    and connection outage probabilities together:
+    pl/pref + weight * po - 1, with pl = pref * exp(-u) the secrecy outage,
+    po the MF connection outage and
+    weight = (gamma_s/gamma_1) * eps2/(eps1 + eps2).
 
-    With exact=True the relation is fed the exact closed forms, so the
-    residual measures how fast the relation becomes tight (O(1/snr^2) up
-    to a log factor).  With exact=False the first-order asymptotic forms
-    are substituted instead and the residual vanishes identically.
+    The relation holds exactly at first order, where pl/pref is 1 - u and
+    po is a, for weight * a = u.  Fed the exact closed forms, the residual
+    measures how fast they approach it (O(1/snr^2) up to a log factor).
     Broadcasts; a scalar input gives a Python float.
     """
     th = thresholds(config)
-    # pl / pref, with pl the secrecy outage pref * exp(-u) (or pref * (1 - u))
     _, u = _secrecy_terms(params, th.gamma_s)
-    first = np.exp(-u) if exact else 1.0 - u
-    po = p_conn_mf(params, config.rd, asymptotic=not exact)
+    po = p_conn_mf(params, config.rd)
     weight = (th.gamma_s / th.gamma_1) * (params.eps2 / (params.eps1 + params.eps2))
-    return _scalar(first + weight * po - 1.0)
+    return _scalar(np.exp(-u) + weight * po - 1.0)
 
 
 def _conn_event(scheme: Scheme, params: SystemParams, th: Thresholds, g1, g2):

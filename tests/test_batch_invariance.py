@@ -77,24 +77,23 @@ def test_closed_forms_are_batch_invariant(points):
         assert_same_bits(fn, batch, each)
     p, c, _ = alone[0]
     with np.errstate(all="ignore"):
-        for asymptotic in (False, True):
-            for fn in (p_conn_mf, p_conn_af):
-                assert type(fn(p, c.rd, asymptotic)) is float
-            assert type(p_secrecy(p, c, asymptotic)) is float
-            assert type(p_secrecy_threshold(p, thresholds(c).gamma_s, asymptotic)) is float
+        for fn in (p_conn_mf, p_conn_af):
+            assert type(fn(p, c.rd)) is float
+        assert type(p_secrecy(p, c)) is float
+        assert type(p_secrecy_threshold(p, thresholds(c).gamma_s)) is float
         assert type(p_conn_cutset_lower(p, c.rd)) is float
         probs = outage_probs(p, c)
         assert type(probs.p_total_lower) is float and type(probs.p_total_upper) is float
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_POINT, min_size=1, max_size=100), st.booleans())
-def test_tradeoff_residual_is_batch_invariant(points, exact):
+@given(st.lists(_POINT, min_size=1, max_size=100))
+def test_tradeoff_residual_is_batch_invariant(points):
     alone = [_records(*p)[:2] for p in points]
     params, rc, _ = _records(*map(np.array, zip(*points)))
-    assert_same_bits(lambda p, c: tradeoff_residual(p, c, exact), (params, rc), alone)
+    assert_same_bits(tradeoff_residual, (params, rc), alone)
     with np.errstate(all="ignore"):
-        assert type(tradeoff_residual(*alone[0], exact)) is float
+        assert type(tradeoff_residual(*alone[0])) is float
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import threading
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,43 @@ def test_derived_ratios_examples():
     for ps in (2.0, 50.0, 1e6):
         _, _, rho = derived_ratios(SystemParams(ps=ps, pd=ps, sigma2=1))
         assert rho == pytest.approx(1.0)
+
+
+def test_derived_ratios_where_snr_overflows():
+    # snr = 1e310 reads inf, where log(inr)/log(snr) read 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, rho = derived_ratios(SystemParams(ps=1e10, pd=1e5, sigma2=1e-300))
+        assert rho == pytest.approx(305 / 310, rel=1e-15)
+        p = SystemParams(ps=np.array([1e300, 1e10]), pd=np.array([0.0, 1e10]), sigma2=1e-300)
+        _, _, rho = derived_ratios(p)
+        assert rho[0] == -np.inf and rho[1] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_rho_round_trips_over_the_double_range():
+    # ps and sigma2 log-uniform on [1e-300, 1e300], rho uniform on [0, 3]; at
+    # the points with snr >= 1e4 and a normal pd, _pd_at_rho refused or
+    # derived_ratios read 0.0 or nan wherever snr or inr left the double range
+    rng = np.random.default_rng(5)
+    n = 200_000
+    ps, sigma2 = (10.0 ** rng.uniform(-300, 300, n) for _ in range(2))
+    rho = rng.uniform(0.0, 3.0, n)
+    log_pd = rho * np.log(ps) + (1.0 - rho) * np.log(sigma2)
+    keep = ((np.log(ps) - np.log(sigma2) >= np.log(1e4))
+            & (log_pd >= np.log(np.finfo(float).tiny)) & (log_pd < np.log(np.finfo(float).max)))
+    ps, sigma2, rho = ps[keep], sigma2[keep], rho[keep]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pd = channel._pd_at_rho(ps, sigma2, rho)
+        _, _, got = derived_ratios(SystemParams(ps=ps, pd=pd, sigma2=sigma2))
+    assert ps.size > 60_000 and np.all(np.abs(got - rho) <= 1e-12)
+
+
+def test_pd_at_rho_keeps_its_bits_where_snr_is_finite():
+    snr = np.logspace(0, 300, 301)
+    rho = np.linspace(0.0, 1.0, 301)
+    want = np.array([np.float_power(s, r) * 2.0 for s, r in zip(snr, rho)])
+    assert channel._pd_at_rho(2.0 * snr, 2.0, rho).tobytes() == want.tobytes()
 
 
 def test_derived_ratios_domain_error():

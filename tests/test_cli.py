@@ -165,6 +165,16 @@ class TestSweep:
         # pd = snr^rho tracks the axis, so secrecy outage falls like 1/snr
         assert col["p_secrecy"][-1] < col["p_secrecy"][0] / 10
 
+    def test_rho_where_snr_overflows(self, tmp_path):
+        # snr = 1e310 reads inf, yet pd = snr * sigma2 = 1e10; this was refused
+        # as "rho is too large"
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--out", str(out), "--rho", "1", "--sigma2", "1e-300",
+                        "--axis-min", "1e10", "--axis-max", "1e10", "--axis-points", "1"]) == 0
+        col = columns(*read_table(out)[1:])
+        want = p_conn_af(SystemParams(ps=1e10, pd=1e10, sigma2=1e-300), 1.0)
+        assert col["p_conn_af"] == pytest.approx(want, rel=1e-11)
+
 
 class TestChain:
     def test_grid_report(self, tmp_path):
@@ -470,6 +480,8 @@ def assert_one_error_line(code, capsys):
     ["sweep", "--axis", "rs", "--axis-min", "0", "--axis-max", "2", "--axis-points", "3",
      "--axis-scale", "linear"],             # rs = 2 would run at rs = rd = 1
     ["fig3", "--axis-max", "30"],           # 1e12^30 overflows at the grid's top
+    ["fig2", "--eps1", "2"],                # fig2 and chain run at unit fading means
+    ["chain", "--eps2", "2"],
 ])
 def test_ignored_or_invalid_flags_rejected(argv, capsys):
     line = assert_one_error_line(exit_code(argv), capsys)
@@ -477,6 +489,8 @@ def test_ignored_or_invalid_flags_rejected(argv, capsys):
         assert line == "error: mc_samples must be >= 1"
     if argv[-1:] in (["600.5"], ["30"]):  # pd overflows: the line names rho
         assert "rho" in line
+    if argv[:2] in (["fig2", "--eps1"], ["chain", "--eps2"]):  # the line names the key
+        assert f"ignores {argv[1][2:]};" in line
 
 
 @pytest.mark.parametrize("experiment, data", [
@@ -493,6 +507,7 @@ def test_ignored_or_invalid_flags_rejected(argv, capsys):
     ("fig5", {"axis": "rho", "rho": 1.0}),
     ("fig4", {"mc_samples": 1e18}),
     ("fig2", {"axis_points": 1000001}),
+    ("chain", {"eps1": 2}),
 ])
 def test_ignored_or_mistyped_json_rejected(experiment, data, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -526,6 +541,27 @@ def test_keys_the_run_reads_accepted(experiment, data, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**data, "out": str(tmp_path / "t.csv")}))
     assert run_cli([experiment, "--config", str(cfg)]) == 0
+
+
+_SMALL = {"fig2": ["--axis-points", "3"], "fig3": ["--axis-points", "3"],
+          "fig4": ["--axis-points", "3", "--mc-samples", "200"], "fig5": ["--axis-points", "3"],
+          "sweep": ["--axis-points", "3", "--mc-samples", "200"], "chain": ["--mc-samples", "200"]}
+_CHANGED = {"ps": "20", "pd": "100", "sigma2": "2", "eps1": "2", "eps2": "2", "rd": "2",
+            "rs": "0.25", "rho": "1.5", "mc_samples": "300"}
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (name, key) for name, spec in cli._TABLE.items() for key in spec.reads
+    if key != spec.defaults.get("axis")])
+def test_every_read_key_changes_the_body(experiment, key, capsys):
+    # a key the contract accepts must be one the run reads: same config,
+    # one key changed, different rows
+    bodies = []
+    for extra in ([], ["--" + key.replace("_", "-"), _CHANGED[key]]):
+        assert run_cli([experiment, *_SMALL[experiment], *extra]) == 0
+        out = capsys.readouterr().out
+        bodies.append([line for line in out.splitlines() if not line.startswith("#")])
+    assert bodies[0] != bodies[1]
 
 
 _FUZZ_KEYS = ("ps", "pd", "sigma2", "eps1", "eps2", "rd", "rs", "rho", "axis", "axis_min",
@@ -606,8 +642,7 @@ def per_row_fig2(cfg):
     real = ChannelRealization.from_gains(1.0, 1.0)
     rows = []
     for pd in _axis_values(cfg):
-        params = SystemParams(ps=float(np.sqrt(pd)), pd=float(pd), sigma2=float(cfg["sigma2"]),
-                              eps1=float(cfg["eps1"]), eps2=float(cfg["eps2"]))
+        params = SystemParams(ps=float(np.sqrt(pd)), pd=float(pd), sigma2=float(cfg["sigma2"]))
         rows.append([pd, mf_rates(params, real).rs, af_rates(params, real).rs_af,
                      secrecy_upper_bound(params, real), mf_gap(params, real)])
     return np.array(rows)

@@ -10,9 +10,10 @@ from mfrelay import channel
 from mfrelay.asymptotics import Scheme
 from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, rng_stream,
                              sample_gains, thresholds)
-from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _k1_outage, _mc_counts,
-                            mc_outage, outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
-                            p_secrecy, p_secrecy_threshold, tradeoff_residual)
+from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _k1_arguments, _k1_outage,
+                            _mc_counts, _secrecy_terms, mc_outage, outage_probs, p_conn_af,
+                            p_conn_cutset_lower, p_conn_mf, p_secrecy, p_secrecy_threshold,
+                            tradeoff_residual)
 from mfrelay.rates import _relay_sinr, af_rates, cutset_capacity, mf_rates, relay_capacity
 
 
@@ -86,10 +87,12 @@ class TestSecrecy:
             0.452418709017979787, rel=1e-12)
 
     def test_asymptotic_close_at_high_snr(self):
+        # the first-order law pref*(1 - u), written out here
         p = params(ps=1e4, pd=1e4)
         exact = p_secrecy_threshold(p, 1.0)
-        asym = p_secrecy_threshold(p, 1.0, asymptotic=True)
-        assert asym == pytest.approx(exact, rel=1e-6)
+        pref = p.ps * p.eps1 / (p.ps * p.eps1 + p.pd * p.eps2 * 1.0)
+        u = 1.0 * p.sigma2 / (p.ps * p.eps1)
+        assert pref * (1.0 - u) == pytest.approx(exact, rel=1e-6)
 
     def test_ps_eps1_overflow(self):
         # ps*eps1 overflows to inf, where the direct prefactor reads inf/inf
@@ -150,7 +153,6 @@ class TestConnMf:
 
     def test_zero_rate_convention(self):
         assert p_conn_mf(params(), 0.0) == 0.0
-        assert p_conn_mf(params(), 0.0, asymptotic=True) == 0.0
 
     def test_independent_of_pd(self):
         assert p_conn_mf(params(pd=0.0), 1.0) == p_conn_mf(params(pd=1e9), 1.0)
@@ -170,15 +172,16 @@ class TestConnMf:
         assert abs(got - want) <= 1e-10 * want
 
     def test_asymptotic_convergence(self):
-        # relative error decays like u*ln(1/u) in u = gamma_1*sigma2/ps;
-        # measured: 3.3% at u = 0.01, under 2% from u ~ 0.004
+        # against the first-order law (1/eps1 + 1/eps2)*gamma_1*sigma2/ps =
+        # 2*gamma_1/ps here, the relative error decays like u*ln(1/u) in
+        # u = gamma_1*sigma2/ps; measured: 3.3% at u = 0.01, under 2% from u ~ 0.004
         for rd in (0.25, 0.5, 1.0):
             gamma_1 = 2.0 ** (2 * rd) - 0.5
             rel = []
             for u in (0.01, 0.004, 0.001):
                 p = params(ps=gamma_1 / u)
                 exact = p_conn_mf(p, rd)
-                rel.append(abs(p_conn_mf(p, rd, asymptotic=True) - exact) / exact)
+                rel.append(abs(2.0 * gamma_1 / p.ps - exact) / exact)
             assert rel[0] < 0.04
             assert rel[1] < 0.02
             assert rel[2] < 0.006
@@ -298,6 +301,29 @@ class TestClosedFormRanges:
                     call(512.0)
                 call(500.0)
 
+    @pytest.mark.parametrize("call, rate, name", [
+        (p_secrecy_threshold, -0.5, "gamma_s"),   # read 2.10
+        (p_secrecy_threshold, -2.0, "gamma_s"),   # read nan
+        (p_secrecy_threshold, np.nan, "gamma_s"),
+        (p_conn_mf, -1.0, "rd"),                  # read 0.0 with a log warning
+        (p_conn_af, np.nan, "rd"),                # read 0.0
+        (p_conn_cutset_lower, -1.0, "rd"),        # read 0.0
+        (p_conn_mf, np.array([1.0, np.nan]), "rd"),
+    ])
+    def test_negative_or_nan_rate_is_refused(self, call, rate, name):
+        # _gamma is the one gate for a rate, p_secrecy_threshold for a threshold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be a nonnegative"):
+                call(params(), rate)
+
+    @pytest.mark.parametrize("pd", [0.0, 10.0])
+    def test_infinite_secrecy_threshold_gives_0(self, pd):
+        # pd*eps2*gamma_s is 0*inf at pd = 0; the outage is pref*exp(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p_secrecy_threshold(params(pd=pd), np.inf) == 0.0
+
     def test_threshold_powers_unchanged(self):
         rd = np.array([0.0, 0.25, 1.0, 3.7, 15.0, 100.0])
         p = params()
@@ -321,11 +347,16 @@ class TestTotalOutageBounds:
 
 
 class TestTradeoffResidual:
-    def test_asymptotic_substitution_cancels_identically(self):
+    def test_first_order_terms_obey_the_linear_relation(self):
+        # at first order pl/pref = 1 - u and po = a, so the relation holds
+        # exactly where weight*a = u
+        th = thresholds(RateConfig(rd=1.0, rs=0.5))
         for snr in (1e2, 1e4, 1e6):
-            p = params(ps=snr, pd=snr)
-            r = tradeoff_residual(p, RateConfig(rd=1.0, rs=0.5), exact=False)
-            assert abs(r) < 1e-12
+            p = params(ps=snr, pd=snr, eps1=2.0, eps2=0.5)
+            weight = (th.gamma_s / th.gamma_1) * (p.eps2 / (p.eps1 + p.eps2))
+            a = _k1_arguments(p, th.gamma_1, af=False)[0]
+            _, u = _secrecy_terms(p, th.gamma_s)
+            assert weight * a == pytest.approx(u, rel=1e-12)
 
     def test_exact_residual_converges(self):
         rc = RateConfig(rd=1.0, rs=0.5)
@@ -337,10 +368,9 @@ class TestTradeoffResidual:
 
     @pytest.mark.parametrize("p", [params(ps=1e300, pd=1.0, eps1=1e10),
                                    params(ps=1e298, pd=1e300, eps2=1e10)])
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_finite_where_a_product_overflows(self, p, exact):
+    def test_finite_where_a_product_overflows(self, p):
         # ps*eps1, then pd*eps2*gamma_s overflow; the secrecy term is about 1 and 0
-        assert np.isfinite(tradeoff_residual(p, RateConfig(rd=1.0, rs=0.5), exact))
+        assert np.isfinite(tradeoff_residual(p, RateConfig(rd=1.0, rs=0.5)))
 
     def test_gamma1_guard(self):
         # gamma_1 = 2^(2 rd) - 1/2 >= 1/2 for valid configs, so no trigger
@@ -489,17 +519,17 @@ def test_events_are_rates_below_rd(ps, pd, sigma2, g1, g2, rd, rs_frac):
     assert bool(_relay_sinr(p, g1, g2) > th.gamma_s) == (rr > rc.rd - rc.rs)
 
 
-def _p_conn_mf_offset_form(p, rd, asymptotic):
+def _p_conn_mf_offset_form(p, rd):
     """MF connection outage with gamma_1 written as 2^(2 rd) - 1/2 instead of
     gamma_o + 1/2; the two round alike while 2^(2 rd) < 2^52 (rd < 26).
     Its a and x feed the one K1 outage form that p_conn_mf uses."""
     gamma_1 = np.float_power(2.0, 2.0 * rd) - 0.5
     a = (1.0 / p.eps1 + 1.0 / p.eps2) * gamma_1 * p.sigma2 / p.ps
     x = 2.0 * gamma_1 * p.sigma2 / (p.ps * np.sqrt(p.eps1 * p.eps2))
-    return _k1_outage(rd > 0, a, x, asymptotic)
+    return _k1_outage(rd > 0, a, x)
 
 
-def _p_conn_af_direct_form(p, rd, asymptotic):
+def _p_conn_af_direct_form(p, rd):
     """AF connection outage from its direct a and x, written out here as the
     products and quotients they are inside [2^-150, 2^150], where no log
     form replaces them.  They feed the one K1 outage form that p_conn_af uses."""
@@ -508,7 +538,7 @@ def _p_conn_af_direct_form(p, rd, asymptotic):
     ratio = (p.ps + p.pd) / p.ps
     a = (safe * p.sigma2 / p.ps) * (ratio / p.eps1 + 1.0 / p.eps2)
     x = (2.0 * safe * p.sigma2 / p.ps) * np.sqrt((ratio + 1.0 / safe) / (p.eps1 * p.eps2))
-    return _k1_outage(gamma_o > 0, a, x, asymptotic)
+    return _k1_outage(gamma_o > 0, a, x)
 
 
 def _random_points(n, rd_max, seed):
@@ -524,23 +554,18 @@ def _random_points(n, rd_max, seed):
 class TestOneThresholdFormula:
     def test_p_conn_mf_equals_the_offset_form_below_rd_26(self):
         p, rd, _ = _random_points(200_000, 26.0, 3)
-        for asymptotic in (False, True):
-            got = p_conn_mf(p, rd, asymptotic=asymptotic)
-            assert got.tobytes() == _p_conn_mf_offset_form(p, rd, asymptotic).tobytes()
+        assert p_conn_mf(p, rd).tobytes() == _p_conn_mf_offset_form(p, rd).tobytes()
 
     def test_p_conn_af_equals_the_direct_form_in_the_box(self):
         p, rd, _ = _random_points(200_000, 26.0, 5)
-        for asymptotic in (False, True):
-            got = p_conn_af(p, rd, asymptotic=asymptotic)
-            assert got.tobytes() == _p_conn_af_direct_form(p, rd, asymptotic).tobytes()
+        assert p_conn_af(p, rd).tobytes() == _p_conn_af_direct_form(p, rd).tobytes()
 
     def test_p_secrecy_is_the_threshold_law_at_gamma_s(self):
         p, rd, rs = _random_points(20_000, 511.0, 4)
         rc = RateConfig(rd=rd, rs=rs)
         with np.errstate(over="ignore"):
-            for asymptotic in (False, True):
-                want = p_secrecy_threshold(p, thresholds(rc).gamma_s, asymptotic)
-                assert p_secrecy(p, rc, asymptotic).tobytes() == want.tobytes()
+            want = p_secrecy_threshold(p, thresholds(rc).gamma_s)
+            assert p_secrecy(p, rc).tobytes() == want.tobytes()
 
 
 class TestConnectionOutageWhereExpUnderflows:
