@@ -203,12 +203,12 @@ def rng_stream(seed: int, index=None) -> np.random.Generator:
     ``index`` (an int or tuple of ints) selects an independent substream;
     disjoint indices give independent streams for the same seed, which is
     how Monte Carlo work is partitioned reproducibly.  The seed and each
-    index entry must be whole numbers; 1.0 draws what 1 draws.
+    index entry must be whole numbers >= 0; 1.0 draws what 1 draws.
     """
     indices = () if index is None else (index,) if np.ndim(index) == 0 else tuple(index)
     for name, value in (("seed", seed), *(("index entry", i) for i in indices)):
-        if not _is_number(value, integral=True):
-            raise ValueError(f"rng_stream {name} must be a whole number, not {value!r}")
+        if not _is_number(value, integral=True) or value < 0:
+            raise ValueError(f"rng_stream {name} must be a whole number >= 0, not {value!r}")
     # numpy takes the 128-bit Philox key from SeedSequence([seed, *indices])
     return np.random.Generator(np.random.Philox([int(seed), *map(int, indices)]))
 
@@ -224,35 +224,38 @@ def _slices(m: int, size: int = _SLICE):
     return (slice(start, start + size) for start in range(0, m, size))
 
 
-def _map_blocks(fn, n: int, streams, rows: int) -> list:
-    """[fn(streams(index), buf) for each (index, size) in _blocks(n)], in
-    index order, where buf is a (rows, size) view of a float buffer that
-    belongs to the thread running the block and is made once per call.
+def _map_blocks(fn, n: int, streams, height: int, rows: int = 1) -> list:
+    """[fn(streams(row, index), buf) for each row in range(rows) and each
+    (index, size) in _blocks(n)], in (row, index) order, where buf is a
+    (height, size) view of a float buffer that belongs to the thread
+    running the block and is made once per call.
 
-    The blocks run on min(_WORKERS, blocks) threads, each block under the
-    caller's np.errstate; ``streams`` is called in the calling thread.
-    Callers reduce the results in index order, so the output does not
-    depend on the worker count.  A block's exception is raised here once
-    the submitted blocks, 2 per thread at most, have run.  Needs n >= 1.
+    Every row's blocks run on one pool of min(_WORKERS, blocks) threads,
+    each block under the caller's np.errstate; ``streams`` is called in the
+    calling thread.  Callers reduce each row's results in index order, so
+    the output does not depend on the worker count.  A block's exception is
+    raised here once the submitted blocks, 2 per thread at most, have run.
+    Needs n >= 1.
     """
     local = threading.local()
     width = min(n, _BLOCK)
-    workers = min(_WORKERS, -(-n // _BLOCK))
+    workers = min(_WORKERS, rows * -(-n // _BLOCK))
     err = np.geterr()
 
-    def run(rng, size):
+    def run(stream, size):
         if not hasattr(local, "buf"):
-            local.buf = np.empty((rows, width))
+            local.buf = np.empty((height, width))
         with np.errstate(**err):
-            return fn(rng, local.buf[:, :size])
+            return fn(stream, local.buf[:, :size])
 
     results, pending = [], collections.deque()
     # futures imports its thread module here, on first use, not with mfrelay
     with futures.ThreadPoolExecutor(workers) as pool:
-        for index, size in _blocks(n):
-            if len(pending) == 2 * workers:  # bounds the streams held at once
-                results.append(pending.popleft().result())
-            pending.append(pool.submit(run, streams(index), size))
+        for row in range(rows):
+            for index, size in _blocks(n):
+                if len(pending) == 2 * workers:  # bounds the streams held at once
+                    results.append(pending.popleft().result())
+                pending.append(pool.submit(run, streams(row, index), size))
         results.extend(future.result() for future in pending)
     return results
 

@@ -43,7 +43,7 @@ _SYSTEM_KEYS = ("ps", "pd", "sigma2", "eps1", "eps2")
 _RANGE = ("axis_min", "axis_max", "axis_points", "axis_scale")
 _INTEGRAL = ("seed", "mc_samples", "axis_points")
 _CHOICES = {"axis": SWEEPABLE + ("rho",), "axis_scale": ("linear", "log")}
-_MINIMUM = {"mc_samples": 0, "axis_points": 1, "rho": 0.0}
+_MINIMUM = {"seed": 0, "mc_samples": 0, "axis_points": 1, "rho": 0.0}
 _MAXIMUM = {"axis_points": 10 ** 6, "mc_samples": 10 ** 10}
 
 _DEFAULTS = {
@@ -180,14 +180,9 @@ def run_fig4(cfg: dict):
     return [header[i] for i in keep], table[:, keep]
 
 
-def _row(record, idx: int):
-    """Row idx of a SystemParams or RateConfig whose fields are equal-length arrays."""
-    return type(record)(**{k: float(v[idx]) for k, v in vars(record).items()})
-
-
 def run_sweep(cfg: dict):
-    """The outage closed forms along the axis, one library call per column;
-    only the Monte Carlo columns are computed row by row."""
+    """The outage closed forms along the axis, one library call per column,
+    and the Monte Carlo columns from one ``_mc_counts`` call over every row."""
     axis = cfg["axis"]
     mc_n = int(cfg["mc_samples"])
     header = [axis, "gamma_o", "gamma_1", "gamma_s",
@@ -208,15 +203,14 @@ def run_sweep(cfg: dict):
     if mc_n > 0:
         header += ["p_conn_mf_mc", "p_conn_af_mc", "p_secrecy_mc", "p_total_mf_mc",
                    "se_conn_mf_mc", "se_conn_af_mc", "se_secrecy_mc", "se_total_mf_mc"]
-        rows = []
-        for idx in range(vals.size):
-            # one pass: MF and AF see the same draws, as do secrecy and joint
-            mf, af = _mc_counts(_row(params, idx), _row(rc, idx), (Scheme.MF, Scheme.AF), mc_n,
-                                int(cfg["seed"]), stream=idx)
-            conn_mf, sec, joint, conn_af = (MCEstimate.from_counts(h, mc_n) for h in (*mf, af[0]))
-            rows.append([conn_mf.p_hat, conn_af.p_hat, sec.p_hat, joint.p_hat,
-                         conn_mf.std_err, conn_af.std_err, sec.std_err, joint.std_err])
-        cols += list(np.transpose(rows))
+        # one pass over every row, row k on stream k: MF and AF see the same
+        # draws, as do secrecy and joint
+        counts = _mc_counts(params, rc, (Scheme.MF, Scheme.AF), mc_n, int(cfg["seed"]),
+                            stream=np.arange(vals.size))
+        est = [[MCEstimate.from_counts(h, mc_n) for h in (mf[0], af[0], mf[1], mf[2])]
+               for mf, af in counts]
+        cols += [[row[k].p_hat for row in est] for k in range(4)]
+        cols += [[row[k].std_err for row in est] for k in range(4)]
     return header, np.column_stack(cols)
 
 

@@ -52,6 +52,8 @@ class LatticeConfig:
                 raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def delta(self) -> float:
@@ -327,7 +329,7 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
             drifts[k] = drift
         return squares, hists, drifts
 
-    results = _map_blocks(block, n, lambda index: rng_stream(cfg.seed, index), 7)
+    results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 7)
     squares, hists, drifts = zip(*results)
     squares, hist, drift = sum(squares), sum(hists), np.max(drifts, axis=0)
     expected = n / _UNIFORMITY_BINS

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_TINY, RateConfig, SystemParams, Thresholds, _gamma, _is_number,
-                      _map_blocks, _normal, _slices, rng_stream, sample_gains, thresholds)
+from .channel import (_SLICE, _TINY, RateConfig, SystemParams, Thresholds, _gamma,
+                      _is_number, _map_blocks, _normal, _slices, rng_stream, sample_gains,
+                      thresholds)
 from .numerics import Interval, _k1_map, _scalar
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
@@ -228,39 +229,63 @@ def tradeoff_residual(params: SystemParams, config: RateConfig):
     return _scalar(np.exp(-u) + weight * po - 1.0)
 
 
-def _conn_event(scheme: Scheme, params: SystemParams, th: Thresholds, g1, g2):
+def _conn_event(scheme: Scheme, params: SystemParams, th: Thresholds, g1, g2,
+                snr=None, tmp=None, out=None):
     """Connection outage: the scheme's rate below rd, i.e. its end-to-end
-    SNR below gamma_1 (MF) or gamma_o (AF, cut-set)."""
-    return _e2e_snr(scheme, params, g1, g2) < (th.gamma_1 if scheme is Scheme.MF else th.gamma_o)
+    SNR below gamma_1 (MF) or gamma_o (AF, cut-set).  ``snr`` and ``tmp``
+    are ``_e2e_snr``'s scratch and ``out`` a bool array for the event."""
+    gamma = th.gamma_1 if scheme is Scheme.MF else th.gamma_o
+    return np.less(_e2e_snr(scheme, params, g1, g2, snr, tmp), gamma, out=out)
+
+
+def _rows(record, shape):
+    """Each point of a record whose fields broadcast to ``shape``, in C
+    order, as a record of Python numbers."""
+    fields = {k: np.broadcast_to(v, shape).ravel().tolist() for k, v in vars(record).items()}
+    return [type(record)(**dict(zip(fields, point))) for point in zip(*fields.values())]
 
 
 def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: int,
-               stream: int = 0):
-    """Hit counts [(connection, secrecy, joint) per scheme] over n draws.
+               stream=0):
+    """Hit counts [[connection, secrecy, joint] per scheme] over n draws,
+    nested in one more list level per axis where the fields of ``params``
+    and ``config`` and ``stream`` broadcast to an array of points.
 
-    Each block is drawn once and every scheme's connection event is
-    evaluated on it, so the schemes are compared on the same fading.
+    Point k draws block i from rng_stream(seed, (stream_k, i)), so its
+    counts are those of its own one-point call.  Every point's blocks run
+    on one pool (``_map_blocks``), each block drawn once: every scheme's
+    connection event is evaluated on it, so the schemes are compared on the
+    same fading, and the events are written into scratch made once per block.
     """
     if not _is_number(n, integral=True) or n < 1:
         raise ValueError(f"mc_outage needs an integer n >= 1 samples, not {n!r}")
     n = int(n)
-    th = thresholds(config)
+    shape = np.broadcast_shapes(*map(np.shape, (*vars(params).values(),
+                                                *vars(config).values(), stream)))
+    points = list(zip(_rows(params, shape), map(thresholds, _rows(config, shape))))
+    streams = np.broadcast_to(stream, shape).ravel().tolist()
 
-    def block(rng, buf):
-        g1, g2 = sample_gains(params, rng, buf.shape[1], out=buf)
+    def block(key, buf):
+        (p, th), rng = key
+        g1, g2 = sample_gains(p, rng, buf.shape[1], out=buf)
+        width = min(g1.size, _SLICE)
+        scratch, flags = np.empty((2, width)), np.empty((2, width), dtype=bool)
         hits = np.zeros((len(schemes), 3), dtype=np.int64)
         with np.errstate(over="ignore"):  # an SNR of inf compares as its limit does
             for s in _slices(g1.size):
-                sec = _relay_sinr(params, g1[s], g2[s]) > th.gamma_s
+                (snr, tmp), (sec, conn) = scratch[:, :g1[s].size], flags[:, :g1[s].size]
+                np.greater(_relay_sinr(p, g1[s], g2[s], snr, tmp), th.gamma_s, out=sec)
                 hits[:, 1] += np.count_nonzero(sec)
                 for k, scheme in enumerate(schemes):
-                    conn = _conn_event(scheme, params, th, g1[s], g2[s])
+                    _conn_event(scheme, p, th, g1[s], g2[s], snr, tmp, conn)
                     hits[k, 0] += np.count_nonzero(conn)
-                    hits[k, 2] += np.count_nonzero(conn | sec)
+                    hits[k, 2] += np.count_nonzero(np.logical_or(conn, sec, out=conn))
         return hits
 
-    hits = sum(_map_blocks(block, n, lambda index: rng_stream(seed, (stream, index)), 2))
-    return [tuple(map(int, row)) for row in hits]
+    results = _map_blocks(block, n, lambda row, index: (
+        points[row], rng_stream(seed, (streams[row], index))), 2, len(points))
+    hits = np.reshape(results, (len(points), -1, len(schemes), 3)).sum(axis=1)
+    return hits.reshape(shape + hits.shape[1:]).tolist()
 
 
 def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme, n: int, seed: int,

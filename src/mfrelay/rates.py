@@ -35,22 +35,37 @@ def _pos(x):
     return np.maximum(x, 0.0)
 
 
-def _e2e_snr(scheme: Scheme, params: SystemParams, g1, g2):
+def _e2e_snr(scheme: Scheme, params: SystemParams, g1, g2, out=None, tmp=None):
     """End-to-end SNR at gains (g1, g2); the scheme's rate is
     (1/2)log2(1/2 + snr) for MF and (1/2)log2(1 + snr) otherwise.  The
     smallest subnormal added to MF's g1 + g2 gives 0 for two dead hops and
-    changes no sum that a nonzero product is divided by."""
+    changes no sum that a nonzero product is divided by.
+
+    ``out`` and ``tmp``, float arrays of the gains' shape, take the result
+    and an intermediate in place; without them each step allocates.  Either
+    way the same operations run in the same order, so the bits agree, and a
+    scalar point gives a Python float."""
     if scheme is Scheme.MF:
-        return params.snr * (g1 * g2 / (g1 + g2 + 5e-324))
-    if scheme is Scheme.AF:
+        den = np.add(np.add(g1, g2, out=tmp), 5e-324, out=tmp)
+        snr = np.multiply(params.snr, np.divide(np.multiply(g1, g2, out=out), den, out=out),
+                          out=out)
+    elif scheme is Scheme.AF:
         ps, s2 = params.ps, params.sigma2
-        return ps * ps * g1 * g2 / (s2 * (ps * g1 + ps * g2 + params.pd * g2 + s2))
-    return np.minimum(g1, g2) * params.snr  # cut-set
+        den = np.add(np.multiply(ps, g1, out=tmp), np.multiply(ps, g2, out=out), out=tmp)
+        den = np.add(np.add(den, np.multiply(params.pd, g2, out=out), out=tmp), s2, out=tmp)
+        den = np.multiply(s2, den, out=tmp)
+        num = np.multiply(np.multiply(ps * ps, g1, out=out), g2, out=out)
+        snr = np.divide(num, den, out=out)
+    else:  # cut-set
+        snr = np.multiply(np.minimum(g1, g2, out=out), params.snr, out=out)
+    return _scalar(snr)
 
 
-def _relay_sinr(params: SystemParams, g1, g2):
-    """SINR at the relay, which decodes with the jamming as noise."""
-    return params.ps * g1 / (params.pd * g2 + params.sigma2)
+def _relay_sinr(params: SystemParams, g1, g2, out=None, tmp=None):
+    """SINR at the relay, which decodes with the jamming as noise; ``out``
+    and ``tmp`` are scratch as in ``_e2e_snr``."""
+    den = np.add(np.multiply(params.pd, g2, out=tmp), params.sigma2, out=tmp)
+    return _scalar(np.divide(np.multiply(params.ps, g1, out=out), den, out=out))
 
 
 def sigma_e_sq(params: SystemParams, real: ChannelRealization):

@@ -142,6 +142,13 @@ def test_rng_stream_refuses_what_is_not_a_whole_number(seed, index):
         rng_stream(seed, index)
 
 
+@pytest.mark.parametrize("seed, index", [(-1, None), (1, -3), (1, (0, -2)), (-1.0, 0)])
+def test_rng_stream_refuses_a_negative_seed_or_index_entry(seed, index):
+    with pytest.raises(ValueError, match=r"rng_stream (seed|index entry) must be a whole "
+                                         r"number >= 0, not -"):
+        rng_stream(seed, index)
+
+
 def test_rng_stream_takes_whole_floats_and_numpy_ints_as_ints():
     want = rng_stream(1, (0, 2)).random(8).tobytes()
     for seed, index in ((1.0, (0, 2)), (np.int64(1), (np.int64(0), 2.0)),
@@ -258,18 +265,18 @@ class TestMapBlocks:
             return index, buf.shape
 
         want = [(index, (2, size)) for index, size in _blocks(self.N)]
-        assert _map_blocks(fn, self.N, lambda index: index, 2) == want
+        assert _map_blocks(fn, self.N, lambda row, index: index, 2) == want
 
     def test_blocks_see_the_callers_errstate(self):
         with np.errstate(over="raise", under="ignore"):
             caller = np.geterr()
-            seen = _map_blocks(lambda rng, buf: np.geterr(), self.N, lambda index: index, 1)
+            seen = _map_blocks(lambda rng, buf: np.geterr(), self.N, lambda row, index: index, 1)
         assert seen == [caller] * 6
 
     def test_streams_called_in_the_callers_thread(self):
         callers = []
 
-        def streams(index):
+        def streams(row, index):
             callers.append(threading.get_ident())
             return index
 
@@ -278,7 +285,7 @@ class TestMapBlocks:
 
     def test_one_buffer_per_thread(self):
         seen = _map_blocks(lambda rng, buf: (threading.get_ident(), id(buf.base)),
-                           self.N, lambda index: index, 1)
+                           self.N, lambda row, index: index, 1)
         buffers = {}
         for thread, buffer in seen:
             buffers.setdefault(thread, set()).add(buffer)
@@ -297,6 +304,31 @@ class TestMapBlocks:
             time.sleep(0.01)
 
         with pytest.raises(RuntimeError) as caught:
-            _map_blocks(fn, n, lambda index: index, 1)
+            _map_blocks(fn, n, lambda row, index: index, 1)
         assert caught.value is error
         assert len(ran) < 40  # blocks not yet started were not run
+
+    def test_rows_come_back_in_row_then_index_order(self):
+        def fn(key, buf):
+            time.sleep(0.02 * (key == (0, 0)))  # row 0's first block finishes last
+            return key, buf.shape
+
+        want = [((row, index), (2, size)) for row in range(3) for index, size in _blocks(self.N)]
+        assert _map_blocks(fn, self.N, lambda row, index: (row, index), 2, 3) == want
+
+    def test_a_failing_block_in_a_later_row_raises_in_the_caller(self):
+        n = 10 * _BLOCK  # 10 blocks in each of 4 rows
+        error = RuntimeError("row 2, block 1")
+        ran = []
+
+        def fn(key, buf):
+            ran.append(key)
+            if key == (2, 1):
+                raise error
+            time.sleep(0.01)
+
+        with pytest.raises(RuntimeError) as caught:
+            _map_blocks(fn, n, lambda row, index: (row, index), 1, 4)
+        assert caught.value is error
+        # block 22 of 40 failed; at most 2 per thread had been submitted past it
+        assert len(ran) <= 22 + 2 * 3 and (3, 9) not in ran

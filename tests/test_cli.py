@@ -438,6 +438,21 @@ def test_rho_figures_call_each_estimator_once_per_scheme(monkeypatch, tmp_path):
         key=str)
 
 
+def test_sweep_draws_monte_carlo_in_one_call(monkeypatch, tmp_path):
+    # every row's blocks on one pool, not one _mc_counts call (and pool) per row
+    calls = []
+
+    def counted(*args, _fn=cli._mc_counts, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_mc_counts", counted)
+    for experiment in ("fig4", "sweep"):
+        calls.clear()
+        assert run_cli([experiment, "--mc-samples", "1000", "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == 1
+
+
 def assert_one_error_line(code, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
@@ -482,6 +497,9 @@ def assert_one_error_line(code, capsys):
     ["fig3", "--axis-max", "30"],           # 1e12^30 overflows at the grid's top
     ["fig2", "--eps1", "2"],                # fig2 and chain run at unit fading means
     ["chain", "--eps2", "2"],
+    ["fig4", "--seed", "-1", "--mc-samples", "10", "--axis-points", "2"],  # refused by name
+    ["chain", "--seed", "-1"],
+    ["fig2", "--seed", "-1"],
 ])
 def test_ignored_or_invalid_flags_rejected(argv, capsys):
     line = assert_one_error_line(exit_code(argv), capsys)
@@ -491,6 +509,8 @@ def test_ignored_or_invalid_flags_rejected(argv, capsys):
         assert "rho" in line
     if argv[:2] in (["fig2", "--eps1"], ["chain", "--eps2"]):  # the line names the key
         assert f"ignores {argv[1][2:]};" in line
+    if argv[1:3] == ["--seed", "-1"]:  # before any work, not numpy's message
+        assert line == "error: seed must be >= 0"
 
 
 @pytest.mark.parametrize("experiment, data", [

@@ -98,6 +98,11 @@ class TestLatticeConfig:
                 LatticeConfig(ps=1.0, **bad)
         assert LatticeConfig(ps=1.0, n_symbols=1e6, seed=np.int64(3)).n_symbols == 10 ** 6
 
+    def test_negative_seed_refused_at_construction(self):
+        # it used to pass here and fail only when the chain drew its blocks
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            LatticeConfig(ps=1.0, n_symbols=10, seed=-3)
+
 
 class TestSimulateChain:
     def test_relay_power_and_residual_at_symmetric_point(self):

@@ -458,6 +458,24 @@ class TestMonteCarlo:
                 counts.append(_mc_counts(p, rc, (Scheme.MF, Scheme.AF), n, seed, 2))
         assert counts[1] == counts[0] and counts[2] == counts[0]
 
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([1, _BLOCK - 1, _BLOCK + 5, 3 * _BLOCK + 1]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           rows=st.lists(st.tuples(st.floats(1.0, 1e4), st.floats(0.1, 4.0),
+                                   st.integers(0, 10 ** 6)),
+                         min_size=1, max_size=4, unique_by=lambda row: row[2]))
+    def test_batched_counts_equal_per_row_calls(self, n, seed, rows):
+        # k rows with their own ps, rd and stream on one pool count what k calls count
+        ps, rd, stream = map(np.array, zip(*rows))
+        schemes = (Scheme.MF, Scheme.AF)
+        want = [_mc_counts(params(ps=a, pd=8.0), RateConfig(rd=b, rs=b / 2), schemes, n, seed, c)
+                for a, b, c in rows]
+        for workers in (1, 2, 3):
+            with mock.patch.object(channel, "_WORKERS", workers):
+                got = _mc_counts(params(ps=ps, pd=8.0), RateConfig(rd=rd, rs=rd / 2), schemes,
+                                 n, seed, stream)
+            assert got == want
+
     def test_streams_are_disjoint(self):
         p = params()
         rc = RateConfig(rd=1.0, rs=0.5)

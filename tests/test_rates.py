@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfrelay import rates
 from mfrelay.channel import ChannelRealization, SystemParams, rng_stream, sample_realization
-from mfrelay.rates import (af_rates, cutset_capacity, df_comparison, mf_gap,
-                           mf_rates, rate_report, relay_capacity,
+from mfrelay.rates import (Scheme, _e2e_snr, _relay_sinr, af_rates, cutset_capacity,
+                           df_comparison, mf_gap, mf_rates, rate_report, relay_capacity,
                            secrecy_upper_bound, sigma_e_sq)
 
 
@@ -231,3 +233,32 @@ class TestOneRateBuilder:
         for view, field in views:
             assert type(view) is type(field)
             assert np.asarray(view).tobytes() == np.asarray(field).tobytes()
+
+
+_WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_GAIN = st.one_of(st.just(0.0), _WIDE)  # 0 is a dead hop
+
+
+@settings(max_examples=200, deadline=None)
+@given(ps=_WIDE, pd=st.one_of(st.just(0.0), _WIDE), sigma2=_WIDE,
+       gains=st.lists(st.tuples(_GAIN, _GAIN), min_size=1, max_size=12))
+@example(ps=1e300, pd=1e300, sigma2=1e-300, gains=[(1e300, 1e300), (0.0, 1e300), (0.0, 0.0)])
+def test_in_place_snr_forms_equal_the_allocating_forms(ps, pd, sigma2, gains):
+    # the written-out expressions, grouped as the event SNRs group them
+    p = SystemParams(ps=ps, pd=pd, sigma2=sigma2)
+    g1, g2 = np.array(gains).T.copy()
+    with np.errstate(all="ignore"):  # products overflow to inf, and 0/0 or inf/inf is nan
+        forms = [
+            (lambda *a: _relay_sinr(p, *a), ps * g1 / (pd * g2 + sigma2)),
+            (lambda *a: _e2e_snr(Scheme.MF, p, *a), p.snr * (g1 * g2 / (g1 + g2 + 5e-324))),
+            (lambda *a: _e2e_snr(Scheme.AF, p, *a),
+             ps * ps * g1 * g2 / (sigma2 * (ps * g1 + ps * g2 + pd * g2 + sigma2))),
+        ]
+        for form, want in forms:
+            out, tmp = np.full((2, g1.size), -1.0)
+            assert form(g1, g2, out, tmp) is out
+            assert out.tobytes() == want.tobytes()
+            assert form(g1, g2).tobytes() == want.tobytes()
+            for a, b, w in zip(g1.tolist(), g2.tolist(), want):
+                point = form(a, b)
+                assert type(point) is float and np.float64(point).tobytes() == w.tobytes()
