@@ -31,6 +31,25 @@ def _normal(v):
     return (v >= _TINY) & (v < np.inf)
 
 
+def _direct_or_logs(inside, direct, logs, *values):
+    """The one "direct in the box, logs outside" rule of the forms that must
+    hold over the whole double range: ``direct`` (an array or a tuple of
+    arrays) where ``inside``, and elsewhere ``logs(*map(np.log, values))``,
+    the same quantities built from the values' logs.
+
+    ``logs`` runs only if some point is outside, under an errstate where
+    ln 0 = -inf and an exp past the range give no warning.  Each output is
+    merged with np.where(...)[()], so a scalar gives a numpy scalar.
+    """
+    if np.all(inside):
+        return direct
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = logs(*map(np.log, values))
+    if isinstance(direct, tuple):
+        return tuple(np.where(inside, d, o)[()] for d, o in zip(direct, out))
+    return np.where(inside, direct, out)[()]
+
+
 def _all_finite(*vals) -> bool:
     """Whether each value is a finite real number (``_is_number``) or an
     int or float numpy array or scalar of finite entries; a str, a bool or
@@ -86,34 +105,32 @@ class SystemParams:
 def derived_ratios(params: SystemParams):
     """(snr, inr, rho) with rho = log(inr)/log(snr); needs snr > 1.
 
-    Where snr or inr is not a finite normal double (ps/sigma2 or pd/sigma2
-    left the double range), rho is (ln pd - ln sigma2)/(ln ps - ln sigma2)
-    instead, from logs that stay in range; pd = 0 gives -inf, without a
-    warning.
+    Its box is where snr and inr are finite normal doubles.  Outside it
+    (ps/sigma2 or pd/sigma2 left the double range), rho is
+    (ln pd - ln sigma2)/(ln ps - ln sigma2), from logs that stay in range
+    (``_direct_or_logs``); pd = 0 gives -inf, without a warning.
     """
-    # snr or inr may overflow, log(0) is -inf, and an inf/inf rho is redone
+    # snr or inr may overflow and log(0) is -inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         snr, inr = params.snr, params.inr
         if np.any(np.asarray(snr) <= 1.0):
             raise ValueError("rho is undefined for snr <= 1 (0 dB)")
         rho = np.log(inr) / np.log(snr)
-        off = ~(_normal(snr) & _normal(inr))
-        if np.any(off):
-            s2 = np.log(params.sigma2)
-            # [()] keeps a scalar's rho a numpy scalar, as the direct form gives it
-            rho = np.where(off, (np.log(params.pd) - s2) / (np.log(params.ps) - s2), rho)[()]
-    return snr, inr, rho
+    return snr, inr, _direct_or_logs(_normal(snr) & _normal(inr), rho, lambda lps, lpd, ls2:
+                                     (lpd - ls2) / (lps - ls2), params.ps, params.pd, params.sigma2)
 
 
 def _pd_at_rho(ps, sigma2, rho):
-    """The pd whose rho derived_ratios returns: snr^rho * sigma2, or where
-    that reads inf, exp(rho*ln ps + (1 - rho)*ln sigma2), which stays finite
-    where only snr overflows.  A ValueError names rho where pd itself
-    overflows a double; a nan pd (sigma2 = 0) is left to SystemParams."""
+    """The pd whose rho derived_ratios returns: snr^rho * sigma2 in its box,
+    where that is not inf, and outside it exp(rho*ln ps + (1 - rho)*ln sigma2)
+    (``_direct_or_logs``), which stays finite where only snr overflows.  A
+    ValueError names rho where pd itself overflows a double; a nan pd
+    (sigma2 = 0) is left to SystemParams."""
     # float_power rounds as the scalar pow does; np.power's SIMD loop may not
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pd = np.float_power(ps / sigma2, rho) * sigma2
-        pd = np.where(np.isinf(pd), np.exp(rho * np.log(ps) + (1.0 - rho) * np.log(sigma2)), pd)
+    pd = _direct_or_logs(~np.isinf(pd), pd, lambda lps, ls2:
+                         np.exp(rho * lps + (1.0 - rho) * ls2), ps, sigma2)
     if np.any(np.isinf(pd)):
         raise ValueError("rho is too large: pd = snr^rho * sigma2 overflows a double")
     return pd

@@ -108,7 +108,7 @@ def _fold(x, delta, tmp):
 def mod_lattice(x, delta):
     """Reduce x modulo delta*Z into [-delta/2, delta/2); the +delta/2
     boundary maps to -delta/2."""
-    if not 0.0 < delta < np.inf:
+    if not (_is_number(delta) and delta > 0.0):
         raise ValueError("delta must be positive and finite")
     x = np.array(x, dtype=float)  # a copy for the fold to overwrite
     return _scalar(_fold(x, delta, np.empty_like(x)))

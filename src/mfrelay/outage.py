@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_SLICE, _TINY, RateConfig, SystemParams, Thresholds, _gamma,
-                      _is_number, _map_blocks, _normal, _slices, rng_stream, sample_gains,
-                      thresholds)
+from .channel import (_SLICE, _TINY, RateConfig, SystemParams, Thresholds, _direct_or_logs,
+                      _gamma, _is_number, _map_blocks, _normal, _slices, rng_stream,
+                      sample_gains, thresholds)
 from .numerics import Interval, _k1_map, _scalar
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
@@ -36,8 +36,8 @@ class MCEstimate:
 
     @classmethod
     def from_counts(cls, hits: int, n: int) -> "MCEstimate":
-        if n <= 0:
-            raise ValueError("sample count must be positive")
+        if n <= 0 or not 0 <= hits <= n:
+            raise ValueError(f"hits must lie in [0, n] with n > 0, not hits={hits!r}, n={n!r}")
         p = hits / n
         se = float(np.sqrt(p * (1.0 - p) / n))
         return cls(p_hat=p, n=n, std_err=se,
@@ -72,8 +72,7 @@ def p_conn_cutset_lower(params: SystemParams, rd: float):
     outside the normal range), which are equal at pd = 0 but for rounding,
     so the bound never reads above either scheme's outage."""
     gamma_o = _gamma(np.asarray(rd, dtype=float))
-    safe = np.where(gamma_o > 0, gamma_o, 1.0)
-    a = np.minimum(*(_k1_arguments(params, safe, af)[0] for af in (False, True)))
+    a = np.minimum(*(_k1_arguments(params, gamma_o, af)[0] for af in (False, True)))
     return _scalar(np.where(gamma_o > 0, -np.expm1(-a), 0.0))
 
 
@@ -82,28 +81,23 @@ def _secrecy_terms(params: SystemParams, gamma_s):
     the prefactor pref = ps*eps1/(ps*eps1 + pd*eps2*gamma_s) and the
     exponent u = gamma_s*sigma2/(ps*eps1).
 
-    Where ps*eps1 is a normal double and that sum is finite, both are these
-    quotients (u too where gamma_s*sigma2 is finite).  Elsewhere they come
-    from sums of logs, which can neither overflow nor be nan:
-    pref = 1/(1 + e^L), L = ln(pd*eps2*gamma_s/(ps*eps1)), and
+    Both are these quotients in their box, where ps*eps1 is a normal double
+    and that sum is finite (for u, also gamma_s*sigma2).  Outside it they
+    come from sums of logs (``_direct_or_logs``), which can neither overflow
+    nor be nan: pref = 1/(1 + e^L), L = ln(pd*eps2*gamma_s/(ps*eps1)), and
     u = e^(ln(gamma_s*sigma2) - ln(ps*eps1)).
     """
+    ps, pd, sigma2, eps1, eps2 = params.ps, params.pd, params.sigma2, params.eps1, params.eps2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ps_eps1 = params.ps * params.eps1
-        jam = params.pd * params.eps2 * gamma_s
-        spread = gamma_s * params.sigma2
-        pref = ps_eps1 / (ps_eps1 + jam)
-        u = spread / ps_eps1
+        ps_eps1, jam, spread = ps * eps1, pd * eps2 * gamma_s, gamma_s * sigma2
         direct = _normal(ps_eps1) & _normal(ps_eps1 + jam)
-        u_direct = direct & (spread < np.inf)
-        if not np.all(u_direct):
-            log_ps_eps1 = np.log(params.ps) + np.log(params.eps1)
-            log_gamma_s = np.log(gamma_s)
-            log_ratio = np.log(params.pd) + np.log(params.eps2) + log_gamma_s - log_ps_eps1
-            log_ratio = np.where(params.pd > 0, log_ratio, -np.inf)  # not -inf + inf
-            pref = np.where(direct, pref, np.exp(-np.logaddexp(0.0, log_ratio)))
-            u = np.where(u_direct, u, np.exp(log_gamma_s + np.log(params.sigma2) - log_ps_eps1))
-    return pref, u
+        pref, u = ps_eps1 / (ps_eps1 + jam), spread / ps_eps1
+    # pd = 0 gives L = -inf, not the nan of ln pd + ln gamma_s = -inf + inf
+    pref = _direct_or_logs(direct, pref, lambda lpd, le2, lgs, lps, le1: np.exp(-np.logaddexp(
+        0.0, np.where(lpd > -np.inf, ((lpd + le2) + lgs) - (lps + le1), -np.inf))),
+        pd, eps2, gamma_s, ps, eps1)
+    return pref, _direct_or_logs(direct & (spread < np.inf), u, lambda lgs, ls2, lps, le1:
+                                 np.exp((lgs + ls2) - (lps + le1)), gamma_s, sigma2, ps, eps1)
 
 
 def p_secrecy_threshold(params: SystemParams, gamma_s):
@@ -154,11 +148,11 @@ def _k1_arguments(params: SystemParams, gamma, af: bool):
 
     With q = gamma*sigma2/ps, a = q*(r/eps1 + 1/eps2) and
     x = 2q*sqrt((r + s)/(eps1*eps2)), where MF has r = 1 and s = 0, and AF
-    r = (ps + pd)/ps and s = 1/gamma.  They are taken as these direct
-    products and quotients where ps, sigma2, eps1, eps2 and gamma lie in
-    [2^-150, 2^150] (and, for AF, pd <= 2^150), for then none of them
-    leaves the normal range.  Elsewhere both come from sums of logs, which
-    can neither overflow nor be nan.
+    r = (ps + pd)/ps and s = 1/gamma.  Their box is where ps, sigma2, eps1,
+    eps2 and gamma lie in [2^-150, 2^150] (and, for AF, pd <= 2^150): there
+    they are these direct products and quotients, none of which leaves the
+    normal range.  Outside it both come from sums of logs
+    (``_direct_or_logs``), which can neither overflow nor be nan.
     """
     ps, pd, sigma2, eps1, eps2 = params.ps, params.pd, params.sigma2, params.eps1, params.eps2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -172,15 +166,14 @@ def _k1_arguments(params: SystemParams, gamma, af: bool):
     direct = pd <= _DIRECT if af else True
     for v in (ps, sigma2, eps1, eps2, gamma):
         direct = direct & (v >= 1.0 / _DIRECT) & (v <= _DIRECT)
-    if np.all(direct):
-        return a, x
-    with np.errstate(divide="ignore", over="ignore"):  # log(0) of pd = 0; exp past the range
-        log_ps, log_e1, log_e2 = np.log(ps), np.log(eps1), np.log(eps2)
-        log_q = np.log(gamma) + np.log(sigma2) - log_ps
-        log_r = np.logaddexp(log_ps, np.log(pd)) - log_ps if af else 0.0
-        log_r_s = np.logaddexp(log_r, -np.log(gamma)) if af else 0.0
-        return (np.where(direct, a, np.exp(log_q + np.logaddexp(log_r - log_e1, -log_e2))),
-                np.where(direct, x, 2.0 * np.exp(log_q + (log_r_s - log_e1 - log_e2) / 2)))
+
+    def logs(lps, lpd, ls2, le1, le2, lg):
+        lq = lg + ls2 - lps
+        lr = np.logaddexp(lps, lpd) - lps if af else 0.0
+        lrs = np.logaddexp(lr, -lg) if af else 0.0
+        return np.exp(lq + np.logaddexp(lr - le1, -le2)), 2.0 * np.exp(lq + (lrs - le1 - le2) / 2)
+
+    return _direct_or_logs(direct, (a, x), logs, ps, pd, sigma2, eps1, eps2, gamma)
 
 
 def p_conn_mf(params: SystemParams, rd: float):
@@ -200,8 +193,7 @@ def p_conn_af(params: SystemParams, rd: float):
     Returns 0 at rd = 0, where the closed form's 1/gamma_o is singular.
     """
     gamma_o = _gamma(np.asarray(rd, dtype=float))
-    safe = np.where(gamma_o > 0, gamma_o, 1.0)
-    return _k1_outage(gamma_o > 0, *_k1_arguments(params, safe, af=True))
+    return _k1_outage(gamma_o > 0, *_k1_arguments(params, gamma_o, af=True))
 
 
 def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:
@@ -260,10 +252,11 @@ def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: 
     if not _is_number(n, integral=True) or n < 1:
         raise ValueError(f"mc_outage needs an integer n >= 1 samples, not {n!r}")
     n = int(n)
-    shape = np.broadcast_shapes(*map(np.shape, (*vars(params).values(),
-                                                *vars(config).values(), stream)))
+    shape = np.broadcast(*vars(params).values(), *vars(config).values(), stream).shape
     points = list(zip(_rows(params, shape), map(thresholds, _rows(config, shape))))
     streams = np.broadcast_to(stream, shape).ravel().tolist()
+    if not points:  # an empty sweep starts no pool
+        return np.zeros(shape + (len(schemes), 3), dtype=np.int64).tolist()
 
     def block(key, buf):
         (p, th), rng = key
@@ -297,7 +290,11 @@ def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme, n: int, 
     not depend on how blocks would be farmed out to workers.  The joint
     estimate reuses each realization for both events (they are dependent
     through the gains).  ``stream`` namespaces independent runs under one
-    seed (e.g. one stream per sweep row).
+    seed (e.g. one stream per sweep row).  It runs one operating point:
+    array-valued params, config or stream are refused with a ValueError
+    (``_mc_counts`` is the broadcasting form).
     """
+    if np.broadcast(*vars(params).values(), *vars(config).values(), stream).shape:
+        raise ValueError("mc_outage runs one operating point, not an array of them")
     (counts,) = _mc_counts(params, config, (scheme,), n, seed, stream)
     return tuple(MCEstimate.from_counts(hits, int(n)) for hits in counts)

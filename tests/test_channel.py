@@ -63,6 +63,40 @@ def test_pd_at_rho_keeps_its_bits_where_snr_is_finite():
     assert channel._pd_at_rho(2.0 * snr, 2.0, rho).tobytes() == want.tobytes()
 
 
+class TestDirectOrLogs:
+    def test_logs_never_run_when_every_point_is_inside(self):
+        def logs(*_):
+            raise AssertionError("logs ran")
+
+        direct = np.array([1.0, 2.0])
+        assert channel._direct_or_logs(np.array([True, True]), direct, logs, direct) is direct
+        pair = (direct, 2.0 * direct)
+        assert channel._direct_or_logs(True, pair, logs, 1.0) is pair
+
+    def test_a_tuple_is_merged_output_by_output(self):
+        inside = np.array([True, False, True])
+        a, x = channel._direct_or_logs(inside, (np.zeros(3), np.ones(3)),
+                                       lambda la, lb: (la, lb - la), np.e, np.e ** 3)
+        assert a.tolist() == [0.0, 1.0, 0.0]
+        assert x.tolist() == [1.0, 2.0, 1.0]
+
+    def test_a_scalar_gives_a_numpy_scalar(self):
+        got = channel._direct_or_logs(np.False_, np.float64(1.0), lambda lv: lv, 1.0)
+        assert type(got) is np.float64 and got == 0.0
+        a, x = channel._direct_or_logs(np.False_, (1.0, 2.0), lambda lv: (lv, -lv), 1.0)
+        assert type(a) is np.float64 and type(x) is np.float64
+
+    def test_logs_get_ln_0_without_a_warning(self):
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = channel._direct_or_logs(np.array([False, True]), np.array([7.0, 7.0]),
+                                          lambda lv: seen.append(lv) or np.exp(lv),
+                                          np.array([0.0, 2.0]))
+        assert seen[0][0] == -np.inf
+        assert got.tolist() == [0.0, 7.0]
+
+
 def test_derived_ratios_domain_error():
     with pytest.raises(ValueError):
         derived_ratios(SystemParams(ps=1.0, pd=10, sigma2=1))

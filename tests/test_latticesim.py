@@ -48,7 +48,8 @@ class TestModLattice:
             mod_lattice(1.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused, not a NaN with a RuntimeWarning
-            for delta in (-1.0, float("nan"), float("inf"), -float("inf")):
+            for delta in (-1.0, float("nan"), float("inf"), -float("inf"), np.array([1.0, 2.0]),
+                          "1.0"):
                 with pytest.raises(ValueError, match="delta must be positive and finite"):
                     mod_lattice(1.0, delta)
 

@@ -204,6 +204,9 @@ def test_connection_outage_relative_error_at_high_snr(snr, rho, conn):
 class TestConnAf:
     def test_zero_rate_convention(self):
         assert p_conn_af(params(), 0.0) == 0.0
+        # gamma_o = 0 takes the log form of (a, x) and reads 0 beside a live point
+        for conn in (p_conn_af, p_conn_cutset_lower):
+            assert conn(params(), np.array([0.0, 1.0])).tolist() == [0.0, conn(params(), 1.0)]
 
     def test_vanishes_at_high_snr_when_rho_below_2(self):
         vals = []
@@ -505,6 +508,33 @@ class TestMonteCarlo:
         # int() used to make seed 1.5 run seed 1 and stream 2.7 run stream 2
         with pytest.raises(ValueError, match="must be a whole number"):
             mc_outage(params(), RateConfig(rd=1.0, rs=0.5), Scheme.MF, 1000, seed, stream)
+
+    @pytest.mark.parametrize("point", [
+        {"params": params(ps=np.array([4.0, 5.0]))},
+        {"config": RateConfig(rd=np.array([1.0, 2.0]), rs=0.5)},
+        {"stream": np.array([0, 1])},
+        {"params": params(pd=np.array([1.0]))},
+    ])
+    def test_one_operating_point_or_refused_by_name(self, point):
+        # an array ps used to fail with "too many values to unpack"
+        call = {"params": params(), "config": RateConfig(rd=1.0, rs=0.5), "stream": 0, **point}
+        with pytest.raises(ValueError, match="mc_outage runs one operating point"):
+            mc_outage(call["params"], call["config"], Scheme.MF, 1000, 1, call["stream"])
+
+    def test_zero_points_give_empty_counts_without_a_pool(self):
+        # a ThreadPoolExecutor of 0 workers used to refuse to start
+        schemes = (Scheme.MF, Scheme.AF)
+        with mock.patch.object(channel.futures, "ThreadPoolExecutor", side_effect=AssertionError):
+            assert _mc_counts(params(), RateConfig(1.0, 0.5), schemes, 10, 1, np.arange(0)) == []
+            counts = _mc_counts(params(ps=np.array([[4.0], [5.0]])), RateConfig(1.0, 0.5), schemes,
+                                10, 1, np.arange(0))
+        assert counts == [[], []]
+
+    @pytest.mark.parametrize("hits, n", [(5, 3), (-1, 3), (0, 0), (1, -1)])
+    def test_hits_outside_0_n_are_refused_by_name(self, hits, n):
+        # hits = 5 of 3 used to warn in sqrt, then fail on the interval's endpoints
+        with pytest.raises(ValueError, match="hits must lie in"):
+            MCEstimate.from_counts(hits, n)
 
     def test_estimate_fields(self):
         est = MCEstimate.from_counts(250, 1000)
