@@ -9,17 +9,19 @@ matching 1/2 log2 prefactor.
 from __future__ import annotations
 
 import collections
+import math
 import numbers
 import os
 import sys
 import threading
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
 _BLOCK = 1 << 17  # fixed block size keeps merged results worker-count independent
-_SLICE = 1 << 15  # elementwise work runs on slices of a block short enough to stay in cache
+# elementwise work, in the Monte Carlo and chain blocks and in the bulk closed
+# forms, runs on slices short enough to stay in cache (2^15: CHANGES.md)
+_SLICE = 1 << 15
 # one thread per CPU this process may run on; tests patch it
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -166,21 +168,30 @@ class Thresholds:
     gamma_s: float
 
 
-def _gamma(rate):
-    """2^(2 rate) - 1, the SNR threshold of a rate: the one threshold map,
-    and so the one gate for a rate from a caller.  A ValueError names rd
+def _check_rate(rate):
+    """The rate as a float array, through the one gate for a rate from a
+    caller, a whole-array check run before any slice: a ValueError names rd
     where the rate is negative or nan, which has no threshold, and where
-    the power would overflow a double (rate >= 512)."""
-    if not np.all(np.asarray(rate) >= 0.0):
+    2^(2 rate) would overflow a double (rate >= 512)."""
+    rate = np.asarray(rate, dtype=float)
+    if not np.all(rate >= 0.0):
         raise ValueError("rd must be a nonnegative number of bits, not negative or nan")
-    if np.any(np.asarray(rate) >= 512.0):
+    if np.any(rate >= 512.0):
         raise ValueError("rd must be below 512 bits: 2^(2 rd) overflows a double")
+    return rate
+
+
+def _gamma(rate):
+    """2^(2 rate) - 1, the SNR threshold of a rate that passed ``_check_rate``:
+    the one threshold map, elementwise."""
     # float_power rounds as the scalar pow does, so a point gets the same bits
     # alone or inside an array; np.power's SIMD loop may differ in the last bit
     return np.float_power(2.0, 2.0 * rate) - 1.0
 
 
 def thresholds(config: RateConfig) -> Thresholds:
+    _check_rate(config.rd)
+    _check_rate(config.rd - config.rs)
     gamma_o = _gamma(config.rd)
     return Thresholds(gamma_o=gamma_o, gamma_1=gamma_o + 0.5,
                       gamma_s=_gamma(config.rd - config.rs))
@@ -204,7 +215,9 @@ class ChannelRealization:
         if np.any(np.asarray(self.g1) < 0) or np.any(np.asarray(self.g2) < 0):
             raise ValueError("gains must be nonnegative")
         for g, h in ((self.g1, self.h1), (self.g2, self.h2)):
-            if not np.allclose(np.asarray(h) ** 2, g, rtol=1e-9, atol=1e-12):
+            # np.allclose's verdict, taken slice by slice
+            if not np.all(_map_slices(lambda h, g: np.isclose(np.asarray(h) ** 2, g, rtol=1e-9,
+                                                              atol=1e-12), h, g, dtype=bool)):
                 raise ValueError("amplitude/gain mismatch: need g = h^2")
 
     @classmethod
@@ -212,6 +225,15 @@ class ChannelRealization:
         g1 = np.asarray(g1, dtype=float) if np.ndim(g1) else float(g1)
         g2 = np.asarray(g2, dtype=float) if np.ndim(g2) else float(g2)
         return cls(g1=g1, g2=g2, h1=sign1 * np.sqrt(g1), h2=sign2 * np.sqrt(g2))
+
+
+def _unchecked(cls, *values):
+    """A ``cls`` record of values, in field order, cut from one that passed
+    its checks (a kernel's slice of its arrays), built without running the
+    checks again; fields left out keep their defaults."""
+    record = object.__new__(cls)
+    vars(record).update(zip(cls.__dataclass_fields__, values))
+    return record
 
 
 def rng_stream(seed: int, index=None) -> np.random.Generator:
@@ -241,40 +263,95 @@ def _slices(m: int, size: int = _SLICE):
     return (slice(start, start + size) for start in range(0, m, size))
 
 
+def _on_pool(fn, items, workers: int) -> list:
+    """[fn(*item) for item in items], in order, on one pool of ``workers``
+    threads, each call under the caller's np.errstate: the one pool of
+    ``_map_blocks`` and ``_map_slices``.  ``items`` is drawn in the calling
+    thread, at most 2 per thread ahead of the results taken, and a call's
+    exception is raised here once the calls submitted by then have run.
+    One worker is the calling thread itself, with no pool.
+    """
+    if workers == 1:  # a pool of one thread would only wait on it
+        return [fn(*item) for item in items]
+    from concurrent import futures  # on first use, not with mfrelay
+
+    err = np.geterr()
+
+    def run(*item):
+        with np.errstate(**err):
+            return fn(*item)
+
+    results, pending = [], collections.deque()
+    with futures.ThreadPoolExecutor(workers) as pool:
+        for item in items:
+            if len(pending) == 2 * workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(run, *item))
+        results.extend(future.result() for future in pending)
+    return results
+
+
 def _map_blocks(fn, n: int, streams, height: int, rows: int = 1) -> list:
     """[fn(streams(row, index), buf) for each row in range(rows) and each
     (index, size) in _blocks(n)], in (row, index) order, where buf is a
     (height, size) view of a float buffer that belongs to the thread
     running the block and is made once per call.
 
-    Every row's blocks run on one pool of min(_WORKERS, blocks) threads,
-    each block under the caller's np.errstate; ``streams`` is called in the
-    calling thread.  Callers reduce each row's results in index order, so
-    the output does not depend on the worker count.  A block's exception is
-    raised here once the submitted blocks, 2 per thread at most, have run.
-    Needs n >= 1.
+    Every row's blocks run on one pool (``_on_pool``) of min(_WORKERS,
+    blocks) threads; ``streams`` is called in the calling thread.  Callers
+    reduce each row's results in index order, so the output does not
+    depend on the worker count.  Needs n >= 1.
     """
     local = threading.local()
     width = min(n, _BLOCK)
-    workers = min(_WORKERS, rows * -(-n // _BLOCK))
-    err = np.geterr()
 
-    def run(stream, size):
+    def block(stream, size):
         if not hasattr(local, "buf"):
             local.buf = np.empty((height, width))
-        with np.errstate(**err):
-            return fn(stream, local.buf[:, :size])
+        return fn(stream, local.buf[:, :size])
 
-    results, pending = [], collections.deque()
-    # futures imports its thread module here, on first use, not with mfrelay
-    with futures.ThreadPoolExecutor(workers) as pool:
-        for row in range(rows):
-            for index, size in _blocks(n):
-                if len(pending) == 2 * workers:  # bounds the streams held at once
-                    results.append(pending.popleft().result())
-                pending.append(pool.submit(run, streams(row, index), size))
-        results.extend(future.result() for future in pending)
-    return results
+    items = ((streams(row, index), size) for row in range(rows) for index, size in _blocks(n))
+    return _on_pool(block, items, min(_WORKERS, rows * -(-n // _BLOCK)))
+
+
+def _map_slices(kernel, *args, outs: int = 1, dtype=float):
+    """kernel(*args) for an elementwise ``kernel`` of ``outs`` results and
+    args that broadcast to one shape: the one driver of the bulk closed
+    forms, whose callers check their inputs on the whole arrays first.
+
+    A call of at most _SLICE points runs kernel(*args) as it is, in the
+    calling thread, so a scalar call keeps its types.  A larger call
+    broadcasts each array arg once (a 0-d arg stays as it is),
+    preallocates ``outs`` arrays of the broadcast shape and ``dtype``, and
+    runs the kernel on slices of at most _SLICE points, each writing its
+    results into its part of them.  The slices run on ``_map_blocks``'
+    pool (``_on_pool``), with its worker count, min(_WORKERS, blocks):
+    within one _BLOCK they run in the calling thread.  So the outputs are
+    the only full-size arrays it makes, and an elementwise kernel gives
+    them the same bits for any slicing and any worker count.  A kernel
+    must call private functions only: perfbench's tracer times the public
+    ones on the calling thread.  Returns the output, or a tuple of ``outs``
+    of them.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    size = math.prod(shape)
+    if size <= _SLICE:
+        return kernel(*args)
+    flat = [a if np.ndim(a) == 0 else np.broadcast_to(a, shape).reshape(-1) for a in args]
+    out = [np.empty(size, dtype) for _ in range(outs)]
+
+    def run(s):
+        got = kernel(*(a if np.ndim(a) == 0 else a[s] for a in flat))
+        for view, value in zip(out, got if outs > 1 else (got,)):
+            view[s] = value
+
+    workers = min(_WORKERS, -(-size // _BLOCK))
+    # a kernel holds about ten slice-sized temporaries: slices of at most an
+    # eighth of a worker's share keep those in flight within the output's size
+    width = min(_SLICE, -(-size // (8 * workers)))
+    _on_pool(run, ((s,) for s in _slices(size, width)), workers)
+    out = tuple(o.reshape(shape) for o in out)
+    return out if outs > 1 else out[0]
 
 
 def sample_realization(params: SystemParams, rng: np.random.Generator, size=None) -> ChannelRealization:

@@ -2,7 +2,7 @@
 
 The outage closed forms need K1, the first-order modified Bessel function
 of the second kind, in one shape per branch of x, computed in numpy in the
-Cephes manner.  ``_k1_map`` splits an array at x = 2 once per slice and
+Cephes manner.  ``_k1_map`` splits its points at x = 2 once per call and
 hands each branch's points, with that branch's shape, to that branch's
 formula:
 
@@ -28,12 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _TINY, _slices
+from .channel import _TINY, _map_slices
 
 _K1_SPLIT = 2.0  # the series serves x <= _K1_SPLIT, the Chebyshev fit x above it
-# a branch's K1 shape keeps about 15 slice-sized temporaries alive; at 2^13 points
-# they take under 1 MB, and larger slices were no faster
-_K1_SLICE = 1 << 13
 
 # sqrt(x)*e^x*K1(x) = c_0/2 + sum c_k T_k(4/x - 1) on x > 2 (tools/k1_chebyshev.py)
 _K1_CHEB = (
@@ -152,28 +149,33 @@ def _k1_map(small, large, x, *args):
     """small(x, 1 - x*K1(x), *args) where x <= _K1_SPLIT and
     large(x, e^x*K1(x), *args) where x is above it, elementwise, for x > 0.
 
-    x and ``args`` broadcast to one shape.  Each slice of at most _K1_SLICE
-    points is split by index once, and each formula runs on its own
-    branch's points only, so a point gets the same bits alone or inside any
-    array.  The temporaries stay in cache and only the result is as large
-    as x.
+    x and ``args`` broadcast to one shape.  The points are split by index
+    once per call, and each formula runs on its own branch's points only,
+    so a point gets the same bits alone or inside any array.  Bulk callers
+    run it on the slices of ``channel._map_slices``, so its temporaries are
+    slice-sized.
     """
     x, *args = np.broadcast_arrays(np.asarray(x, dtype=float), *args)
     flat = [np.ravel(v) for v in (x, *args)]
     out = np.empty(x.size)
+    below = flat[0] <= _K1_SPLIT
     with np.errstate(over="ignore"):  # K1(x) passes the largest double below x ~ 5.6e-309
-        for s in _slices(out.size, _K1_SLICE):
-            below = flat[0][s] <= _K1_SPLIT
-            for fn, kernel, idx in ((small, _k1_series, np.flatnonzero(below)),
-                                    (large, _k1_chebyshev, np.flatnonzero(~below))):
-                if idx.size:
-                    v, *rest = (f[s][idx] for f in flat)
-                    out[s][idx] = fn(v, kernel(v), *rest)
+        for fn, kernel, idx in ((small, _k1_series, np.flatnonzero(below)),
+                                (large, _k1_chebyshev, np.flatnonzero(~below))):
+            if idx.size:
+                v, *rest = (f[idx] for f in flat)
+                out[idx] = fn(v, kernel(v), *rest)
     return out.reshape(x.shape)
 
 
+def _k1(x):
+    """K1(x) for x > 0, elementwise (``bessel_k1``'s kernel)."""
+    return _k1_map(lambda v, k: (1.0 - k) / v, lambda v, k: k * np.exp(-v), x)
+
+
 def bessel_k1(x):
-    """K1(x) for x > 0; accepts scalars or arrays elementwise.
+    """K1(x) for x > 0; accepts scalars or arrays elementwise, checked on the
+    whole array and evaluated slice by slice (``channel._map_slices``).
 
     Underflows smoothly to 0.0 for x beyond ~745 where e^-x leaves the
     double range, and overflows to inf below x ~ 5.6e-309.
@@ -181,7 +183,7 @@ def bessel_k1(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("bessel_k1 requires finite x > 0")
-    return _scalar(_k1_map(lambda v, k: (1.0 - k) / v, lambda v, k: k * np.exp(-v), arr))
+    return _scalar(_map_slices(_k1, arr))
 
 
 def _scalar(out):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_SLICE, _TINY, RateConfig, SystemParams, Thresholds, _direct_or_logs,
-                      _gamma, _is_number, _map_blocks, _normal, _slices, rng_stream,
-                      sample_gains, thresholds)
+from .channel import (_SLICE, _TINY, RateConfig, SystemParams, Thresholds, _check_rate,
+                      _direct_or_logs, _gamma, _is_number, _map_blocks, _map_slices, _normal,
+                      _slices, _unchecked, rng_stream, sample_gains, thresholds)
 from .numerics import Interval, _k1_map, _scalar
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
@@ -70,10 +70,17 @@ def p_conn_cutset_lower(params: SystemParams, rd: float):
     1 - exp(-a) with a = (1/eps1 + 1/eps2) * gamma_o * sigma2 / ps, and 0 at
     rd = 0.  The a is the smaller of MF's and AF's a at gamma_o (from logs
     outside the normal range), which are equal at pd = 0 but for rounding,
-    so the bound never reads above either scheme's outage."""
-    gamma_o = _gamma(np.asarray(rd, dtype=float))
+    so the bound never reads above either scheme's outage.  Evaluated slice
+    by slice (``_map_slices``).
+    """
+    return _scalar(_map_slices(_cutset_lower, _check_rate(rd), *vars(params).values()))
+
+
+def _cutset_lower(rd, *fields):
+    """``p_conn_cutset_lower``'s kernel, at rd and SystemParams fields."""
+    params, gamma_o = _unchecked(SystemParams, *fields), _gamma(rd)
     a = np.minimum(*(_k1_arguments(params, gamma_o, af)[0] for af in (False, True)))
-    return _scalar(np.where(gamma_o > 0, -np.expm1(-a), 0.0))
+    return np.where(gamma_o > 0, -np.expm1(-a), 0.0)
 
 
 def _secrecy_terms(params: SystemParams, gamma_s):
@@ -102,7 +109,8 @@ def _secrecy_terms(params: SystemParams, gamma_s):
 
 def p_secrecy_threshold(params: SystemParams, gamma_s):
     """Secrecy outage at a given SNR threshold gamma_s (scheme-independent):
-    ps*eps1/(ps*eps1 + pd*eps2*gamma_s) * exp(-gamma_s*sigma2/(ps*eps1)).
+    ps*eps1/(ps*eps1 + pd*eps2*gamma_s) * exp(-gamma_s*sigma2/(ps*eps1)),
+    evaluated slice by slice (``_map_slices``).
 
     At high ps its first order is pref*(1 - u), with the (pref, u) of
     ``_secrecy_terms``.  A negative or nan gamma_s is refused with a
@@ -111,13 +119,20 @@ def p_secrecy_threshold(params: SystemParams, gamma_s):
     gamma_s = np.asarray(gamma_s, dtype=float)
     if not np.all(gamma_s >= 0.0):
         raise ValueError("gamma_s must be a nonnegative threshold, not negative or nan")
-    pref, u = _secrecy_terms(params, gamma_s)
-    return _scalar(pref * np.exp(-u))
+    return _scalar(_map_slices(_secrecy, gamma_s, *vars(params).values()))
+
+
+def _secrecy(gamma_s, *fields):
+    """``p_secrecy_threshold``'s kernel, at gamma_s and SystemParams fields."""
+    pref, u = _secrecy_terms(_unchecked(SystemParams, *fields), gamma_s)
+    return pref * np.exp(-u)
 
 
 def p_secrecy(params: SystemParams, config: RateConfig):
     """Secrecy outage probability for a rate pair (1 when rd = rs)."""
-    return p_secrecy_threshold(params, _gamma(config.rd - config.rs))
+    _check_rate(config.rd - config.rs)
+    return _scalar(_map_slices(lambda rd, rs, *fields: _secrecy(_gamma(rd - rs), *fields),
+                               config.rd, config.rs, *vars(params).values()))
 
 
 _DIRECT = 2.0 ** 150  # the direct a and x of inputs in [1/_DIRECT, _DIRECT] stay normal
@@ -180,9 +195,16 @@ def p_conn_mf(params: SystemParams, rd: float):
     """Connection outage of the modulo-forward achievable rate (independent
     of pd), from gamma_1 = gamma_o + 1/2 and K1.  At high SNR it falls as
     its first order (1/eps1 + 1/eps2) * gamma_1 * sigma2 / ps.  Returns 0
-    at rd = 0 by the zero-rate convention.
+    at rd = 0 by the zero-rate convention.  Evaluated slice by slice
+    (``_map_slices``).
     """
-    rd = np.asarray(rd, dtype=float)
+    return _scalar(_map_slices(_conn_mf, _check_rate(rd), params.ps, params.sigma2, params.eps1,
+                               params.eps2))
+
+
+def _conn_mf(rd, ps, sigma2, eps1, eps2):
+    """``p_conn_mf``'s kernel; it does not read pd, which it sets to 0."""
+    params = _unchecked(SystemParams, ps, 0.0, sigma2, eps1, eps2)
     return _k1_outage(rd > 0, *_k1_arguments(params, _gamma(rd) + 0.5, af=False))
 
 
@@ -191,9 +213,16 @@ def p_conn_af(params: SystemParams, rd: float):
     power wasted on forwarding the jamming signal).  At high SNR it falls
     as its first order (gamma_o*sigma2/ps)*((ps + pd)/(ps*eps1) + 1/eps2).
     Returns 0 at rd = 0, where the closed form's 1/gamma_o is singular.
+    Evaluated slice by slice (``_map_slices``).
     """
-    gamma_o = _gamma(np.asarray(rd, dtype=float))
-    return _k1_outage(gamma_o > 0, *_k1_arguments(params, gamma_o, af=True))
+    return _scalar(_map_slices(_conn_af, _check_rate(rd), *vars(params).values()))
+
+
+def _conn_af(rd, *fields):
+    """``p_conn_af``'s kernel, at rd and SystemParams fields."""
+    gamma_o = _gamma(rd)
+    return _k1_outage(gamma_o > 0, *_k1_arguments(_unchecked(SystemParams, *fields), gamma_o,
+                                                  af=True))
 
 
 def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:
@@ -212,13 +241,21 @@ def tradeoff_residual(params: SystemParams, config: RateConfig):
     The relation holds exactly at first order, where pl/pref is 1 - u and
     po is a, for weight * a = u.  Fed the exact closed forms, the residual
     measures how fast they approach it (O(1/snr^2) up to a log factor).
-    Broadcasts; a scalar input gives a Python float.
+    Broadcasts, slice by slice (``_map_slices``); a scalar input gives a
+    Python float.
     """
-    th = thresholds(config)
-    _, u = _secrecy_terms(params, th.gamma_s)
-    po = p_conn_mf(params, config.rd)
-    weight = (th.gamma_s / th.gamma_1) * (params.eps2 / (params.eps1 + params.eps2))
-    return _scalar(np.exp(-u) + weight * po - 1.0)
+    rd = _check_rate(config.rd)
+    _check_rate(rd - config.rs)
+    return _scalar(_map_slices(_tradeoff, rd, config.rs, *vars(params).values()))
+
+
+def _tradeoff(rd, rs, *fields):
+    """``tradeoff_residual``'s kernel, at rd, rs and SystemParams fields."""
+    params, gamma_s = _unchecked(SystemParams, *fields), _gamma(rd - rs)
+    _, u = _secrecy_terms(params, gamma_s)
+    po = _conn_mf(rd, params.ps, params.sigma2, params.eps1, params.eps2)
+    weight = (gamma_s / (_gamma(rd) + 0.5)) * (params.eps2 / (params.eps1 + params.eps2))
+    return np.exp(-u) + weight * po - 1.0
 
 
 def _conn_event(scheme: Scheme, params: SystemParams, th: Thresholds, g1, g2,

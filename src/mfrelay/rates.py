@@ -4,8 +4,9 @@ decode-forward (DF) relaying schemes.  The Monte Carlo outage events
 reuse the end-to-end and relay SNRs written here.
 
 ``rate_report`` is the one place a rate quantity is formed: it takes the
-noise, relay and cut-set terms once each, and ``mf_rates``, ``af_rates``,
-``secrecy_upper_bound`` and ``mf_gap`` are views of its fields.
+noise, relay and cut-set terms once each, slice by slice, and
+``mf_rates``, ``af_rates``, ``secrecy_upper_bound`` and ``mf_gap`` are
+views of its fields.
 
 Every function broadcasts over array-valued parameter/realization fields.
 All logarithms are base 2, so rates are in bits per real dimension;
@@ -19,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemParams
+from .channel import ChannelRealization, SystemParams, _map_slices, _unchecked
 from .numerics import _scalar
 
 
@@ -74,19 +75,31 @@ def sigma_e_sq(params: SystemParams, real: ChannelRealization):
     min{ps, ps*sigma2/(g1*ps + sigma2) + ps*sigma2/(g2*ps + sigma2)};
     the clamp at ps is active only when both hops are useless.
     """
-    ps, s2 = params.ps, params.sigma2
-    mmse = ps * s2 / (real.g1 * ps + s2) + ps * s2 / (real.g2 * ps + s2)
-    return np.minimum(ps, mmse)
+    return _sigma_e_sq(params, real.g1, real.g2)
 
 
 def cutset_capacity(params: SystemParams, real: ChannelRealization):
     """Two-hop cut-set capacity bound (1/2)log2(1 + min(g1,g2) ps/sigma2)."""
-    return 0.5 * np.log2(1.0 + _e2e_snr(Scheme.UPPER, params, real.g1, real.g2))
+    return _cutset_capacity(params, real.g1, real.g2)
 
 
 def relay_capacity(params: SystemParams, real: ChannelRealization):
     """Rate the (untrusted) relay can decode at, with jamming as noise."""
-    return 0.5 * np.log2(1.0 + _relay_sinr(params, real.g1, real.g2))
+    return _relay_capacity(params, real.g1, real.g2)
+
+
+# the three forms above at gains (g1, g2), which rate_report's kernel calls
+def _sigma_e_sq(params: SystemParams, g1, g2):
+    ps, s2 = params.ps, params.sigma2
+    return np.minimum(ps, ps * s2 / (g1 * ps + s2) + ps * s2 / (g2 * ps + s2))
+
+
+def _cutset_capacity(params: SystemParams, g1, g2):
+    return 0.5 * np.log2(1.0 + _e2e_snr(Scheme.UPPER, params, g1, g2))
+
+
+def _relay_capacity(params: SystemParams, g1, g2):
+    return 0.5 * np.log2(1.0 + _relay_sinr(params, g1, g2))
 
 
 @dataclass(frozen=True)
@@ -107,24 +120,34 @@ class RateReport:
 
 
 def rate_report(params: SystemParams, real: ChannelRealization) -> RateReport:
-    """Every rate quantity of the realization, each formed once here; the
-    views below read its fields.  ``cr`` and ``rr`` are both the relay rate.
+    """Every rate quantity of the realization, each formed once here, slice
+    by slice (``_map_slices``); the views below read its fields.  ``cr``
+    and ``rr`` are both the relay rate, one array.
 
     MF pairs its closed lower-bound destination rate with the relay rate
     (the form the 1/2-bit gap bounds); AF's rate is taken after the
     destination cancels its jamming.
     """
-    se2 = sigma_e_sq(params, real)
-    rr = relay_capacity(params, real)
-    cd = cutset_capacity(params, real)
-    rd_lower = _pos(0.5 * np.log2(0.5 + _e2e_snr(Scheme.MF, params, real.g1, real.g2)))
+    cd, u, se2, rd_exact, rd_lower, rr, rs_mf, snr_af, rs_af, gap = _map_slices(
+        _rate_fields, params.ps, params.pd, params.sigma2, real.g1, real.g2, outs=10)
+    return RateReport(cd_upper=cd, cr=rr, upper_bound_u=u, sigma_e2=se2, rd_mf_exact=rd_exact,
+                      rd_mf_lower=rd_lower, rr=rr, rs_mf=rs_mf, snr_af=snr_af, rs_af=rs_af,
+                      gap=gap)
+
+
+def _rate_fields(ps, pd, sigma2, g1, g2):
+    """``rate_report``'s kernel: its fields in order, ``cr`` left out, at
+    (ps, pd, sigma2) and gains (g1, g2)."""
+    params = _unchecked(SystemParams, ps, pd, sigma2)
+    se2 = _sigma_e_sq(params, g1, g2)
+    rr = _relay_capacity(params, g1, g2)
+    cd = _cutset_capacity(params, g1, g2)
+    rd_lower = _pos(0.5 * np.log2(0.5 + _e2e_snr(Scheme.MF, params, g1, g2)))
     rs_mf = _pos(rd_lower - rr)
-    snr_af = _e2e_snr(Scheme.AF, params, real.g1, real.g2)
+    snr_af = _e2e_snr(Scheme.AF, params, g1, g2)
     u = _pos(cd - rr)
-    return RateReport(cd_upper=cd, cr=rr, upper_bound_u=u, sigma_e2=se2,
-                      rd_mf_exact=_pos(0.5 * np.log2(params.ps / se2)), rd_mf_lower=rd_lower,
-                      rr=rr, rs_mf=rs_mf, snr_af=snr_af,
-                      rs_af=_pos(0.5 * np.log2(1.0 + snr_af) - rr), gap=u - rs_mf)
+    return (cd, u, se2, _pos(0.5 * np.log2(ps / se2)), rd_lower, rr, rs_mf, snr_af,
+            _pos(0.5 * np.log2(1.0 + snr_af) - rr), u - rs_mf)
 
 
 def secrecy_upper_bound(params: SystemParams, real: ChannelRealization):

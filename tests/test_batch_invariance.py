@@ -1,5 +1,9 @@
 """A closed form gives the same bits for a point alone or inside an array:
-one array call equals the per-point scalar calls, bit for bit."""
+one array call equals the per-point scalar calls, bit for bit, and a bulk
+call equals its slices' calls."""
+
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfrelay import (ChannelRealization, RateConfig, Scheme, SystemParams, af_rates, bessel_k1,
-                     df_comparison, estimate_gsdg, estimate_gsdof, gsdg_closed_form,
-                     gsdof_closed_form, mf_gap, mf_rates,
-                     mod_lattice, outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
-                     p_secrecy, p_secrecy_threshold, rate_report, secrecy_upper_bound,
-                     thresholds, tradeoff_residual)
+                     channel, df_comparison, estimate_gsdg, estimate_gsdof, gsdg_closed_form,
+                     gsdof_closed_form, mf_gap, mf_rates, mod_lattice, outage, outage_probs,
+                     p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy, p_secrecy_threshold,
+                     rate_report, secrecy_upper_bound, thresholds, tradeoff_residual)
+from mfrelay.channel import _SLICE, _slices
+
 
 def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
@@ -151,3 +156,59 @@ def test_k1_lattice_and_df_are_batch_invariant(xs):
     for fn in fns:
         assert_same_bits(fn, (np.array(xs),), [(x,) for x in xs])
         assert all(type(v) is float for x in xs for v in _fields(fn(x)).values())
+
+
+_BULK_FORMS = {
+    "p_conn_mf": lambda p, c, g: p_conn_mf(p, c.rd),
+    "p_conn_af": lambda p, c, g: p_conn_af(p, c.rd),
+    "p_conn_cutset_lower": lambda p, c, g: p_conn_cutset_lower(p, c.rd),
+    "p_secrecy": lambda p, c, g: p_secrecy(p, c),
+    "p_secrecy_threshold": lambda p, c, g: p_secrecy_threshold(p, thresholds(c).gamma_s),
+    "tradeoff_residual": lambda p, c, g: tradeoff_residual(p, c),
+    "rate_report": lambda p, c, g: rate_report(p, g),
+    "bessel_k1": lambda p, c, g: bessel_k1(p.ps),
+}
+
+
+def _bulk(points, slices):
+    """Every bulk form's fields at these points, each form called once per
+    slice of them and the slices' bytes joined."""
+    out = {}
+    for s in slices:
+        records = _records(*points[s].T)
+        for name, form in _BULK_FORMS.items():
+            for field, value in _fields(form(*records)).items():
+                out.setdefault(f"{name}.{field}", []).append(np.asarray(value).tobytes())
+    return {k: b"".join(v) for k, v in out.items()}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(_POINT, min_size=1, max_size=20), st.sampled_from([1, 4, 9]),
+       st.sampled_from([-1, 1]), st.integers(0, 2 ** 32 - 1))
+def test_bulk_forms_equal_their_slices_at_any_worker_count(points, k, offset, seed):
+    # k slices of points drawn from the examples, plus or minus one point (up
+    # to three blocks, so up to three workers); the first has rd = 0 and the
+    # last the largest rd below 512
+    n = k * _SLICE + offset
+    points = np.array(points)[np.random.default_rng(seed).integers(0, len(points), n)]
+    points[0, 5], points[-1, 5] = 0.0, np.nextafter(512.0, 0.0)
+    with np.errstate(all="ignore"):
+        sliced = _bulk(points, list(_slices(n)))
+        for workers in (1, 2, 3):
+            with mock.patch.object(channel, "_WORKERS", workers):
+                assert _bulk(points, [slice(None)]) == sliced
+
+
+def test_a_rate_past_512_in_the_last_slice_is_refused_before_any_slice():
+    n = 2 * _SLICE + 1
+    rd = np.full(n, 1.0)
+    rd[-1] = 512.0
+    params = SystemParams(ps=np.full(n, 10.0), pd=1.0, sigma2=1.0)
+    message = re.escape("rd must be below 512 bits: 2^(2 rd) overflows a double")
+    with mock.patch.object(outage, "_map_slices", side_effect=AssertionError):
+        for form in (p_conn_mf, p_conn_af, p_conn_cutset_lower):
+            with pytest.raises(ValueError, match=message):
+                form(params, rd)
+        for form in (p_secrecy, tradeoff_residual, outage_probs):
+            with pytest.raises(ValueError, match=message):
+                form(params, RateConfig(rd=rd, rs=0.0))

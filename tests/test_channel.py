@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -9,10 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from mfrelay import channel
-from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, _blocks,
-                             _map_blocks, derived_ratios, rng_stream, sample_gains,
-                             sample_realization, thresholds)
+from mfrelay import (bessel_k1, channel, p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy,
+                     p_secrecy_threshold, rate_report, tradeoff_residual)
+from mfrelay.channel import (_BLOCK, _SLICE, ChannelRealization, RateConfig, SystemParams,
+                             _blocks, _map_blocks, _map_slices, derived_ratios, rng_stream,
+                             sample_gains, sample_realization, thresholds)
 from mfrelay.latticesim import LatticeConfig
 
 
@@ -366,3 +369,133 @@ class TestMapBlocks:
         assert caught.value is error
         # block 22 of 40 failed; at most 2 per thread had been submitted past it
         assert len(ran) <= 22 + 2 * 3 and (3, 9) not in ran
+
+
+def test_import_leaves_the_thread_pool_and_logging_unloaded():
+    code = ("import sys, mfrelay; "
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def _every_bulk_form(n):
+    """Call every form that runs on _map_slices once, on n points."""
+    x = np.linspace(1.0, 2.0, n)
+    params, rc = SystemParams(ps=10.0 * x, pd=x, sigma2=1.0), RateConfig(rd=x, rs=0.5 * x)
+    real = ChannelRealization.from_gains(x, 2.0 * x)
+    for form in (p_conn_mf, p_conn_af, p_conn_cutset_lower):
+        form(params, rc.rd)
+    p_secrecy(params, rc)
+    p_secrecy_threshold(params, x)
+    tradeoff_residual(params, rc)
+    rate_report(params, real)
+    bessel_k1(x)
+
+
+class TestMapSlices:
+    """The slice driver of the bulk closed forms: a call of one slice runs
+    the kernel as it is; a larger one runs it on slices, in the caller
+    within one block and on one pool over more, into one preallocated array
+    per output."""
+
+    N = 2 * _BLOCK + 1  # three blocks, so two workers
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self):
+        with mock.patch.object(channel, "_WORKERS", 2):
+            yield
+
+    @staticmethod
+    def recording(calls):
+        def kernel(x, c):
+            calls.append((x, c, threading.get_ident()))
+            return x + c
+        return kernel
+
+    def test_one_slice_runs_the_kernel_on_the_args_themselves(self):
+        calls = []
+        x = np.arange(float(_SLICE))
+        assert _map_slices(self.recording(calls), x, 1.0).tobytes() == (x + 1.0).tobytes()
+        assert len(calls) == 1 and calls[0][0] is x and calls[0][2] == threading.get_ident()
+
+    @pytest.mark.parametrize("n", [_SLICE + 1, N])
+    def test_a_larger_call_runs_the_kernel_on_slices(self, n):
+        calls = []
+        x = np.arange(float(n))
+        assert _map_slices(self.recording(calls), x, 1.0).tobytes() == (x + 1.0).tobytes()
+        sizes = [c.size for c, _, _ in calls]
+        assert len(sizes) > 1 and max(sizes) <= _SLICE and sum(sizes) == n
+        assert all(c == 1.0 for _, c, _ in calls)
+        threads = {thread for _, _, thread in calls}
+        if n > _BLOCK:
+            assert threading.get_ident() not in threads and len(threads) <= 2
+        else:
+            assert threads == {threading.get_ident()}
+
+    def test_more_workers_than_cores_write_every_slice_once(self):
+        # eight threads switching every 10 us write disjoint slices of one output
+        n = 8 * _BLOCK + 1
+        x = np.arange(float(n))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(channel, "_WORKERS", 8):
+                got = _map_slices(lambda x, c: (x * c, x + c), x, 3.0, outs=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0].tobytes() == (x * 3.0).tobytes() and got[1].tobytes() == (x + 3.0).tobytes()
+
+    def test_a_call_within_one_block_starts_no_pool(self):
+        with mock.patch("concurrent.futures.ThreadPoolExecutor", side_effect=AssertionError):
+            for n in (1, _SLICE, _BLOCK):
+                _every_bulk_form(n)
+            assert type(p_conn_mf(SystemParams(ps=10.0, pd=1.0, sigma2=1.0), 1.0)) is float
+
+    def test_a_larger_call_starts_one_pool(self):
+        # every kernel runs on a slice, so none starts a pool of its own
+        from concurrent.futures import ThreadPoolExecutor
+
+        with mock.patch("concurrent.futures.ThreadPoolExecutor",
+                        side_effect=ThreadPoolExecutor) as spy:
+            _every_bulk_form(self.N)
+        assert spy.call_count == 8 + 2  # one per form, and from_gains checks h1 and h2
+
+    def test_outputs_take_the_broadcast_shape_and_the_kernel_bits(self):
+        a, b = np.linspace(0.0, 1.0, 3)[:, None], np.linspace(1.0, 2.0, _BLOCK)[None, :]
+        total, product = _map_slices(lambda a, b, c: (a + b, a * b * c), a, b, 2.0, outs=2)
+        assert total.shape == product.shape == (3, _BLOCK)
+        assert total.tobytes() == (a + b).tobytes() and product.tobytes() == (a * b * 2.0).tobytes()
+        assert _map_slices(np.less, a, b, dtype=bool).tobytes() == (a < b).tobytes()
+
+    def test_a_failing_slice_raises_in_the_caller(self):
+        def kernel(x):
+            if x[-1] == self.N - 1:
+                raise ZeroDivisionError("last slice")
+            return x
+
+        with pytest.raises(ZeroDivisionError, match="last slice"):
+            _map_slices(kernel, np.arange(float(self.N)))
+
+    def test_an_overflow_warning_in_a_worker_slice_reaches_the_caller(self):
+        # only the last slice overflows (ps*ps in AF's end-to-end SNR)
+        ps = np.ones(self.N)
+        ps[-1] = 1e300
+        params = SystemParams(ps=ps, pd=1.0, sigma2=1.0)
+        real = ChannelRealization.from_gains(1.0, 1.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rate_report(params, real)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                rate_report(params, real)
+
+    def test_an_overflow_warning_in_a_worker_slice_is_an_error_under_w_error(self):
+        code = ("import numpy as np; from mfrelay import channel, ChannelRealization, "
+                "SystemParams, rate_report; channel._WORKERS = 2; "
+                "ps = np.ones(2 * channel._BLOCK + 1); ps[-1] = 1e300; "
+                "rate_report(SystemParams(ps=ps, pd=1.0, sigma2=1.0), "
+                "ChannelRealization.from_gains(1.0, 1.0))")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith("RuntimeWarning: overflow")

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfrelay.numerics import (_K1_CHEB, _K1_SLICE, Interval, _k1_chebyshev, _k1_map, _k1_series,
-                              bessel_k1, slope_fit)
+from mfrelay.channel import _SLICE
+from mfrelay.numerics import (_K1_CHEB, Interval, _k1_chebyshev, _k1_map, _k1_series, bessel_k1,
+                              slope_fit)
 
 # oracle: mpmath.besselk(1, x) at 40 digits
 K1_ORACLE = {
@@ -206,11 +207,11 @@ def test_k1_map_is_elementwise():
 
 
 def test_k1_map_gives_each_formula_only_its_own_points():
-    # the split is made once, by index: neither formula sees a point of the
-    # other branch, and between them they see every point once, with the
-    # argument that belongs to it
+    # the split is made once per call, by index: neither formula sees a point
+    # of the other branch, and between them they see every point once, with
+    # the argument that belongs to it
     rng = np.random.default_rng(4)
-    xs = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, _K1_SLICE + 999),
+    xs = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, _SLICE + 999),
                          [2.0, np.nextafter(2.0, 3.0)]])
     rng.shuffle(xs)
     seen = {"small": [], "large": []}
@@ -225,7 +226,7 @@ def test_k1_map_gives_each_formula_only_its_own_points():
     out = _k1_map(branch("small"), branch("large"), xs, -xs)
     assert np.array_equal(out, -xs)
     small, large = np.concatenate(seen["small"]), np.concatenate(seen["large"])
-    assert len(seen["small"]) == len(seen["large"]) == 2  # two slices, both mixed
+    assert len(seen["small"]) == len(seen["large"]) == 1  # one call for each branch
     assert np.all(small <= 2.0) and np.all(large > 2.0)
     assert small.size + large.size == xs.size
     assert 2.0 in small and np.nextafter(2.0, 3.0) in large

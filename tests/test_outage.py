@@ -524,7 +524,7 @@ class TestMonteCarlo:
     def test_zero_points_give_empty_counts_without_a_pool(self):
         # a ThreadPoolExecutor of 0 workers used to refuse to start
         schemes = (Scheme.MF, Scheme.AF)
-        with mock.patch.object(channel.futures, "ThreadPoolExecutor", side_effect=AssertionError):
+        with mock.patch("concurrent.futures.ThreadPoolExecutor", side_effect=AssertionError):
             assert _mc_counts(params(), RateConfig(1.0, 0.5), schemes, 10, 1, np.arange(0)) == []
             counts = _mc_counts(params(ps=np.array([[4.0], [5.0]])), RateConfig(1.0, 0.5), schemes,
                                 10, 1, np.arange(0))

@@ -217,10 +217,10 @@ class TestOneRateBuilder:
                 return fn(*args)
             return wrapper
 
-        for name in ("sigma_e_sq", "relay_capacity", "cutset_capacity"):
+        for name in ("_sigma_e_sq", "_relay_capacity", "_cutset_capacity"):
             monkeypatch.setattr(rates, name, counted(name))
         rate_report(*random_draws(11, n=50))
-        assert counts == {"sigma_e_sq": 1, "relay_capacity": 1, "cutset_capacity": 1}
+        assert counts == {"_sigma_e_sq": 1, "_relay_capacity": 1, "_cutset_capacity": 1}
 
     @pytest.mark.parametrize("point", [random_draws(12), (params(pd=3.0), gains(1.0, 4.0))],
                              ids=["random_draws", "scalar"])
