@@ -242,9 +242,10 @@ def _residual_stage(draws, case, x_r, r, tmp):
 
 
 def _identity_drift(r, y, out, delta, tmp):
-    """max |fold(r - y)| over a slice, computed in ``out`` (r's or y's
-    array, or scratch).  The whole modulo algebra collapses to
-    y == fold(r); a drift beyond 1e-9*delta is refused."""
+    """max |fold(r - y)| over a slice, computed in ``out``, slice-sized
+    scratch, so that r and y keep their values for their sums.  The whole
+    modulo algebra collapses to y == fold(r); a drift beyond 1e-9*delta
+    is refused."""
     np.subtract(r, y, out=out)
     drift = float(np.max(np.abs(_fold(out, delta, tmp), out=out)))
     if drift > 1e-9 * delta:
@@ -302,7 +303,7 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
 
     def block(rng, buf):
-        draws, x_r, w = buf[:5], buf[5], buf[6]
+        draws, x_r, y, r = buf[:5], buf[5], buf[6], buf[7]
         _block_draws(rng, draws, delta, params)
         scratch = np.empty((2, min(x_r.size, _SLICE)))
         squares = np.empty((len(cases), 3))
@@ -310,26 +311,23 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
         drifts = np.empty(len(cases))
         for k, case in enumerate(cases):
             drift = 0.0
-            for s in _slices(x_r.size):  # x_r, y into w, and the identity check
-                r, tmp = scratch[:, :x_r[s].size]
+            for s in _slices(x_r.size):  # x_r, y, r and the identity check
+                out, tmp = scratch[:, :x_r[s].size]
                 if relays[k]:
                     _relay_stage(draws[:, s], case, delta, x_r[s], tmp)
-                _destination_stage(draws[:, s], case, delta, x_r[s], w[s], tmp)
-                _residual_stage(draws[:, s], case, x_r[s], r, tmp)
-                drift = max(drift, _identity_drift(r, w[s], r, delta, tmp))
-            squares[k, 1] = _sum_of_squares(w)
-            for s in _slices(x_r.size):  # r into w, again from x_r
-                _residual_stage(draws[:, s], case, x_r[s], w[s], scratch[1, :x_r[s].size])
-            squares[k, 2] = _sum_of_squares(w)
-            if relays[k]:  # x_r squared into w, so that the next alpha still has it
+                _destination_stage(draws[:, s], case, delta, x_r[s], y[s], tmp)
+                _residual_stage(draws[:, s], case, x_r[s], r[s], tmp)
+                drift = max(drift, _identity_drift(r[s], y[s], out, delta, tmp))
+            squares[k, 1:] = _sum_of_squares(y), _sum_of_squares(r)
+            if relays[k]:  # x_r squared into y, so that the next alpha still has it
                 hists[k] = np.histogram(x_r, bins=edges)[0]
-                squares[k, 0] = np.sum(np.square(x_r, out=w))
+                squares[k, 0] = np.sum(np.square(x_r, out=y))
             else:
                 hists[k], squares[k, 0] = hists[k - 1], squares[k - 1, 0]
             drifts[k] = drift
         return squares, hists, drifts
 
-    results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 7)
+    results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 8)
     squares, hists, drifts = zip(*results)
     squares, hist, drift = sum(squares), sum(hists), np.max(drifts, axis=0)
     expected = n / _UNIFORMITY_BINS

@@ -3,8 +3,9 @@ rates of the modulo-forward (MF), amplify-forward (AF), and lattice
 decode-forward (DF) relaying schemes.  The Monte Carlo outage events
 reuse the end-to-end and relay SNRs written here.
 
-``rate_report`` is the one place a rate quantity is formed: it takes the
-noise, relay and cut-set terms once each, slice by slice, and
+``rate_report`` is the one place a rate quantity is formed: its kernel
+``_rate_fields`` holds every formula and takes each term once, slice by
+slice, and ``sigma_e_sq``, ``cutset_capacity``, ``relay_capacity``,
 ``mf_rates``, ``af_rates``, ``secrecy_upper_bound`` and ``mf_gap`` are
 views of its fields.
 
@@ -75,31 +76,17 @@ def sigma_e_sq(params: SystemParams, real: ChannelRealization):
     min{ps, ps*sigma2/(g1*ps + sigma2) + ps*sigma2/(g2*ps + sigma2)};
     the clamp at ps is active only when both hops are useless.
     """
-    return _sigma_e_sq(params, real.g1, real.g2)
+    return rate_report(params, real).sigma_e2
 
 
 def cutset_capacity(params: SystemParams, real: ChannelRealization):
     """Two-hop cut-set capacity bound (1/2)log2(1 + min(g1,g2) ps/sigma2)."""
-    return _cutset_capacity(params, real.g1, real.g2)
+    return rate_report(params, real).cd_upper
 
 
 def relay_capacity(params: SystemParams, real: ChannelRealization):
     """Rate the (untrusted) relay can decode at, with jamming as noise."""
-    return _relay_capacity(params, real.g1, real.g2)
-
-
-# the three forms above at gains (g1, g2), which rate_report's kernel calls
-def _sigma_e_sq(params: SystemParams, g1, g2):
-    ps, s2 = params.ps, params.sigma2
-    return np.minimum(ps, ps * s2 / (g1 * ps + s2) + ps * s2 / (g2 * ps + s2))
-
-
-def _cutset_capacity(params: SystemParams, g1, g2):
-    return 0.5 * np.log2(1.0 + _e2e_snr(Scheme.UPPER, params, g1, g2))
-
-
-def _relay_capacity(params: SystemParams, g1, g2):
-    return 0.5 * np.log2(1.0 + _relay_sinr(params, g1, g2))
+    return rate_report(params, real).rr
 
 
 @dataclass(frozen=True)
@@ -139,9 +126,9 @@ def _rate_fields(ps, pd, sigma2, g1, g2):
     """``rate_report``'s kernel: its fields in order, ``cr`` left out, at
     (ps, pd, sigma2) and gains (g1, g2)."""
     params = _unchecked(SystemParams, ps, pd, sigma2)
-    se2 = _sigma_e_sq(params, g1, g2)
-    rr = _relay_capacity(params, g1, g2)
-    cd = _cutset_capacity(params, g1, g2)
+    se2 = np.minimum(ps, ps * sigma2 / (g1 * ps + sigma2) + ps * sigma2 / (g2 * ps + sigma2))
+    rr = 0.5 * np.log2(1.0 + _relay_sinr(params, g1, g2))
+    cd = 0.5 * np.log2(1.0 + _e2e_snr(Scheme.UPPER, params, g1, g2))
     rd_lower = _pos(0.5 * np.log2(0.5 + _e2e_snr(Scheme.MF, params, g1, g2)))
     rs_mf = _pos(rd_lower - rr)
     snr_af = _e2e_snr(Scheme.AF, params, g1, g2)

@@ -410,9 +410,11 @@ def test_batch_of_scalings_equals_scalar_calls():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts the blocks drawn and the symbols the relay stage processes."""
-    counts = {"blocks": 0, "relayed": 0}
+    """Counts the blocks drawn and the symbols the relay and residual
+    stages process."""
+    counts = {"blocks": 0, "relayed": 0, "residuals": 0}
     block_draws, relay_stage = latticesim._block_draws, latticesim._relay_stage
+    residual_stage = latticesim._residual_stage
 
     def draws(rng, rows, delta, params):
         counts["blocks"] += 1
@@ -422,8 +424,13 @@ def counted(monkeypatch):
         counts["relayed"] += x_r.size
         relay_stage(draws, case, delta, x_r, tmp)
 
+    def residual(draws, case, x_r, r, tmp):
+        counts["residuals"] += r.size
+        residual_stage(draws, case, x_r, r, tmp)
+
     monkeypatch.setattr(latticesim, "_block_draws", draws)
     monkeypatch.setattr(latticesim, "_relay_stage", relay)
+    monkeypatch.setattr(latticesim, "_residual_stage", residual)
     return counts
 
 
@@ -433,6 +440,7 @@ def test_chain_grid_draws_each_block_once(counted):
                    "mc_samples": n, "seed": 2})
     assert counted["blocks"] == 4  # not 9 * 4
     assert counted["relayed"] == 9 * n
+    assert counted["residuals"] == 9 * n  # one residual per case and symbol
 
 
 @pytest.mark.parametrize("scan", [
@@ -446,3 +454,4 @@ def test_scan_relays_once_per_beta(counted, scan):
     scan(params, real, cfg, [0.6, 0.75, 1.0], [0.7, 0.9])
     assert counted["blocks"] == 4
     assert counted["relayed"] == 2 * cfg.n_symbols  # 2 betas per block, not 6 pairs
+    assert counted["residuals"] == 6 * cfg.n_symbols  # one per pair

@@ -208,19 +208,23 @@ class TestCrossSchemeInvariants:
 class TestOneRateBuilder:
     def test_report_forms_each_term_once(self, monkeypatch):
         counts = {}
+        e2e_snr, relay_sinr = rates._e2e_snr, rates._relay_sinr
 
-        def counted(name):
-            fn = getattr(rates, name)
+        def counted_e2e_snr(scheme, *args):
+            counts[scheme] = counts.get(scheme, 0) + 1
+            return e2e_snr(scheme, *args)
 
-            def wrapper(*args):
-                counts[name] = counts.get(name, 0) + 1
-                return fn(*args)
-            return wrapper
+        def counted_relay_sinr(*args):
+            counts["relay"] = counts.get("relay", 0) + 1
+            return relay_sinr(*args)
 
-        for name in ("_sigma_e_sq", "_relay_capacity", "_cutset_capacity"):
-            monkeypatch.setattr(rates, name, counted(name))
-        rate_report(*random_draws(11, n=50))
-        assert counts == {"_sigma_e_sq": 1, "_relay_capacity": 1, "_cutset_capacity": 1}
+        monkeypatch.setattr(rates, "_e2e_snr", counted_e2e_snr)
+        monkeypatch.setattr(rates, "_relay_sinr", counted_relay_sinr)
+        # the report and the views that read it: one report, each term once
+        for call in (rate_report, sigma_e_sq, relay_capacity, cutset_capacity):
+            counts.clear()
+            call(*random_draws(11, n=50))
+            assert counts == {Scheme.UPPER: 1, Scheme.MF: 1, Scheme.AF: 1, "relay": 1}, call
 
     @pytest.mark.parametrize("point", [random_draws(12), (params(pd=3.0), gains(1.0, 4.0))],
                              ids=["random_draws", "scalar"])
@@ -229,7 +233,8 @@ class TestOneRateBuilder:
         views = [(mf.rd_exact, rep.rd_mf_exact), (mf.rd_lower, rep.rd_mf_lower),
                  (mf.rr, rep.rr), (mf.rs, rep.rs_mf), (af.snr_af, rep.snr_af),
                  (af.rs_af, rep.rs_af), (secrecy_upper_bound(*point), rep.upper_bound_u),
-                 (mf_gap(*point), rep.gap), (rep.cr, rep.rr)]
+                 (mf_gap(*point), rep.gap), (rep.cr, rep.rr), (sigma_e_sq(*point), rep.sigma_e2),
+                 (relay_capacity(*point), rep.rr), (cutset_capacity(*point), rep.cd_upper)]
         for view, field in views:
             assert type(view) is type(field)
             assert np.asarray(view).tobytes() == np.asarray(field).tobytes()
