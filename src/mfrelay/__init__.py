@@ -14,23 +14,17 @@ from .numerics import Interval, bessel_k1, slope_fit
 from .outage import (MCEstimate, OutageProbs, mc_outage, outage_probs, p_conn_af,
                      p_conn_cutset_lower, p_conn_mf, p_secrecy,
                      p_secrecy_threshold, tradeoff_residual)
-from .rates import (AfRates, DfComparison, MfRates, RateReport, Scheme, af_rates,
-                    cutset_capacity, df_comparison, mf_gap, mf_rates,
-                    rate_report, relay_capacity, secrecy_upper_bound,
-                    sigma_e_sq)
+from .rates import DfComparison, RateReport, Scheme, df_comparison, rate_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AfRates", "ChainReport", "ChannelRealization", "DfComparison", "Interval",
-    "LatticeConfig", "MCEstimate", "MfRates", "OutageProbs", "RateConfig",
-    "RateReport", "Scheme", "SystemParams", "Thresholds", "af_rates",
-    "bessel_k1", "cutset_capacity", "derived_ratios", "df_comparison",
-    "estimate_gsdof", "estimate_gsdg", "gsdg_closed_form", "gsdof_closed_form",
-    "mc_outage", "mf_gap", "mf_rates", "mmse_scalings", "mod_lattice",
-    "outage_probs", "p_conn_af", "p_conn_cutset_lower", "p_conn_mf",
-    "p_secrecy", "p_secrecy_threshold", "rate_report", "relay_capacity",
-    "rng_stream", "sample_realization", "scan_scaling", "secrecy_upper_bound",
-    "sigma_e_sq", "simulate_chain", "slope_fit", "thresholds",
-    "tradeoff_residual", "__version__",
+    "ChainReport", "ChannelRealization", "DfComparison", "Interval", "LatticeConfig",
+    "MCEstimate", "OutageProbs", "RateConfig", "RateReport", "Scheme", "SystemParams",
+    "Thresholds", "bessel_k1", "derived_ratios", "df_comparison", "estimate_gsdof",
+    "estimate_gsdg", "gsdg_closed_form", "gsdof_closed_form", "mc_outage", "mmse_scalings",
+    "mod_lattice", "outage_probs", "p_conn_af", "p_conn_cutset_lower", "p_conn_mf",
+    "p_secrecy", "p_secrecy_threshold", "rate_report", "rng_stream", "sample_realization",
+    "scan_scaling", "simulate_chain", "slope_fit", "thresholds", "tradeoff_residual",
+    "__version__",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 from .channel import (_SLICE, ChannelRealization, SystemParams, _all_finite, _is_number,
                       _map_blocks, _slices, rng_stream)
 from .numerics import _scalar
-from .rates import sigma_e_sq
+from .rates import rate_report
 
 _UNIFORMITY_BINS = 64
 _DOF = _UNIFORMITY_BINS - 1  # odd, which the closed-form chi-square tail needs
@@ -245,19 +245,27 @@ def _identity_drift(r, y, out, delta, tmp):
     """max |fold(r - y)| over a slice, computed in ``out``, slice-sized
     scratch, so that r and y keep their values for their sums.  The whole
     modulo algebra collapses to y == fold(r); a drift beyond 1e-9*delta
-    is refused."""
+    is refused as a ValueError: the jamming then spans too many cells for a
+    double to place a symbol within its cell (pd far above ps does it)."""
     np.subtract(r, y, out=out)
     drift = float(np.max(np.abs(_fold(out, delta, tmp), out=out)))
     if drift > 1e-9 * delta:
-        raise RuntimeError(f"modulo-chain identity violated (drift {drift:.3e})")
+        raise ValueError(f"modulo-chain identity violated (drift {drift:.3e} > 1e-9*delta): "
+                         "the jamming spans too many lattice cells for double precision "
+                         "(pd far above ps)")
     return drift
 
 
-def _sum_of_squares(row):
-    """Sum of the squares of a block row, squared in place; summed over the
-    whole row, in numpy's pairwise order for that length."""
-    np.square(row, out=row)
-    return np.sum(row)
+def _sum_of_squares(row, factor, out=None):
+    """Sum of the squares of a block row times ``factor``, a power of two
+    near one over the cell width, squared in place (in ``out`` when given,
+    so that row keeps its values); summed over the whole row, in numpy's
+    pairwise order for that length.  The factor keeps the sum finite for
+    any ps and, where no square is subnormal, changes no bit of it but the
+    exponent."""
+    out = np.multiply(row, factor, out=row if out is None else out)
+    np.square(out, out=out)
+    return np.sum(out)
 
 
 def _check_chain(params, real, cfg):
@@ -300,6 +308,8 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     # a point reuses the relay output of the point before it when they share it
     relays = [k == 0 or case.relay != cases[k - 1].relay for k, case in enumerate(cases)]
     delta, n = cfg.delta, int(cfg.n_symbols)
+    scale = math.frexp(delta)[1]  # the sums of squares are of values times 2^-scale
+    factor = math.ldexp(1.0, -scale)
     edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
 
     def block(rng, buf):
@@ -318,10 +328,10 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
                 _destination_stage(draws[:, s], case, delta, x_r[s], y[s], tmp)
                 _residual_stage(draws[:, s], case, x_r[s], r[s], tmp)
                 drift = max(drift, _identity_drift(r[s], y[s], out, delta, tmp))
-            squares[k, 1:] = _sum_of_squares(y), _sum_of_squares(r)
+            squares[k, 1:] = _sum_of_squares(y, factor), _sum_of_squares(r, factor)
             if relays[k]:  # x_r squared into y, so that the next alpha still has it
                 hists[k] = np.histogram(x_r, bins=edges)[0]
-                squares[k, 0] = np.sum(np.square(x_r, out=y))
+                squares[k, 0] = _sum_of_squares(x_r, factor, out=y)
             else:
                 hists[k], squares[k, 0] = hists[k - 1], squares[k - 1, 0]
             drifts[k] = drift
@@ -330,6 +340,7 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 8)
     squares, hists, drifts = zip(*results)
     squares, hist, drift = sum(squares), sum(hists), np.max(drifts, axis=0)
+    powers = np.ldexp(squares / n, 2 * scale)
     expected = n / _UNIFORMITY_BINS
     pvalues = [_uniformity_pvalue(np.sum((h - expected) ** 2) / expected) for h in hist]
 
@@ -337,10 +348,10 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
         return _scalar(np.array(values, dtype=float).reshape(shape))
 
     return ChainReport(
-        measured_relay_power=field(squares[:, 0] / n),
-        measured_residual_var=field(squares[:, 2] / n),
-        measured_folded_var=field(squares[:, 1] / n),
-        analytic_sigma_e2=field(np.broadcast_to(sigma_e_sq(params, real), shape)),
+        measured_relay_power=field(powers[:, 0]),
+        measured_residual_var=field(powers[:, 2]),
+        measured_folded_var=field(powers[:, 1]),
+        analytic_sigma_e2=field(np.broadcast_to(rate_report(params, real).sigma_e2, shape)),
         uniformity_pvalue=field(pvalues),
         alpha=field(point[3]),
         beta=field(point[4]),

@@ -3,11 +3,9 @@ rates of the modulo-forward (MF), amplify-forward (AF), and lattice
 decode-forward (DF) relaying schemes.  The Monte Carlo outage events
 reuse the end-to-end and relay SNRs written here.
 
-``rate_report`` is the one place a rate quantity is formed: its kernel
-``_rate_fields`` holds every formula and takes each term once, slice by
-slice, and ``sigma_e_sq``, ``cutset_capacity``, ``relay_capacity``,
-``mf_rates``, ``af_rates``, ``secrecy_upper_bound`` and ``mf_gap`` are
-views of its fields.
+``rate_report`` is the one place a rate quantity is formed and read: its
+kernel ``_rate_fields`` holds every formula and takes each term once,
+slice by slice, and each ``RateReport`` field names one quantity.
 
 Every function broadcasts over array-valued parameter/realization fields.
 All logarithms are base 2, so rates are in bits per real dimension;
@@ -26,10 +24,9 @@ from .numerics import _scalar
 
 
 class Scheme(Enum):
-    UPPER = "upper"
+    UPPER = "upper"  # the cut-set law backs the upper bound
     MF = "mf"
     AF = "af"
-    CUTSET = "upper"  # alias: the cut-set law backs the upper bound
 
 
 def _pos(x):
@@ -70,61 +67,41 @@ def _relay_sinr(params: SystemParams, g1, g2, out=None, tmp=None):
     return _scalar(np.divide(np.multiply(params.ps, g1, out=out), den, out=out))
 
 
-def sigma_e_sq(params: SystemParams, real: ChannelRealization):
-    """Equivalent noise variance of the end-to-end modulo channel.
-
-    min{ps, ps*sigma2/(g1*ps + sigma2) + ps*sigma2/(g2*ps + sigma2)};
-    the clamp at ps is active only when both hops are useless.
-    """
-    return rate_report(params, real).sigma_e2
-
-
-def cutset_capacity(params: SystemParams, real: ChannelRealization):
-    """Two-hop cut-set capacity bound (1/2)log2(1 + min(g1,g2) ps/sigma2)."""
-    return rate_report(params, real).cd_upper
-
-
-def relay_capacity(params: SystemParams, real: ChannelRealization):
-    """Rate the (untrusted) relay can decode at, with jamming as noise."""
-    return rate_report(params, real).rr
-
-
 @dataclass(frozen=True)
 class RateReport:
-    """All per-realization rate quantities in one record."""
+    """All per-realization rate quantities in one record; rates in bits."""
 
-    cd_upper: float
-    cr: float
-    upper_bound_u: float
+    cd_upper: float       # two-hop cut-set capacity (1/2)log2(1 + min(g1,g2) ps/sigma2)
+    upper_bound_u: float  # [cd_upper - rr]^+, valid for any forwarding
+    # min{ps, ps*sigma2/(g1*ps + sigma2) + ps*sigma2/(g2*ps + sigma2)}, the MF
+    # chain's equivalent noise variance; the clamp at ps acts only when both hops are useless
     sigma_e2: float
-    rd_mf_exact: float
-    rd_mf_lower: float
-    rr: float
-    rs_mf: float
-    snr_af: float
-    rs_af: float
+    rd_mf_exact: float    # (1/2)log2(ps / sigma_e2), clipped
+    rd_mf_lower: float    # (1/2)log2(1/2 + snr*g1*g2/(g1+g2)), clipped
+    rr: float             # the relay's rate, decoding with the jamming as noise
+    rs_mf: float          # [rd_mf_lower - rr]^+
+    snr_af: float         # AF's SNR after the destination cancels its jamming
+    rs_af: float          # [(1/2)log2(1 + snr_af) - rr]^+
+    # upper_bound_u - rs_mf: in [0, 1/2] wherever g1*g2 and the SNR products are
+    # normal doubles; past that the products can underflow and it can read far above 1/2
     gap: float
 
 
 def rate_report(params: SystemParams, real: ChannelRealization) -> RateReport:
     """Every rate quantity of the realization, each formed once here, slice
-    by slice (``_map_slices``); the views below read its fields.  ``cr``
-    and ``rr`` are both the relay rate, one array.
+    by slice (``_map_slices``); a scalar point gives Python floats.
 
     MF pairs its closed lower-bound destination rate with the relay rate
     (the form the 1/2-bit gap bounds); AF's rate is taken after the
     destination cancels its jamming.
     """
-    cd, u, se2, rd_exact, rd_lower, rr, rs_mf, snr_af, rs_af, gap = _map_slices(
-        _rate_fields, params.ps, params.pd, params.sigma2, real.g1, real.g2, outs=10)
-    return RateReport(cd_upper=cd, cr=rr, upper_bound_u=u, sigma_e2=se2, rd_mf_exact=rd_exact,
-                      rd_mf_lower=rd_lower, rr=rr, rs_mf=rs_mf, snr_af=snr_af, rs_af=rs_af,
-                      gap=gap)
+    return RateReport(*map(_scalar, _map_slices(
+        _rate_fields, params.ps, params.pd, params.sigma2, real.g1, real.g2, outs=10)))
 
 
 def _rate_fields(ps, pd, sigma2, g1, g2):
-    """``rate_report``'s kernel: its fields in order, ``cr`` left out, at
-    (ps, pd, sigma2) and gains (g1, g2)."""
+    """``rate_report``'s kernel: its fields in order, at (ps, pd, sigma2)
+    and gains (g1, g2)."""
     params = _unchecked(SystemParams, ps, pd, sigma2)
     se2 = np.minimum(ps, ps * sigma2 / (g1 * ps + sigma2) + ps * sigma2 / (g2 * ps + sigma2))
     rr = 0.5 * np.log2(1.0 + _relay_sinr(params, g1, g2))
@@ -135,48 +112,6 @@ def _rate_fields(ps, pd, sigma2, g1, g2):
     u = _pos(cd - rr)
     return (cd, u, se2, _pos(0.5 * np.log2(ps / se2)), rd_lower, rr, rs_mf, snr_af,
             _pos(0.5 * np.log2(1.0 + snr_af) - rr), u - rs_mf)
-
-
-def secrecy_upper_bound(params: SystemParams, real: ChannelRealization):
-    """[cut-set capacity - relay capacity]^+, valid for any forwarding."""
-    return rate_report(params, real).upper_bound_u
-
-
-@dataclass(frozen=True)
-class MfRates:
-    rd_exact: float    # (1/2)log2(ps / sigma_e^2)
-    rd_lower: float    # (1/2)log2(1/2 + snr*g1*g2/(g1+g2)), clipped
-    rr: float          # relay rate
-    rs: float          # [rd_lower - rr]^+
-
-
-def mf_rates(params: SystemParams, real: ChannelRealization) -> MfRates:
-    """Achievable MF rates, read from ``rate_report``."""
-    rep = rate_report(params, real)
-    return MfRates(rd_exact=rep.rd_mf_exact, rd_lower=rep.rd_mf_lower, rr=rep.rr, rs=rep.rs_mf)
-
-
-@dataclass(frozen=True)
-class AfRates:
-    snr_af: float
-    rs_af: float
-
-
-def af_rates(params: SystemParams, real: ChannelRealization) -> AfRates:
-    """Post-cancellation SNR and secrecy rate of amplify-and-forward."""
-    rep = rate_report(params, real)
-    return AfRates(snr_af=rep.snr_af, rs_af=rep.rs_af)
-
-
-def mf_gap(params: SystemParams, real: ChannelRealization):
-    """Gap of the MF secrecy rate to the upper bound, both clipped.
-
-    Lies in [0, 1/2] wherever g1*g2 and the SNR products are normal
-    doubles: at most 1/2 bit when both are positive, and below 1/2
-    whenever the MF rate clips to zero.  Past that range the direct
-    products can underflow, and the gap can read far above 1/2.
-    """
-    return rate_report(params, real).gap
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from mfrelay.latticesim import LatticeConfig, simulate_chain
 from mfrelay.numerics import bessel_k1
 from mfrelay.outage import (mc_outage, p_conn_af, p_conn_mf, p_secrecy_threshold,
                             tradeoff_residual)
-from mfrelay.rates import mf_rates, secrecy_upper_bound
+from mfrelay.rates import rate_report
 
 
 def _report(num, detail):
@@ -34,8 +34,8 @@ def test_acceptance_01_half_bit_gap():
     rho = rng.uniform(0.0, 3.0, n)
     params = SystemParams(ps=snr * sigma2, pd=snr ** rho * sigma2, sigma2=sigma2)
     real = sample_realization(params, rng, size=n)
-    u = secrecy_upper_bound(params, real)
-    rs = mf_rates(params, real).rs
+    rep = rate_report(params, real)
+    u, rs = rep.upper_bound_u, rep.rs_mf
     active = (u > 0) & (rs > 0)
     gap = u[active] - rs[active]
     assert active.sum() > 10 ** 4

@@ -8,7 +8,7 @@ from mfrelay.asymptotics import (DEFAULT_SNR_GRID, Scheme, estimate_gsdof, estim
 from mfrelay.channel import ChannelRealization, RateConfig, SystemParams
 from mfrelay.numerics import slope_fit
 from mfrelay.outage import p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy
-from mfrelay.rates import af_rates, mf_rates, secrecy_upper_bound
+from mfrelay.rates import rate_report
 
 RHO_GRID = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
 
@@ -53,9 +53,6 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             gsdg_closed_form(Scheme.AF, -1.0)
 
-    def test_cutset_aliases_upper(self):
-        assert Scheme.CUTSET is Scheme.UPPER
-
 
 class TestNumericEstimators:
     def test_gsdof_matches_closed_forms_on_grid(self):
@@ -93,12 +90,11 @@ class TestNumericEstimators:
 
 def _gsdof_per_snr(scheme, rho, real):
     """Reference: one scalar SystemParams per grid point."""
-    rate = {Scheme.UPPER: secrecy_upper_bound, Scheme.MF: lambda p, r: mf_rates(p, r).rs,
-            Scheme.AF: lambda p, r: af_rates(p, r).rs_af}[scheme]
+    field = {Scheme.UPPER: "upper_bound_u", Scheme.MF: "rs_mf", Scheme.AF: "rs_af"}[scheme]
     ys = []
     for snr in DEFAULT_SNR_GRID:
         params = SystemParams(ps=snr, pd=snr ** rho, sigma2=1.0)
-        ys.append(rate(params, real) * np.log(2.0))
+        ys.append(getattr(rate_report(params, real), field) * np.log(2.0))
     return slope_fit(np.log(DEFAULT_SNR_GRID), ys)
 
 

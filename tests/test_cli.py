@@ -11,11 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mfrelay
 from mfrelay import cli
 from mfrelay.channel import ChannelRealization, RateConfig, SystemParams, thresholds
 from mfrelay.cli import SWEEPABLE, _axis_values, load_config, main, run_fig2, run_sweep
 from mfrelay.outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
-from mfrelay.rates import Scheme, af_rates, mf_gap, mf_rates, secrecy_upper_bound
+from mfrelay.rates import Scheme, rate_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -188,6 +189,25 @@ class TestChain:
         assert np.all(np.abs(col["relay_power"] - col["ps"]) / col["ps"] < 0.01)
         assert np.all(col["uniformity_pvalue"] > 1e-3)
 
+    def test_relay_power_near_the_double_range_edge(self, tmp_path):
+        # mc_samples * ps is past DBL_MAX: the sums of squares run scaled by a power of two
+        out = tmp_path / "chain.csv"
+        assert run_cli(["chain", "--out", str(out), "--ps", "1e305",
+                        "--mc-samples", "100000"]) == 0
+        col = columns(*read_table(out)[1:])
+        assert np.all(np.abs(col["relay_power"] - col["ps"]) / col["ps"] < 0.01)
+
+    def test_identity_past_double_precision_exits_2(self):
+        # ps = sigma2 = 1e-8 against pd up to 1e6: too many cells for a double to fold within
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfrelay", "chain", "--ps", "1e-8", "--sigma2", "1e-8",
+             "--mc-samples", "1000"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1  # no traceback
+        assert proc.stderr.startswith("error: modulo-chain identity violated")
+        assert proc.stdout == ""
+
 
 class TestPlumbing:
     def test_readme_library_example_runs(self):
@@ -195,6 +215,11 @@ class TestPlumbing:
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
         (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
         exec(compile(example, "README.md", "exec"), {})
+
+    def test_public_names_resolve_once(self):
+        assert len(mfrelay.__all__) == len(set(mfrelay.__all__))
+        for name in mfrelay.__all__:
+            assert hasattr(mfrelay, name), name
 
     def test_byte_identical_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -663,8 +688,8 @@ def per_row_fig2(cfg):
     rows = []
     for pd in _axis_values(cfg):
         params = SystemParams(ps=float(np.sqrt(pd)), pd=float(pd), sigma2=float(cfg["sigma2"]))
-        rows.append([pd, mf_rates(params, real).rs, af_rates(params, real).rs_af,
-                     secrecy_upper_bound(params, real), mf_gap(params, real)])
+        rep = rate_report(params, real)
+        rows.append([pd, rep.rs_mf, rep.rs_af, rep.upper_bound_u, rep.gap])
     return np.array(rows)
 
 

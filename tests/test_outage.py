@@ -14,7 +14,7 @@ from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _k1_arguments,
                             _mc_counts, _secrecy_terms, mc_outage, outage_probs, p_conn_af,
                             p_conn_cutset_lower, p_conn_mf, p_secrecy, p_secrecy_threshold,
                             tradeoff_residual)
-from mfrelay.rates import _relay_sinr, af_rates, cutset_capacity, mf_rates, relay_capacity
+from mfrelay.rates import _relay_sinr, rate_report
 
 
 def params(ps=10.0, pd=10.0, sigma2=1.0, eps1=1.0, eps2=1.0):
@@ -384,7 +384,7 @@ class TestTradeoffResidual:
 class TestMonteCarlo:
     def test_cutset_matches_closed_form(self):
         p = params()
-        conn, _, _ = mc_outage(p, RateConfig(rd=1.0, rs=0.5), Scheme.CUTSET, 10 ** 6, 11)
+        conn, _, _ = mc_outage(p, RateConfig(rd=1.0, rs=0.5), Scheme.UPPER, 10 ** 6, 11)
         cf = p_conn_cutset_lower(p, 1.0)
         assert abs(conn.p_hat - cf) <= 3 * conn.std_err
 
@@ -402,7 +402,7 @@ class TestMonteCarlo:
         rc = RateConfig(rd=1.0, rs=0.5)
         _, sec_mf, _ = mc_outage(p, rc, Scheme.MF, 10 ** 5, 13)
         _, sec_af, _ = mc_outage(p, rc, Scheme.AF, 10 ** 5, 13)
-        _, sec_cut, _ = mc_outage(p, rc, Scheme.CUTSET, 10 ** 5, 13)
+        _, sec_cut, _ = mc_outage(p, rc, Scheme.UPPER, 10 ** 5, 13)
         assert sec_mf.p_hat == sec_af.p_hat == sec_cut.p_hat
 
     def test_joint_obeys_union_bounds(self):
@@ -556,13 +556,13 @@ def test_events_are_rates_below_rd(ps, pd, sigma2, g1, g2, rd, rs_frac):
     rc = RateConfig(rd=rd, rs=rd * rs_frac)
     th = thresholds(rc)
     real = ChannelRealization.from_gains(g1, g2)
-    rates = {Scheme.MF: mf_rates(p, real).rd_lower,
-             Scheme.AF: 0.5 * np.log2(1.0 + af_rates(p, real).snr_af),
-             Scheme.UPPER: cutset_capacity(p, real)}
+    rep = rate_report(p, real)
+    rates = {Scheme.MF: rep.rd_mf_lower, Scheme.AF: 0.5 * np.log2(1.0 + rep.snr_af),
+             Scheme.UPPER: rep.cd_upper}
     for scheme, rate in rates.items():
         assume(abs(rate - rd) > 1e-9)
         assert bool(_conn_event(scheme, p, th, g1, g2)) == (rate < rd)
-    rr = relay_capacity(p, real)
+    rr = rep.rr
     assume(abs(rr - (rc.rd - rc.rs)) > 1e-9)
     assert bool(_relay_sinr(p, g1, g2) > th.gamma_s) == (rr > rc.rd - rc.rs)
 
