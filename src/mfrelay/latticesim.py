@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (_SLICE, ChannelRealization, SystemParams, _all_finite, _is_number,
-                      _map_blocks, _slices, rng_stream)
+                      _map_blocks, rng_stream)
 from .numerics import _scalar
 from .rates import rate_report
 
@@ -257,15 +257,28 @@ def _identity_drift(r, y, out, delta, tmp):
 
 
 def _sum_of_squares(row, factor, out=None):
-    """Sum of the squares of a block row times ``factor``, a power of two
-    near one over the cell width, squared in place (in ``out`` when given,
-    so that row keeps its values); summed over the whole row, in numpy's
-    pairwise order for that length.  The factor keeps the sum finite for
-    any ps and, where no square is subnormal, changes no bit of it but the
-    exponent."""
+    """Sum of the squares of a row times ``factor``, a power of two near
+    one over the cell width, squared in place (in ``out`` when given, so
+    that row keeps its values), in numpy's pairwise order for its length.
+    The factor keeps the sum finite for any ps and, where no square is
+    subnormal, changes no bit of it but the exponent."""
     out = np.multiply(row, factor, out=row if out is None else out)
     np.square(out, out=out)
     return np.sum(out)
+
+
+def _pairwise(leaf, start, stop):
+    """leaf(s) for each part s of range(start, stop), in order, added back
+    up the tree that cut them (left + right).  The cut is numpy's pairwise
+    summation's: halve, the first half rounded down to a multiple of 8,
+    down to parts of at most _SLICE.  So when leaf returns np.sum over its
+    part, the total has the bits of np.sum over the whole row."""
+    size = stop - start
+    if size <= _SLICE:
+        return leaf(slice(start, stop))
+    half = size // 2
+    half -= half % 8
+    return _pairwise(leaf, start, start + half) + _pairwise(leaf, start + half, stop)
 
 
 def _check_chain(params, real, cfg):
@@ -312,32 +325,31 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     factor = math.ldexp(1.0, -scale)
     edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
 
-    def block(rng, buf):
-        draws, x_r, y, r = buf[:5], buf[5], buf[6], buf[7]
+    def block(rng, draws):
         _block_draws(rng, draws, delta, params)
-        scratch = np.empty((2, min(x_r.size, _SLICE)))
-        squares = np.empty((len(cases), 3))
-        hists = np.empty((len(cases), _UNIFORMITY_BINS), dtype=np.int64)
-        drifts = np.empty(len(cases))
-        for k, case in enumerate(cases):
-            drift = 0.0
-            for s in _slices(x_r.size):  # x_r, y, r and the identity check
-                out, tmp = scratch[:, :x_r[s].size]
-                if relays[k]:
-                    _relay_stage(draws[:, s], case, delta, x_r[s], tmp)
-                _destination_stage(draws[:, s], case, delta, x_r[s], y[s], tmp)
-                _residual_stage(draws[:, s], case, x_r[s], r[s], tmp)
-                drift = max(drift, _identity_drift(r[s], y[s], out, delta, tmp))
-            squares[k, 1:] = _sum_of_squares(y, factor), _sum_of_squares(r, factor)
-            if relays[k]:  # x_r squared into y, so that the next alpha still has it
-                hists[k] = np.histogram(x_r, bins=edges)[0]
-                squares[k, 0] = _sum_of_squares(x_r, factor, out=y)
-            else:
-                hists[k], squares[k, 0] = hists[k - 1], squares[k - 1, 0]
-            drifts[k] = drift
-        return squares, hists, drifts
+        rows = np.empty((5, min(draws.shape[1], _SLICE)))  # x_r, y, r and the stage scratch
+        hists = np.zeros((len(cases), _UNIFORMITY_BINS), dtype=np.int64)
+        drifts = np.zeros(len(cases))
 
-    results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 8)
+        def part(s):  # every operating point on one part of the block
+            x_r, y, r, out, tmp = rows[:, :s.stop - s.start]
+            part_draws = draws[:, s]
+            squares = np.empty((len(cases), 3))
+            for k, case in enumerate(cases):
+                if relays[k]:  # else x_r holds the point before's, and so do counts and x_sq
+                    _relay_stage(part_draws, case, delta, x_r, tmp)
+                    counts = np.histogram(x_r, bins=edges)[0]
+                    x_sq = _sum_of_squares(x_r, factor, out=out)
+                _destination_stage(part_draws, case, delta, x_r, y, tmp)
+                _residual_stage(part_draws, case, x_r, r, tmp)
+                drifts[k] = max(drifts[k], _identity_drift(r, y, out, delta, tmp))
+                squares[k] = x_sq, _sum_of_squares(y, factor), _sum_of_squares(r, factor)
+                hists[k] += counts
+            return squares
+
+        return _pairwise(part, 0, draws.shape[1]), hists, drifts
+
+    results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 5)
     squares, hists, drifts = zip(*results)
     squares, hist, drift = sum(squares), sum(hists), np.max(drifts, axis=0)
     powers = np.ldexp(squares / n, 2 * scale)

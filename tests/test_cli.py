@@ -438,6 +438,8 @@ GOLDEN = {
     "sweep": ["sweep", "--axis-min", "2", "--axis-max", "200", "--axis-points", "4",
               "--rho", "1.5", "--mc-samples", "140000", "--seed", "3"],
     "chain": ["chain", "--mc-samples", "20000", "--seed", "5"],
+    # two full blocks and a ragged one that the chain sums in two parts
+    "chain_split": ["chain", "--mc-samples", "300000", "--seed", "5"],
 }
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -455,3 +456,36 @@ def test_scan_relays_once_per_beta(counted, scan):
     assert counted["blocks"] == 4
     assert counted["relayed"] == 2 * cfg.n_symbols  # 2 betas per block, not 6 pairs
     assert counted["residuals"] == 6 * cfg.n_symbols  # one per pair
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 129, 2 ** 15, 2 ** 15 + 1, 68928, 82496, 131071, 2 ** 17])
+def test_parts_add_up_to_np_sum(m):
+    # the chain's sums of squares follow numpy's pairwise split of a block
+    # row: a numpy whose split differs fails here before any chain byte moves
+    row = np.square(np.random.default_rng(m).standard_normal(m))
+    parts = []
+
+    def leaf(s):
+        parts.append(s)
+        return np.sum(row[s])
+
+    got = latticesim._pairwise(leaf, 0, m)
+    assert got.tobytes() == np.sum(row).tobytes()
+    assert [s.start for s in parts] == [0] + [s.stop for s in parts[:-1]]
+    assert parts[-1].stop == m and all(0 < s.stop - s.start <= channel._SLICE for s in parts)
+
+
+def test_chain_allocates_about_its_draws():
+    # a block holds its 5 draw rows; x_r, y, r and the scratch are slice-sized
+    pd, real = _chain_grid()
+    params = SystemParams(ps=1.0, pd=pd, sigma2=1.0)
+    with mock.patch.object(channel, "_WORKERS", 1):
+        # a first call leaves any one-time setup out of the measurement
+        simulate_chain(params, real, LatticeConfig(ps=1.0, n_symbols=1))
+        tracemalloc.start()
+        try:
+            simulate_chain(params, real, LatticeConfig(ps=1.0, n_symbols=3 * _BLOCK + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 7 * _BLOCK * 8  # 7 block rows of doubles
