@@ -34,7 +34,7 @@ from .asymptotics import estimate_gsdof, estimate_gsdg, gsdg_closed_form, gsdof_
 from .channel import (ChannelRealization, RateConfig, SystemParams, _is_number, _pd_at_rho,
                       thresholds)
 from .latticesim import LatticeConfig, simulate_chain
-from .outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
+from .outage import mc_outage, outage_probs, p_conn_af, p_conn_cutset_lower
 from .rates import Scheme, rate_report
 
 PARAM_KEYS = ("ps", "pd", "sigma2", "eps1", "eps2", "rd", "rs", "rho")
@@ -182,7 +182,7 @@ def run_fig4(cfg: dict):
 
 def run_sweep(cfg: dict):
     """The outage closed forms along the axis, one library call per column,
-    and the Monte Carlo columns from one ``_mc_counts`` call over every row."""
+    and the Monte Carlo columns from one ``mc_outage`` call over every row."""
     axis = cfg["axis"]
     mc_n = int(cfg["mc_samples"])
     header = [axis, "gamma_o", "gamma_1", "gamma_s",
@@ -205,12 +205,10 @@ def run_sweep(cfg: dict):
                    "se_conn_mf_mc", "se_conn_af_mc", "se_secrecy_mc", "se_total_mf_mc"]
         # one pass over every row, row k on stream k: MF and AF see the same
         # draws, as do secrecy and joint
-        counts = _mc_counts(params, rc, (Scheme.MF, Scheme.AF), mc_n, int(cfg["seed"]),
-                            stream=np.arange(vals.size))
-        est = [[MCEstimate.from_counts(h, mc_n) for h in (mf[0], af[0], mf[1], mf[2])]
-               for mf, af in counts]
-        cols += [[row[k].p_hat for row in est] for k in range(4)]
-        cols += [[row[k].std_err for row in est] for k in range(4)]
+        mf, af = mc_outage(params, rc, (Scheme.MF, Scheme.AF), mc_n, int(cfg["seed"]),
+                           stream=list(range(vals.size)))
+        est = (mf[0], af[0], mf[1], mf[2])
+        cols += [e.p_hat for e in est] + [e.std_err for e in est]
     return header, np.column_stack(cols)
 
 

@@ -81,15 +81,16 @@ _I1_SERIES, _PSI_SERIES = _series_coefficients()
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]."""
+    """Closed interval [lo, hi], or an array of them where the endpoints
+    are arrays."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
             raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
+        if np.any(np.greater(self.lo, self.hi)):
             raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
 
     @property

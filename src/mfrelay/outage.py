@@ -27,7 +27,13 @@ from .rates import Scheme, _e2e_snr, _relay_sinr
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Binomial probability estimate with its sampling error."""
+    """Binomial probability estimate with its sampling error: Python
+    numbers at one operating point, arrays of the points' shape otherwise.
+
+    ``std_err`` is the binomial (Wald) SE sqrt(p(1 - p)/n).  ``ci95`` is the
+    Wilson score interval at z = 1.96 (Wilson 1927), which is not
+    zero-width at 0 or n hits and always contains p_hat.
+    """
 
     p_hat: float
     n: int
@@ -35,13 +41,20 @@ class MCEstimate:
     ci95: Interval
 
     @classmethod
-    def from_counts(cls, hits: int, n: int) -> "MCEstimate":
-        if n <= 0 or not 0 <= hits <= n:
+    def from_counts(cls, hits, n: int) -> "MCEstimate":
+        """The estimate of each hit count of ``hits`` (an int or array of
+        them) out of n draws."""
+        counts = np.asarray(hits)
+        if n <= 0 or not np.all((counts >= 0) & (counts <= n)):
             raise ValueError(f"hits must lie in [0, n] with n > 0, not hits={hits!r}, n={n!r}")
-        p = hits / n
-        se = float(np.sqrt(p * (1.0 - p) / n))
-        return cls(p_hat=p, n=n, std_err=se,
-                   ci95=Interval(max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se)))
+        p = counts / n
+        var, z2n = p * (1.0 - p) / n, 1.96 ** 2 / n
+        center = (p + z2n / 2) / (1.0 + z2n)
+        half = 1.96 * np.sqrt(var + z2n / (4 * n)) / (1.0 + z2n)
+        # the clip keeps p_hat inside where rounding would move an end past it
+        return cls(p_hat=_scalar(p), n=n, std_err=_scalar(np.sqrt(var)),
+                   ci95=Interval(_scalar(np.clip(center - half, 0.0, p)),
+                                 _scalar(np.clip(center + half, p, 1.0))))
 
 
 @dataclass(frozen=True)
@@ -274,26 +287,29 @@ def _rows(record, shape):
     return [type(record)(**dict(zip(fields, point))) for point in zip(*fields.values())]
 
 
-def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: int,
-               stream=0):
-    """Hit counts [[connection, secrecy, joint] per scheme] over n draws,
-    nested in one more list level per axis where the fields of ``params``
-    and ``config`` and ``stream`` broadcast to an array of points.
+def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme | tuple, n: int,
+              seed: int, stream=0):
+    """Monte Carlo (connection, secrecy, joint) outage estimates of a
+    ``Scheme``, or one such triple per scheme of a tuple of them.
 
-    Point k draws block i from rng_stream(seed, (stream_k, i)), so its
-    counts are those of its own one-point call.  Every point's blocks run
-    on one pool (``_map_blocks``), each block drawn once: every scheme's
-    connection event is evaluated on it, so the schemes are compared on the
-    same fading, and the events are written into scratch made once per block.
+    Broadcasts over the fields of ``params`` and ``config`` and over
+    ``stream`` as the closed forms do: each ``MCEstimate`` holds Python
+    numbers at one point and arrays of the broadcast shape otherwise.
+    Point k draws block i of n from rng_stream(seed, (stream_k, i)), so
+    its estimates are those of its own one-point call and do not depend on
+    how blocks are farmed out to workers; ``stream`` namespaces
+    independent runs under one seed (e.g. one stream per sweep row).
+    Every point's blocks run on one pool (``_map_blocks``), each block
+    drawn once: every scheme's connection event and the secrecy event are
+    evaluated on it, so the schemes are compared on the same fading and
+    the joint estimate reuses each realization for both events.
     """
     if not _is_number(n, integral=True) or n < 1:
         raise ValueError(f"mc_outage needs an integer n >= 1 samples, not {n!r}")
-    n = int(n)
+    n, schemes = int(n), scheme if isinstance(scheme, tuple) else (scheme,)
     shape = np.broadcast(*vars(params).values(), *vars(config).values(), stream).shape
     points = list(zip(_rows(params, shape), map(thresholds, _rows(config, shape))))
     streams = np.broadcast_to(stream, shape).ravel().tolist()
-    if not points:  # an empty sweep starts no pool
-        return np.zeros(shape + (len(schemes), 3), dtype=np.int64).tolist()
 
     def block(key, buf):
         (p, th), rng = key
@@ -312,26 +328,11 @@ def _mc_counts(params: SystemParams, config: RateConfig, schemes, n: int, seed: 
                     hits[k, 2] += np.count_nonzero(np.logical_or(conn, sec, out=conn))
         return hits
 
-    results = _map_blocks(block, n, lambda row, index: (
-        points[row], rng_stream(seed, (streams[row], index))), 2, len(points))
-    hits = np.reshape(results, (len(points), -1, len(schemes), 3)).sum(axis=1)
-    return hits.reshape(shape + hits.shape[1:]).tolist()
-
-
-def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme, n: int, seed: int,
-              stream: int = 0):
-    """Monte Carlo (connection, secrecy, joint) outage estimates.
-
-    Draws are partitioned into fixed-size Philox substream blocks indexed
-    from the seed, so the merged counts are bitwise reproducible and do
-    not depend on how blocks would be farmed out to workers.  The joint
-    estimate reuses each realization for both events (they are dependent
-    through the gains).  ``stream`` namespaces independent runs under one
-    seed (e.g. one stream per sweep row).  It runs one operating point:
-    array-valued params, config or stream are refused with a ValueError
-    (``_mc_counts`` is the broadcasting form).
-    """
-    if np.broadcast(*vars(params).values(), *vars(config).values(), stream).shape:
-        raise ValueError("mc_outage runs one operating point, not an array of them")
-    (counts,) = _mc_counts(params, config, (scheme,), n, seed, stream)
-    return tuple(MCEstimate.from_counts(hits, int(n)) for hits in counts)
+    hits = np.zeros((0, len(schemes), 3), dtype=np.int64)
+    if points:  # an empty sweep starts no pool
+        results = _map_blocks(block, n, lambda row, index: (
+            points[row], rng_stream(seed, (streams[row], index))), 2, len(points))
+        hits = np.reshape(results, (len(points), -1, len(schemes), 3)).sum(axis=1)
+    hits = np.moveaxis(hits.reshape(shape + (len(schemes), 3)), (-2, -1), (0, 1))
+    out = tuple(tuple(MCEstimate.from_counts(h, n) for h in events) for events in hits)
+    return out if isinstance(scheme, tuple) else out[0]

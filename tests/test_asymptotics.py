@@ -87,6 +87,12 @@ class TestNumericEstimators:
         with pytest.raises(ValueError):
             estimate_gsdof(Scheme.MF, -1.0)
 
+    @pytest.mark.parametrize("grid", [[1e5], [[1e5, 1e6], [1e7, 1e8]]])
+    def test_grid_must_be_1d_with_two_points(self, grid):
+        # one point has no slope, and a 2-d grid is not an SNR axis
+        with pytest.raises(ValueError, match="snr_grid must be a 1-d grid with >= 2 points"):
+            estimate_gsdof(Scheme.MF, 1.0, snr_grid=grid)
+
 
 def _gsdof_per_snr(scheme, rho, real):
     """Reference: one scalar SystemParams per grid point."""

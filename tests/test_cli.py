@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 import re
@@ -15,7 +16,7 @@ import mfrelay
 from mfrelay import cli
 from mfrelay.channel import ChannelRealization, RateConfig, SystemParams, thresholds
 from mfrelay.cli import SWEEPABLE, _axis_values, load_config, main, run_fig2, run_sweep
-from mfrelay.outage import MCEstimate, _mc_counts, outage_probs, p_conn_af, p_conn_cutset_lower
+from mfrelay.outage import mc_outage, outage_probs, p_conn_af, p_conn_cutset_lower
 from mfrelay.rates import Scheme, rate_report
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -466,18 +467,27 @@ def test_rho_figures_call_each_estimator_once_per_scheme(monkeypatch, tmp_path):
 
 
 def test_sweep_draws_monte_carlo_in_one_call(monkeypatch, tmp_path):
-    # every row's blocks on one pool, not one _mc_counts call (and pool) per row
+    # every row's blocks on one pool, not one mc_outage call (and pool) per row
     calls = []
 
-    def counted(*args, _fn=cli._mc_counts, **kwargs):
+    def counted(*args, _fn=cli.mc_outage, **kwargs):
         calls.append(args)
         return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_mc_counts", counted)
+    monkeypatch.setattr(cli, "mc_outage", counted)
     for experiment in ("fig4", "sweep"):
         calls.clear()
         assert run_cli([experiment, "--mc-samples", "1000", "--out", str(tmp_path / "t.csv")]) == 0
         assert len(calls) == 1
+
+
+def test_cli_imports_no_private_outage_name():
+    # the CLI reads Monte Carlo through the public mc_outage, as a library user does
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module in ("outage", "mfrelay.outage") for alias in node.names]
+    assert "mc_outage" in names
+    assert not [name for name in names if name.startswith("_")]
 
 
 def assert_one_error_line(code, capsys):
@@ -676,9 +686,8 @@ def per_row_sweep(cfg):
                p_conn_af(params, rc.rd), probs.p_secrecy,
                probs.p_total_lower, probs.p_total_upper]
         if mc_n > 0:
-            mf, af = _mc_counts(params, rc, (Scheme.MF, Scheme.AF), mc_n, int(cfg["seed"]),
-                                stream=idx)
-            conn_mf, sec, joint, conn_af = (MCEstimate.from_counts(h, mc_n) for h in (*mf, af[0]))
+            (conn_mf, sec, joint), (conn_af, _, _) = mc_outage(
+                params, rc, (Scheme.MF, Scheme.AF), mc_n, int(cfg["seed"]), stream=idx)
             row += [conn_mf.p_hat, conn_af.p_hat, sec.p_hat, joint.p_hat,
                     conn_mf.std_err, conn_af.std_err, sec.std_err, joint.std_err]
         rows.append(row)

@@ -303,6 +303,17 @@ class TestScalingDomain:
         with pytest.raises(ValueError, match="one operating point"):
             scan_scaling(params, real, cfg, [0.5], [0.5])
 
+    @pytest.mark.parametrize("field", ["measured_relay_power", "measured_residual_var",
+                                       "measured_folded_var", "analytic_sigma_e2"])
+    def test_report_power_is_nonnegative(self, field):
+        # zero is a nonnegative power; the negative double nearest it is not
+        powers = dict.fromkeys(("measured_relay_power", "measured_residual_var",
+                                "measured_folded_var", "analytic_sigma_e2"), 0.5)
+        report = dict(uniformity_pvalue=0.5, alpha=0.5, beta=0.5)
+        assert getattr(ChainReport(**{**powers, field: 0.0}, **report), field) == 0.0
+        with pytest.raises(ValueError, match="powers must be nonnegative"):
+            ChainReport(**{**powers, field: -1e-300}, **report)
+
     def test_report_refuses_nan(self):
         with pytest.raises(ValueError, match="scaling factors must lie in"):
             ChainReport(measured_relay_power=1.0, measured_residual_var=0.5,

@@ -133,6 +133,17 @@ def test_interval():
         Interval(2.0, 1.0)
 
 
+def test_interval_of_arrays():
+    # an array of intervals, as an array-valued MCEstimate's ci95
+    iv = Interval(np.array([0.0, 0.5]), np.array([1.0, 0.5]))
+    assert iv.contains(np.array([0.25, 0.5])) and not iv.contains(np.array([0.25, 0.75]))
+    assert iv.width.tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="lo <= hi"):
+        Interval(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        Interval(np.array([0.0, np.nan]), 1.0)
+
+
 def test_k1_within_1e14_of_mpmath_over_the_double_range():
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)

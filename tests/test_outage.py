@@ -10,8 +10,9 @@ from mfrelay import channel
 from mfrelay.asymptotics import Scheme
 from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, rng_stream,
                              sample_gains, thresholds)
+from mfrelay.numerics import Interval
 from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _k1_arguments, _k1_outage,
-                            _mc_counts, _secrecy_terms, mc_outage, outage_probs, p_conn_af,
+                            _secrecy_terms, mc_outage, outage_probs, p_conn_af,
                             p_conn_cutset_lower, p_conn_mf, p_secrecy, p_secrecy_threshold,
                             tradeoff_residual)
 from mfrelay.rates import _relay_sinr, rate_report
@@ -426,9 +427,9 @@ class TestMonteCarlo:
         p = params(ps=4.0, pd=8.0)
         rc = RateConfig(rd=1.0, rs=0.5)
         n, seed, stream = (1 << 17) + 5, 21, 3
-        both = _mc_counts(p, rc, (Scheme.MF, Scheme.AF), n, seed, stream)
+        both = mc_outage(p, rc, (Scheme.MF, Scheme.AF), n, seed, stream)
         th = thresholds(rc)
-        for scheme, counts in zip((Scheme.MF, Scheme.AF), both):
+        for scheme, estimates in zip((Scheme.MF, Scheme.AF), both):
             ref = [0, 0, 0]
             for block, m in enumerate((1 << 17, 5)):
                 g1, g2 = sample_gains(p, rng_stream(seed, (stream, block)), m)
@@ -436,9 +437,8 @@ class TestMonteCarlo:
                 sec = p.ps * g1 / (p.pd * g2 + p.sigma2) > th.gamma_s
                 for k, event in enumerate((conn, sec, conn | sec)):
                     ref[k] += int(np.count_nonzero(event))
-            assert list(counts) == ref
-            assert mc_outage(p, rc, scheme, n, seed, stream) == tuple(
-                MCEstimate.from_counts(h, n) for h in counts)
+            assert estimates == tuple(MCEstimate.from_counts(h, n) for h in ref)
+            assert mc_outage(p, rc, scheme, n, seed, stream) == estimates
 
     def test_extreme_jamming_raises_no_warning(self):
         # pd*g2 overflows to inf, which both events compare exactly
@@ -446,8 +446,8 @@ class TestMonteCarlo:
         rc = RateConfig(rd=1.0, rs=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (af,) = _mc_counts(p, rc, (Scheme.AF,), 1000, 3)
-        assert af[1] == 0 and af[0] == af[2]  # the relay hears only jamming
+            ((conn, sec, joint),) = mc_outage(p, rc, (Scheme.AF,), 1000, 3)
+        assert sec.p_hat == 0 and conn == joint  # the relay hears only jamming
 
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from([1, _BLOCK - 1, _BLOCK + 5, 3 * _BLOCK + 1]),
@@ -455,11 +455,11 @@ class TestMonteCarlo:
     def test_counts_do_not_depend_on_workers(self, n, seed):
         p = params(ps=4.0, pd=8.0)
         rc = RateConfig(rd=1.0, rs=0.5)
-        counts = []
+        estimates = []
         for workers in (1, 2, 3):
             with mock.patch.object(channel, "_WORKERS", workers):
-                counts.append(_mc_counts(p, rc, (Scheme.MF, Scheme.AF), n, seed, 2))
-        assert counts[1] == counts[0] and counts[2] == counts[0]
+                estimates.append(mc_outage(p, rc, (Scheme.MF, Scheme.AF), n, seed, 2))
+        assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.sampled_from([1, _BLOCK - 1, _BLOCK + 5, 3 * _BLOCK + 1]),
@@ -468,16 +468,18 @@ class TestMonteCarlo:
                                    st.integers(0, 10 ** 6)),
                          min_size=1, max_size=4, unique_by=lambda row: row[2]))
     def test_batched_counts_equal_per_row_calls(self, n, seed, rows):
-        # k rows with their own ps, rd and stream on one pool count what k calls count
+        # k rows with their own ps, rd and stream on one pool estimate what k
+        # calls estimate, field for field
         ps, rd, stream = map(np.array, zip(*rows))
         schemes = (Scheme.MF, Scheme.AF)
-        want = [_mc_counts(params(ps=a, pd=8.0), RateConfig(rd=b, rs=b / 2), schemes, n, seed, c)
+        want = [mc_outage(params(ps=a, pd=8.0), RateConfig(rd=b, rs=b / 2), schemes, n, seed, c)
                 for a, b, c in rows]
         for workers in (1, 2, 3):
             with mock.patch.object(channel, "_WORKERS", workers):
-                got = _mc_counts(params(ps=ps, pd=8.0), RateConfig(rd=rd, rs=rd / 2), schemes,
-                                 n, seed, stream)
-            assert got == want
+                got = mc_outage(params(ps=ps, pd=8.0), RateConfig(rd=rd, rs=rd / 2), schemes,
+                                n, seed, stream)
+            assert [tuple(tuple(_at(est, k) for est in events) for events in got)
+                    for k in range(len(rows))] == want
 
     def test_streams_are_disjoint(self):
         p = params()
@@ -496,7 +498,7 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="integer n >= 1"):
             mc_outage(params(), rc, Scheme.MF, n, 1)
         with pytest.raises(ValueError, match="integer n >= 1"):
-            _mc_counts(params(), rc, (Scheme.MF,), n, 1)
+            mc_outage(params(ps=np.array([4.0, 5.0])), rc, (Scheme.MF, Scheme.AF), n, 1)
 
     def test_integral_float_count(self):
         rc = RateConfig(rd=1.0, rs=0.5)
@@ -509,26 +511,23 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="must be a whole number"):
             mc_outage(params(), RateConfig(rd=1.0, rs=0.5), Scheme.MF, 1000, seed, stream)
 
-    @pytest.mark.parametrize("point", [
-        {"params": params(ps=np.array([4.0, 5.0]))},
-        {"config": RateConfig(rd=np.array([1.0, 2.0]), rs=0.5)},
-        {"stream": np.array([0, 1])},
-        {"params": params(pd=np.array([1.0]))},
-    ])
-    def test_one_operating_point_or_refused_by_name(self, point):
-        # an array ps used to fail with "too many values to unpack"
-        call = {"params": params(), "config": RateConfig(rd=1.0, rs=0.5), "stream": 0, **point}
-        with pytest.raises(ValueError, match="mc_outage runs one operating point"):
-            mc_outage(call["params"], call["config"], Scheme.MF, 1000, 1, call["stream"])
+    def test_one_point_gives_python_numbers(self):
+        for est in mc_outage(params(), RateConfig(rd=1.0, rs=0.5), Scheme.MF, 1000, 1):
+            assert type(est.n) is int
+            assert all(type(v) is float for v in (est.p_hat, est.std_err, *vars(est.ci95).values()))
 
     def test_zero_points_give_empty_counts_without_a_pool(self):
         # a ThreadPoolExecutor of 0 workers used to refuse to start
         schemes = (Scheme.MF, Scheme.AF)
         with mock.patch("concurrent.futures.ThreadPoolExecutor", side_effect=AssertionError):
-            assert _mc_counts(params(), RateConfig(1.0, 0.5), schemes, 10, 1, np.arange(0)) == []
-            counts = _mc_counts(params(ps=np.array([[4.0], [5.0]])), RateConfig(1.0, 0.5), schemes,
-                                10, 1, np.arange(0))
-        assert counts == [[], []]
+            flat = mc_outage(params(), RateConfig(1.0, 0.5), schemes, 10, 1, np.arange(0))
+            grid = mc_outage(params(ps=np.array([[4.0], [5.0]])), RateConfig(1.0, 0.5), schemes,
+                             10, 1, np.arange(0))
+        for out, shape in ((flat, (0,)), (grid, (2, 0))):
+            assert len(out) == len(schemes) and all(len(events) == 3 for events in out)
+            for est in (est for events in out for est in events):
+                fields = (est.p_hat, est.std_err, est.ci95.lo, est.ci95.hi)
+                assert all(np.shape(v) == shape for v in fields)
 
     @pytest.mark.parametrize("hits, n", [(5, 3), (-1, 3), (0, 0), (1, -1)])
     def test_hits_outside_0_n_are_refused_by_name(self, hits, n):
@@ -540,8 +539,38 @@ class TestMonteCarlo:
         est = MCEstimate.from_counts(250, 1000)
         assert est.p_hat == 0.25
         assert est.std_err == pytest.approx(np.sqrt(0.25 * 0.75 / 1000))
-        assert est.ci95.lo == pytest.approx(0.25 - 1.96 * est.std_err)
+        # the textbook Wilson score interval at z = 1.96: about [0.22415, 0.27776]
+        z, n, p = 1.96, 1000, 0.25
+        center = (p + z * z / (2 * n)) / (1 + z * z / n)
+        half = z / (1 + z * z / n) * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+        assert est.ci95.lo == pytest.approx(center - half, rel=1e-12)
+        assert est.ci95.hi == pytest.approx(center + half, rel=1e-12)
+        assert est.ci95.lo == pytest.approx(0.22415, abs=1e-5)
+        assert est.ci95.hi == pytest.approx(0.27776, abs=1e-5)
         assert est.ci95.contains(0.25)
+
+    @pytest.mark.parametrize("hits, n", [(0, 1000), (1000, 1000), (0, 1), (1, 1), (0, 10 ** 10)])
+    def test_interval_is_not_zero_width_at_0_or_n_hits(self, hits, n):
+        # the Wald interval p +- 1.96 SE is [p, p] there
+        est = MCEstimate.from_counts(hits, n)
+        assert est.std_err == 0.0
+        assert est.ci95.width > 0 and est.ci95.contains(est.p_hat)
+        assert 0.0 <= est.ci95.lo <= est.ci95.hi <= 1.0
+
+    def test_counts_array_estimates_each_count(self):
+        hits = np.array([[0, 3], [250, 1000]])
+        est = MCEstimate.from_counts(hits, 1000)
+        assert np.shape(est.p_hat) == np.shape(est.ci95.lo) == hits.shape
+        assert all(_at(est, k) == MCEstimate.from_counts(int(h), 1000)
+                   for k, h in np.ndenumerate(hits))
+        with pytest.raises(ValueError, match="hits must lie in"):
+            MCEstimate.from_counts(np.array([0, 1001]), 1000)
+
+
+def _at(est: MCEstimate, index) -> MCEstimate:
+    """The estimate at one index of an array-valued estimate, as Python numbers."""
+    return MCEstimate(p_hat=float(est.p_hat[index]), n=est.n, std_err=float(est.std_err[index]),
+                      ci95=Interval(float(est.ci95.lo[index]), float(est.ci95.hi[index])))
 
 
 _LOG_UNIFORM = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
