@@ -212,8 +212,7 @@ class ChannelRealization:
     def __post_init__(self):
         if not _all_finite(self.g1, self.g2, self.h1, self.h2):
             raise ValueError("channel realization must be finite")
-        if np.any(np.asarray(self.g1) < 0) or np.any(np.asarray(self.g2) < 0):
-            raise ValueError("gains must be nonnegative")
+        _check_gains(self.g1, self.g2)
         for g, h in ((self.g1, self.h1), (self.g2, self.h2)):
             # np.allclose's verdict, taken slice by slice
             if not np.all(_map_slices(lambda h, g: np.isclose(np.asarray(h) ** 2, g, rtol=1e-9,
@@ -224,7 +223,15 @@ class ChannelRealization:
     def from_gains(cls, g1, g2, sign1=1.0, sign2=1.0):
         g1 = np.asarray(g1, dtype=float) if np.ndim(g1) else float(g1)
         g2 = np.asarray(g2, dtype=float) if np.ndim(g2) else float(g2)
+        _check_gains(g1, g2)  # before sqrt warns on a negative one
         return cls(g1=g1, g2=g2, h1=sign1 * np.sqrt(g1), h2=sign2 * np.sqrt(g2))
+
+
+def _check_gains(g1, g2):
+    """The one refusal of a negative gain, by ``ChannelRealization`` and,
+    before its square root, by ``from_gains``."""
+    if np.any(np.asarray(g1) < 0) or np.any(np.asarray(g2) < 0):
+        raise ValueError("gains must be nonnegative")
 
 
 def _unchecked(cls, *values):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (_SLICE, ChannelRealization, SystemParams, _all_finite, _is_number,
-                      _map_blocks, rng_stream)
+                      _map_blocks, _slices, rng_stream)
 from .numerics import _scalar
 from .rates import rate_report
 
@@ -45,8 +45,8 @@ class LatticeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _all_finite(self.ps) or self.ps <= 0:
-            raise ValueError("ps must be positive and finite")
+        if np.size(self.ps) != 1 or not _all_finite(self.ps) or self.ps <= 0:
+            raise ValueError(f"ps must be one positive finite power, not {self.ps!r}")
         for name in ("n_symbols", "seed"):
             if not _is_number(getattr(self, name), integral=True):
                 raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
@@ -176,18 +176,13 @@ def _block_draws(rng, draws, delta, params):
 
 class _Case(NamedTuple):
     """One operating point of the chain: sqrt(pd), the amplitudes and the
-    scalings, as floats."""
+    scalings, as floats.  The relay stage reads all but alpha, case[:4]."""
 
     s_d: float
     h1: float
     h2: float
-    alpha: float
     beta: float
-
-    @property
-    def relay(self):
-        """What the relay stage reads: all but alpha."""
-        return self._replace(alpha=None)
+    alpha: float
 
 
 # The chain in three stages, each written in place over slice-sized arrays
@@ -259,26 +254,12 @@ def _identity_drift(r, y, out, delta, tmp):
 def _sum_of_squares(row, factor, out=None):
     """Sum of the squares of a row times ``factor``, a power of two near
     one over the cell width, squared in place (in ``out`` when given, so
-    that row keeps its values), in numpy's pairwise order for its length.
-    The factor keeps the sum finite for any ps and, where no square is
-    subnormal, changes no bit of it but the exponent."""
+    that row keeps its values) and added by np.sum.  The factor keeps the
+    sum finite for any ps and, where no square is subnormal, changes no bit
+    of it but the exponent."""
     out = np.multiply(row, factor, out=row if out is None else out)
     np.square(out, out=out)
     return np.sum(out)
-
-
-def _pairwise(leaf, start, stop):
-    """leaf(s) for each part s of range(start, stop), in order, added back
-    up the tree that cut them (left + right).  The cut is numpy's pairwise
-    summation's: halve, the first half rounded down to a multiple of 8,
-    down to parts of at most _SLICE.  So when leaf returns np.sum over its
-    part, the total has the bits of np.sum over the whole row."""
-    size = stop - start
-    if size <= _SLICE:
-        return leaf(slice(start, stop))
-    half = size // 2
-    half -= half % 8
-    return _pairwise(leaf, start, start + half) + _pairwise(leaf, start + half, stop)
 
 
 def _check_chain(params, real, cfg):
@@ -306,9 +287,10 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     and ``params.sigma2`` are scalars.  Every operating point runs on the
     same blocks, each drawn once, and a point that differs from the one
     before it (in C order) in alpha alone reuses that point's relay pass.
-    Blocks use independent substreams and are accumulated in index order,
-    so each point equals its own scalar call bit for bit and results are
-    reproducible for a given (config, seed).
+    Blocks use independent substreams and are cut into parts of at most
+    2^15 symbols; the parts' sums, and then the blocks', are added in index
+    order, so each point equals its own scalar call bit for bit and results
+    are reproducible for a given (config, seed).
     """
     _check_chain(params, real, cfg)
     a_opt, b_opt = mmse_scalings(params, real)
@@ -316,10 +298,10 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     beta = np.asarray(b_opt if beta is None else beta, dtype=float)
     _check_scalings(alpha, beta)
     shape = np.broadcast_shapes(*map(np.shape, (params.pd, real.h1, real.h2, alpha, beta)))
-    point = np.broadcast_arrays(np.sqrt(params.pd), real.h1, real.h2, alpha, beta)
+    point = np.broadcast_arrays(np.sqrt(params.pd), real.h1, real.h2, beta, alpha)
     cases = [_Case(*map(float, values)) for values in zip(*(np.ravel(v) for v in point))]
     # a point reuses the relay output of the point before it when they share it
-    relays = [k == 0 or case.relay != cases[k - 1].relay for k, case in enumerate(cases)]
+    relays = [k == 0 or case[:4] != cases[k - 1][:4] for k, case in enumerate(cases)]
     delta, n = cfg.delta, int(cfg.n_symbols)
     scale = math.frexp(delta)[1]  # the sums of squares are of values times 2^-scale
     factor = math.ldexp(1.0, -scale)
@@ -328,26 +310,23 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     def block(rng, draws):
         _block_draws(rng, draws, delta, params)
         rows = np.empty((5, min(draws.shape[1], _SLICE)))  # x_r, y, r and the stage scratch
+        squares = np.zeros((len(cases), 3))
         hists = np.zeros((len(cases), _UNIFORMITY_BINS), dtype=np.int64)
         drifts = np.zeros(len(cases))
-
-        def part(s):  # every operating point on one part of the block
-            x_r, y, r, out, tmp = rows[:, :s.stop - s.start]
-            part_draws = draws[:, s]
-            squares = np.empty((len(cases), 3))
+        for s in _slices(draws.shape[1]):  # every operating point on one part of the block
+            part = draws[:, s]
+            x_r, y, r, out, tmp = rows[:, :part.shape[1]]
             for k, case in enumerate(cases):
                 if relays[k]:  # else x_r holds the point before's, and so do counts and x_sq
-                    _relay_stage(part_draws, case, delta, x_r, tmp)
+                    _relay_stage(part, case, delta, x_r, tmp)
                     counts = np.histogram(x_r, bins=edges)[0]
                     x_sq = _sum_of_squares(x_r, factor, out=out)
-                _destination_stage(part_draws, case, delta, x_r, y, tmp)
-                _residual_stage(part_draws, case, x_r, r, tmp)
+                _destination_stage(part, case, delta, x_r, y, tmp)
+                _residual_stage(part, case, x_r, r, tmp)
                 drifts[k] = max(drifts[k], _identity_drift(r, y, out, delta, tmp))
-                squares[k] = x_sq, _sum_of_squares(y, factor), _sum_of_squares(r, factor)
+                squares[k] += x_sq, _sum_of_squares(y, factor), _sum_of_squares(r, factor)
                 hists[k] += counts
-            return squares
-
-        return _pairwise(part, 0, draws.shape[1]), hists, drifts
+        return squares, hists, drifts
 
     results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 5)
     squares, hists, drifts = zip(*results)
@@ -365,8 +344,8 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
         measured_folded_var=field(powers[:, 1]),
         analytic_sigma_e2=field(np.broadcast_to(rate_report(params, real).sigma_e2, shape)),
         uniformity_pvalue=field(pvalues),
-        alpha=field(point[3]),
-        beta=field(point[4]),
+        alpha=field(point[4]),
+        beta=field(point[3]),
         max_identity_drift=field(drift),
     )
 

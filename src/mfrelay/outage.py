@@ -45,8 +45,9 @@ class MCEstimate:
         """The estimate of each hit count of ``hits`` (an int or array of
         them) out of n draws."""
         counts = np.asarray(hits)
-        if n <= 0 or not np.all((counts >= 0) & (counts <= n)):
-            raise ValueError(f"hits must lie in [0, n] with n > 0, not hits={hits!r}, n={n!r}")
+        if not (_is_number(n, integral=True) and n > 0 and np.all((counts >= 0) & (counts <= n))):
+            raise ValueError("hits must lie in [0, n] with n a whole number > 0, "
+                             f"not hits={hits!r}, n={n!r}")
         p = counts / n
         var, z2n = p * (1.0 - p) / n, 1.96 ** 2 / n
         center = (p + z2n / 2) / (1.0 + z2n)

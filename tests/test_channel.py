@@ -145,6 +145,15 @@ def test_realization_from_gains_signs():
     assert (real.g1, real.g2) == (4.0, 9.0)
 
 
+@pytest.mark.parametrize("gains", [(-1.0, 1.0), (1.0, np.array([2.0, -0.5]))])
+def test_negative_gain_is_refused_without_a_warning(gains):
+    # sqrt used to warn on it, and the NaN amplitude was then refused as not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gains must be nonnegative"):
+            ChannelRealization.from_gains(*gains)
+
+
 def test_sampling_determinism():
     params = SystemParams(ps=10, pd=10, sigma2=1, eps1=2.0, eps2=0.5)
     a = sample_realization(params, rng_stream(123), size=64)

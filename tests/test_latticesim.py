@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -99,6 +100,12 @@ class TestLatticeConfig:
             with pytest.raises(ValueError, match="must be an integer"):
                 LatticeConfig(ps=1.0, **bad)
         assert LatticeConfig(ps=1.0, n_symbols=1e6, seed=np.int64(3)).n_symbols == 10 ** 6
+
+    @pytest.mark.parametrize("ps", [np.array([1.0, 2.0]), np.array([])])
+    def test_array_of_powers_is_refused_by_name(self, ps):
+        # one lattice takes one power: numpy used to refuse the array's truth value
+        with pytest.raises(ValueError, match="ps must be one positive finite power"):
+            LatticeConfig(ps=ps, n_symbols=1)
 
     def test_negative_seed_refused_at_construction(self):
         # it used to pass here and fail only when the chain drew its blocks
@@ -355,7 +362,7 @@ def test_stages_equal_the_chain_formulas(g1, g2, pd, alpha, beta, signs):
     y = mod_lattice(alpha * y_d / h2 - beta * (h2 / h1) * x_d - u - u1, delta)
     r = (alpha - 1.0) * x_r + (beta - 1.0) * u + beta * n_r / h1 + alpha * n_d / h2
 
-    case = latticesim._Case(float(np.sqrt(pd)), h1, h2, alpha, beta)
+    case = latticesim._Case(s_d=float(np.sqrt(pd)), h1=h1, h2=h2, beta=beta, alpha=alpha)
     got, tmp = np.empty((3, 1000)), np.empty(1000)
     latticesim._relay_stage(draws, case, delta, got[0], tmp)
     latticesim._destination_stage(draws, case, delta, got[0], got[1], tmp)
@@ -469,21 +476,39 @@ def test_scan_relays_once_per_beta(counted, scan):
     assert counted["residuals"] == 6 * cfg.n_symbols  # one per pair
 
 
-@pytest.mark.parametrize("m", [1, 7, 8, 129, 2 ** 15, 2 ** 15 + 1, 68928, 82496, 131071, 2 ** 17])
-def test_parts_add_up_to_np_sum(m):
-    # the chain's sums of squares follow numpy's pairwise split of a block
-    # row: a numpy whose split differs fails here before any chain byte moves
-    row = np.square(np.random.default_rng(m).standard_normal(m))
-    parts = []
+def test_sums_add_parts_then_blocks_in_index_order(monkeypatch):
+    # each block is cut by _slices; a part's sum of squares is np.sum's, and
+    # the parts and then the blocks are added in index order
+    n = _BLOCK + 37856
+    params, real, cfg = setup(g1=2.0, g2=5.0, n=n, seed=11)
+    alpha, beta = mmse_scalings(params, real)
+    case = latticesim._Case(s_d=float(np.sqrt(params.pd)), h1=real.h1, h2=real.h2,
+                            beta=beta, alpha=alpha)
+    k = math.frexp(cfg.delta)[1]
+    blocks = []
+    for index, size in channel._blocks(n):
+        draws = np.empty((5, size))
+        latticesim._block_draws(rng_stream(cfg.seed, index), draws, cfg.delta, params)
+        parts = []
+        for s in channel._slices(size):
+            part = draws[:, s]
+            x_r, tmp = np.empty((2, part.shape[1]))
+            latticesim._relay_stage(part, case, cfg.delta, x_r, tmp)
+            parts.append(np.sum(np.square(x_r * math.ldexp(1.0, -k))))
+        blocks.append(sum(parts))
+    want = np.ldexp(sum(blocks) / n, 2 * k)
 
-    def leaf(s):
-        parts.append(s)
-        return np.sum(row[s])
+    widths, relay_stage = [], latticesim._relay_stage
 
-    got = latticesim._pairwise(leaf, 0, m)
-    assert got.tobytes() == np.sum(row).tobytes()
-    assert [s.start for s in parts] == [0] + [s.stop for s in parts[:-1]]
-    assert parts[-1].stop == m and all(0 < s.stop - s.start <= channel._SLICE for s in parts)
+    def relay(draws, case, delta, x_r, tmp):
+        widths.append(x_r.size)
+        relay_stage(draws, case, delta, x_r, tmp)
+
+    monkeypatch.setattr(latticesim, "_relay_stage", relay)
+    monkeypatch.setattr(channel, "_WORKERS", 1)  # the blocks' calls in index order
+    got = simulate_chain(params, real, cfg).measured_relay_power
+    assert np.float64(got).tobytes() == want.tobytes()
+    assert widths == [2 ** 15] * 4 + [2 ** 15, 5088]
 
 
 def test_chain_allocates_about_its_draws():

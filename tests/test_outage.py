@@ -529,9 +529,10 @@ class TestMonteCarlo:
                 fields = (est.p_hat, est.std_err, est.ci95.lo, est.ci95.hi)
                 assert all(np.shape(v) == shape for v in fields)
 
-    @pytest.mark.parametrize("hits, n", [(5, 3), (-1, 3), (0, 0), (1, -1)])
+    @pytest.mark.parametrize("hits, n", [(5, 3), (-1, 3), (0, 0), (1, -1), (1, 2.5), (1, True)])
     def test_hits_outside_0_n_are_refused_by_name(self, hits, n):
-        # hits = 5 of 3 used to warn in sqrt, then fail on the interval's endpoints
+        # hits = 5 of 3 used to warn in sqrt, then fail on the interval's endpoints;
+        # n = 2.5 used to be kept as the estimate's n
         with pytest.raises(ValueError, match="hits must lie in"):
             MCEstimate.from_counts(hits, n)
 
