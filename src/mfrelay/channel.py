@@ -9,6 +9,7 @@ matching 1/2 log2 prefactor.
 from __future__ import annotations
 
 import collections
+import copy
 import math
 import numbers
 import os
@@ -257,6 +258,20 @@ def rng_stream(seed: int, index=None) -> np.random.Generator:
             raise ValueError(f"rng_stream {name} must be a whole number >= 0, not {value!r}")
     # numpy takes the 128-bit Philox key from SeedSequence([seed, *indices])
     return np.random.Generator(np.random.Philox([int(seed), *map(int, indices)]))
+
+
+def _ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """A copy of ``rng``, a Philox generator, k raw 64-bit outputs on: it
+    draws what rng would after k such outputs (a uniform double uses one),
+    and rng does not move.  Philox makes 4 outputs per counter step, so a
+    copy with no buffered output (as rng_stream makes it) jumps k // 4
+    steps in O(1) and draws the other k % 4; any other copy draws all k."""
+    bits = copy.deepcopy(rng.bit_generator)
+    if bits.state["buffer_pos"] == 4:
+        bits.advance(k // 4)
+        k %= 4
+    bits.random_raw(k, output=False)
+    return np.random.Generator(bits)
 
 
 def _blocks(n: int):

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (_SLICE, ChannelRealization, SystemParams, _all_finite, _is_number,
-                      _map_blocks, _slices, rng_stream)
+from .channel import (_SLICE, ChannelRealization, SystemParams, _ahead, _all_finite,
+                      _is_number, _map_blocks, _slices, rng_stream)
 from .numerics import _scalar
 from .rates import rate_report
 
@@ -57,8 +57,8 @@ class LatticeConfig:
 
     @property
     def delta(self) -> float:
-        # delta^2 / 12 == ps (up to one ulp)
-        return float(np.sqrt(12.0 * self.ps))
+        # delta^2 / 12 == ps (up to one ulp), from ps's one value (a 1-element array too)
+        return float(np.sqrt(12.0 * np.reshape(self.ps, ())))
 
 
 @dataclass(frozen=True)
@@ -154,24 +154,39 @@ def _uniformity_pvalue(stat: float) -> float:
     return min(1.0, math.erfc(math.sqrt(half)) + tail)
 
 
-def _block_draws(rng, draws, delta, params):
-    """Fill rows 0-4 of ``draws`` with one block's (u, u1, z, n_r, n_d).
+def _block_draws(rng, full, parts, delta, params):
+    """Draw one block of (u, u1, z, n_r, n_d) and yield it part by part.
+
+    z and n_r are drawn whole into ``full``, 2 rows of the block's width:
+    they are ziggurat normals, whose use of the stream varies.  u, u1 and
+    n_d are drawn one _slices part at a time into ``parts``, 3 slice-sized
+    rows: u from rng, u1 from a copy of rng m raw outputs on (a uniform
+    uses one) and z, n_r, then n_d from a copy 2m on (``_ahead``).  So the
+    rows of each yielded part are bitwise that part of the draws in stream
+    order: rng.uniform(-delta/2, delta/2, m) for u and then u1,
+    rng.standard_normal(m) for z and sqrt(sigma2)*rng.standard_normal(m)
+    for n_r and then n_d.
 
     z is the jamming x_d at unit power: a chain at jamming power pd uses
     sqrt(pd)*z.  None of the rows depends on pd or the scalings, so one set
-    of blocks serves any number of operating points.  The in-place forms
-    are bitwise equal to rng.uniform(-delta/2, delta/2, m) and
-    s * rng.standard_normal(m).
+    of blocks serves any number of operating points.
     """
-    for row in draws[:2]:  # source dither (x_s = u at the zero codeword), relay dither
-        rng.random(out=row)
-        row *= delta
-        row += -delta / 2
-    rng.standard_normal(out=draws[2])
+    m = full.shape[1]
+    dithers, normals = (rng, _ahead(rng, m)), _ahead(rng, 2 * m)
+    z, n_r = full
     s_n = np.sqrt(params.sigma2)
-    for row in draws[3:5]:
-        rng.standard_normal(out=row)
-        row *= s_n
+    normals.standard_normal(out=z)
+    normals.standard_normal(out=n_r)
+    n_r *= s_n
+    for s in _slices(m):
+        u, u1, n_d = parts[:, :z[s].shape[0]]
+        for stream, row in zip(dithers, (u, u1)):  # source dither (x_s = u), relay dither
+            stream.random(out=row)
+            row *= delta
+            row += -delta / 2
+        normals.standard_normal(out=n_d)
+        n_d *= s_n
+        yield u, u1, z[s], n_r[s], n_d
 
 
 class _Case(NamedTuple):
@@ -186,7 +201,7 @@ class _Case(NamedTuple):
 
 
 # The chain in three stages, each written in place over slice-sized arrays
-# (``draws`` is a slice of the block's rows 0-4, ``tmp`` scratch).  The
+# (``draws`` is one part's (u, u1, z, n_r, n_d), ``tmp`` scratch).  The
 # operations and their order are those of the chain's formulas, so every
 # value is bitwise what evaluating the formula would give.
 
@@ -290,7 +305,10 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     Blocks use independent substreams and are cut into parts of at most
     2^15 symbols; the parts' sums, and then the blocks', are added in index
     order, so each point equals its own scalar call bit for bit and results
-    are reproducible for a given (config, seed).
+    are reproducible for a given (config, seed).  A block holds only its
+    z and n_r rows whole (``_block_draws``): u, u1 and n_d are drawn part
+    by part, with the same bits, so a pool thread holds 2 block rows and
+    8 slice rows.
     """
     _check_chain(params, real, cfg)
     a_opt, b_opt = mmse_scalings(params, real)
@@ -307,15 +325,14 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     factor = math.ldexp(1.0, -scale)
     edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
 
-    def block(rng, draws):
-        _block_draws(rng, draws, delta, params)
-        rows = np.empty((5, min(draws.shape[1], _SLICE)))  # x_r, y, r and the stage scratch
+    def block(rng, full):
+        rows = np.empty((8, min(full.shape[1], _SLICE)))  # u, u1, n_d, x_r, y, r, 2 scratch
         squares = np.zeros((len(cases), 3))
         hists = np.zeros((len(cases), _UNIFORMITY_BINS), dtype=np.int64)
         drifts = np.zeros(len(cases))
-        for s in _slices(draws.shape[1]):  # every operating point on one part of the block
-            part = draws[:, s]
-            x_r, y, r, out, tmp = rows[:, :part.shape[1]]
+        # every operating point on one part of the block
+        for part in _block_draws(rng, full, rows[:3], delta, params):
+            x_r, y, r, out, tmp = rows[3:, :part[0].shape[0]]
             for k, case in enumerate(cases):
                 if relays[k]:  # else x_r holds the point before's, and so do counts and x_sq
                     _relay_stage(part, case, delta, x_r, tmp)
@@ -328,7 +345,7 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
                 hists[k] += counts
         return squares, hists, drifts
 
-    results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 5)
+    results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 2)
     squares, hists, drifts = zip(*results)
     squares, hist, drift = sum(squares), sum(hists), np.max(drifts, axis=0)
     powers = np.ldexp(squares / n, 2 * scale)

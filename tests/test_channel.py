@@ -7,14 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from mfrelay import (bessel_k1, channel, p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy,
                      p_secrecy_threshold, rate_report, tradeoff_residual)
 from mfrelay.channel import (_BLOCK, _SLICE, ChannelRealization, RateConfig, SystemParams,
-                             _blocks, _map_blocks, _map_slices, derived_ratios, rng_stream,
+                             _ahead, _blocks, _map_blocks, _map_slices, derived_ratios, rng_stream,
                              sample_gains, sample_realization, thresholds)
 from mfrelay.latticesim import LatticeConfig
 
@@ -292,6 +292,28 @@ def test_gains_drawn_into_a_buffer_equal_fresh_draws(m):
     want = sample_gains(params, rng_stream(8, 2), m)
     for g, w in zip(got, want):
         assert g.base is buf and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("residue", range(4))
+@settings(max_examples=8, deadline=None)
+@given(steps=st.integers(0, _BLOCK), drawn=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.one_of(st.sampled_from([1, _BLOCK]), st.integers(1, _BLOCK)))
+def test_ahead_draws_what_the_stream_draws_after_k_outputs(residue, steps, drawn, seed, size):
+    # k raw outputs on, as k uniforms would leave the stream, from a fresh
+    # generator (the O(1) jump) or one with outputs in its buffer
+    k = 4 * steps + residue
+    rng = rng_stream(seed, 3)
+    rng.random(drawn + k)
+    want = rng.random(size), rng.standard_normal(size)
+    start = rng_stream(seed, 3)
+    start.random(drawn)
+    ahead = _ahead(start, k)
+    got = ahead.random(size), ahead.standard_normal(size)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    # the generator copied from does not move
+    rng = rng_stream(seed, 3)
+    rng.random(drawn)
+    assert start.random(8).tobytes() == rng.random(8).tobytes()
 
 
 class TestMapBlocks:

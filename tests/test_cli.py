@@ -441,6 +441,8 @@ GOLDEN = {
     "chain": ["chain", "--mc-samples", "20000", "--seed", "5"],
     # two full blocks and a ragged one that the chain sums in two parts
     "chain_split": ["chain", "--mc-samples", "300000", "--seed", "5"],
+    # one full block and a ragged one of 2^15 + 3 symbols, whose last part is 3
+    "chain_ragged": ["chain", "--mc-samples", "163843", "--seed", "5"],
 }
 
 

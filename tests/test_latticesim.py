@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -106,6 +107,14 @@ class TestLatticeConfig:
         # one lattice takes one power: numpy used to refuse the array's truth value
         with pytest.raises(ValueError, match="ps must be one positive finite power"):
             LatticeConfig(ps=ps, n_symbols=1)
+
+    @pytest.mark.parametrize("ps", [2, 2.0, 7.3, 1e-200, 1e300])
+    def test_one_element_array_of_power_gives_the_scalar_delta(self, ps):
+        # float() of a 1-d array used to raise a TypeError
+        want = LatticeConfig(ps=ps, n_symbols=10).delta
+        got = LatticeConfig(ps=np.array([ps]), n_symbols=10).delta
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_negative_seed_refused_at_construction(self):
         # it used to pass here and fail only when the chain drew its blocks
@@ -226,8 +235,21 @@ class TestScanScaling:
             scan_scaling(params, real, cfg, [0.5], [1.6])
 
 
+def _assembled_draws(rng, m, delta, params, full=None):
+    """The 5 rows (u, u1, z, n_r, n_d) of one block of m symbols, put
+    together from the parts _block_draws yields (``full`` holds z and n_r)."""
+    full = np.empty((2, m)) if full is None else full
+    parts = np.empty((3, min(m, channel._SLICE)))
+    draws = np.empty((5, m))
+    for s, part in zip(channel._slices(m),
+                       latticesim._block_draws(rng, full, parts, delta, params), strict=True):
+        for row, values in zip(draws, part, strict=True):
+            row[s] = values
+    return draws
+
+
 @pytest.mark.parametrize("ps", [1e-6, 1.0, 10.0, 1e6])
-@pytest.mark.parametrize("m", [_BLOCK, 54321])
+@pytest.mark.parametrize("m", [_BLOCK, 54321, 2 ** 15 + 3, 1])
 def test_block_draws_equal_fresh_draws(ps, m):
     # the fresh draws written out, as the chain drew them before its buffers
     params = SystemParams(ps=ps, pd=7.0, sigma2=0.3)
@@ -237,8 +259,7 @@ def test_block_draws_equal_fresh_draws(ps, m):
             np.sqrt(params.pd) * rng.standard_normal(m),
             np.sqrt(params.sigma2) * rng.standard_normal(m),
             np.sqrt(params.sigma2) * rng.standard_normal(m)]
-    draws = np.empty((6, _BLOCK))[:, :m]
-    latticesim._block_draws(rng_stream(4, 1), draws, delta, params)
+    draws = _assembled_draws(rng_stream(4, 1), m, delta, params, np.empty((6, _BLOCK))[:2, :m])
     draws[2] *= np.sqrt(params.pd)  # x_d is drawn at unit power, scaled per operating point
     for got, w in zip(draws, want):
         assert got.tobytes() == w.tobytes()
@@ -351,8 +372,7 @@ def test_stages_equal_the_chain_formulas(g1, g2, pd, alpha, beta, signs):
     params = SystemParams(ps=2.0, pd=pd, sigma2=0.7)
     real = ChannelRealization.from_gains(g1, g2, *signs)
     delta = LatticeConfig(ps=2.0, n_symbols=1).delta
-    draws = np.empty((5, 1000))
-    latticesim._block_draws(rng_stream(1, 0), draws, delta, params)
+    draws = _assembled_draws(rng_stream(1, 0), 1000, delta, params)
     u, u1, z, n_r, n_d = draws
     h1, h2 = real.h1, real.h2
     x_d = np.sqrt(pd) * z
@@ -435,9 +455,9 @@ def counted(monkeypatch):
     block_draws, relay_stage = latticesim._block_draws, latticesim._relay_stage
     residual_stage = latticesim._residual_stage
 
-    def draws(rng, rows, delta, params):
+    def draws(*args):
         counts["blocks"] += 1
-        block_draws(rng, rows, delta, params)
+        return block_draws(*args)
 
     def relay(draws, case, delta, x_r, tmp):
         counts["relayed"] += x_r.size
@@ -487,8 +507,7 @@ def test_sums_add_parts_then_blocks_in_index_order(monkeypatch):
     k = math.frexp(cfg.delta)[1]
     blocks = []
     for index, size in channel._blocks(n):
-        draws = np.empty((5, size))
-        latticesim._block_draws(rng_stream(cfg.seed, index), draws, cfg.delta, params)
+        draws = _assembled_draws(rng_stream(cfg.seed, index), size, cfg.delta, params)
         parts = []
         for s in channel._slices(size):
             part = draws[:, s]
@@ -525,3 +544,35 @@ def test_chain_allocates_about_its_draws():
         finally:
             tracemalloc.stop()
     assert peak <= 7 * _BLOCK * 8  # 7 block rows of doubles
+
+
+def test_chain_holds_two_block_rows_per_thread():
+    # z and n_r are a block's only full rows: u, u1 and n_d are drawn part by
+    # part into slice rows, with x_r, y, r and the stage scratch
+    pd, real = _chain_grid()
+    params = SystemParams(ps=1.0, pd=pd, sigma2=1.0)
+    with mock.patch.object(channel, "_WORKERS", 1):
+        simulate_chain(params, real, LatticeConfig(ps=1.0, n_symbols=1))
+        tracemalloc.start()
+        try:
+            simulate_chain(params, real, LatticeConfig(ps=1.0, n_symbols=3 * _BLOCK + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4.5 * _BLOCK * 8  # 2 block rows and 8 slice rows, with room for the rest
+
+
+def test_chain_makes_one_rng_stream_call_per_block(monkeypatch):
+    # the copies that draw u1 and the normals start from the block's own
+    # generator; each block's stream is made in the calling thread
+    calls = []
+
+    def stream(*args):
+        calls.append((args, threading.get_ident()))
+        return rng_stream(*args)
+
+    monkeypatch.setattr(latticesim, "rng_stream", stream)
+    monkeypatch.setattr(channel, "_WORKERS", 2)
+    params, real, cfg = setup(n=3 * _BLOCK + 1, seed=6)
+    simulate_chain(params, real, cfg)
+    assert calls == [((6, index), threading.get_ident()) for index in range(4)]
