@@ -3,9 +3,10 @@ rates of the modulo-forward (MF), amplify-forward (AF), and lattice
 decode-forward (DF) relaying schemes.  The Monte Carlo outage events
 reuse the end-to-end and relay SNRs written here.
 
-``rate_report`` is the one place a rate quantity is formed and read: its
-kernel ``_rate_fields`` holds every formula and takes each term once,
-slice by slice, and each ``RateReport`` field names one quantity.
+``rate_report`` is the one place a rate quantity is formed and read:
+each term kernel (``_rr``, ``_cd``, ``_rd_lower``, ``_se2``, ``_snr_af``)
+holds one formula, and each ``RateReport`` field combines the terms it
+needs, slice by slice, on its first read.
 
 Every function broadcasts over array-valued parameter/realization fields.
 All logarithms are base 2, so rates are in bits per real dimension;
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -67,51 +69,97 @@ def _relay_sinr(params: SystemParams, g1, g2, out=None, tmp=None):
     return _scalar(np.divide(np.multiply(params.ps, g1, out=out), den, out=out))
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """All per-realization rate quantities in one record; rates in bits."""
+# the term kernels: each writes one rate formula once, at a slice's params
+# (rebuilt unchecked) and gains, and the RateReport fields combine them
 
-    cd_upper: float       # two-hop cut-set capacity (1/2)log2(1 + min(g1,g2) ps/sigma2)
-    upper_bound_u: float  # [cd_upper - rr]^+, valid for any forwarding
-    # min{ps, ps*sigma2/(g1*ps + sigma2) + ps*sigma2/(g2*ps + sigma2)}, the MF
-    # chain's equivalent noise variance; the clamp at ps acts only when both hops are useless
-    sigma_e2: float
-    rd_mf_exact: float    # (1/2)log2(ps / sigma_e2), clipped
-    rd_mf_lower: float    # (1/2)log2(1/2 + snr*g1*g2/(g1+g2)), clipped
-    rr: float             # the relay's rate, decoding with the jamming as noise
-    rs_mf: float          # [rd_mf_lower - rr]^+
-    snr_af: float         # AF's SNR after the destination cancels its jamming
-    rs_af: float          # [(1/2)log2(1 + snr_af) - rr]^+
+
+def _rr(p, g1, g2):
+    """The relay's rate, decoding with the jamming as noise."""
+    return 0.5 * np.log2(1.0 + _relay_sinr(p, g1, g2))
+
+
+def _cd(p, g1, g2):
+    """The two-hop cut-set capacity (1/2)log2(1 + min(g1, g2) ps/sigma2)."""
+    return 0.5 * np.log2(1.0 + _e2e_snr(Scheme.UPPER, p, g1, g2))
+
+
+def _rd_lower(p, g1, g2):
+    """MF's closed lower-bound destination rate
+    (1/2)log2(1/2 + snr*g1*g2/(g1 + g2)), clipped."""
+    return _pos(0.5 * np.log2(0.5 + _e2e_snr(Scheme.MF, p, g1, g2)))
+
+
+def _se2(p, g1, g2):
+    """The MF chain's equivalent noise variance, min{ps, ps*sigma2/(g1*ps +
+    sigma2) + ps*sigma2/(g2*ps + sigma2)}; the clamp at ps acts only when
+    both hops are useless."""
+    ps, sigma2 = p.ps, p.sigma2
+    return np.minimum(ps, ps * sigma2 / (g1 * ps + sigma2) + ps * sigma2 / (g2 * ps + sigma2))
+
+
+def _snr_af(p, g1, g2):
+    """AF's SNR after the destination cancels its jamming."""
+    return _e2e_snr(Scheme.AF, p, g1, g2)
+
+
+def _field(kernel):
+    """A ``RateReport`` field: ``kernel(params, g1, g2)`` at the report's
+    arrays, run on ``_map_slices`` into the one array it makes when the
+    field is first read (so under that read's np.errstate), and then kept."""
+
+    def read(report):
+        return _scalar(_map_slices(lambda ps, pd, sigma2, g1, g2: kernel(
+            _unchecked(SystemParams, ps, pd, sigma2), g1, g2), *report._args))
+
+    return cached_property(read)
+
+
+class RateReport:
+    """Every per-realization rate quantity of (params, real); rates in bits.
+
+    Each field is formed on its first read from the term kernels it needs,
+    each term once, and then kept, so ``vars(report)`` lists the fields
+    read so far; a field never read is never formed.  The report holds
+    references to the records' arrays, which must not be written to
+    afterwards.  Shapes that do not broadcast together are refused here.
+    """
+
+    __slots__ = ("_args", "__dict__")  # so vars(report) holds only the fields formed
+
+    def __init__(self, params: SystemParams, real: ChannelRealization):
+        self._args = (params.ps, params.pd, params.sigma2, real.g1, real.g2)
+        np.broadcast_shapes(*map(np.shape, self._args))
+
+    # each field's kernel, of a = (params, g1, g2), looks its terms up when it
+    # runs, so a test can count the terms that one read forms
+    cd_upper = _field(lambda *a: _cd(*a))
+    upper_bound_u = _field(lambda *a: _pos(_cd(*a) - _rr(*a)))  # valid for any forwarding
+    sigma_e2 = _field(lambda *a: _se2(*a))
+    rd_mf_exact = _field(lambda *a: _pos(0.5 * np.log2(a[0].ps / _se2(*a))))
+    rd_mf_lower = _field(lambda *a: _rd_lower(*a))
+    rr = _field(lambda *a: _rr(*a))
+    rs_mf = _field(lambda *a: _pos(_rd_lower(*a) - _rr(*a)))
+    snr_af = _field(lambda *a: _snr_af(*a))
+    rs_af = _field(lambda *a: _pos(0.5 * np.log2(1.0 + _snr_af(*a)) - _rr(*a)))
     # upper_bound_u - rs_mf: in [0, 1/2] wherever g1*g2 and the SNR products are
     # normal doubles; past that the products can underflow and it can read far above 1/2
-    gap: float
+    gap = _field(lambda *a: _pos(_cd(*a) - (rr := _rr(*a))) - _pos(_rd_lower(*a) - rr))
+
+
+# the ten fields of a RateReport, in order
+_FIELDS = tuple(name for name, value in vars(RateReport).items()
+                if isinstance(value, cached_property))
 
 
 def rate_report(params: SystemParams, real: ChannelRealization) -> RateReport:
-    """Every rate quantity of the realization, each formed once here, slice
-    by slice (``_map_slices``); a scalar point gives Python floats.
+    """The rate quantities of the realization, each formed on its first
+    read (``RateReport``); a scalar point gives Python floats.
 
     MF pairs its closed lower-bound destination rate with the relay rate
     (the form the 1/2-bit gap bounds); AF's rate is taken after the
     destination cancels its jamming.
     """
-    return RateReport(*map(_scalar, _map_slices(
-        _rate_fields, params.ps, params.pd, params.sigma2, real.g1, real.g2, outs=10)))
-
-
-def _rate_fields(ps, pd, sigma2, g1, g2):
-    """``rate_report``'s kernel: its fields in order, at (ps, pd, sigma2)
-    and gains (g1, g2)."""
-    params = _unchecked(SystemParams, ps, pd, sigma2)
-    se2 = np.minimum(ps, ps * sigma2 / (g1 * ps + sigma2) + ps * sigma2 / (g2 * ps + sigma2))
-    rr = 0.5 * np.log2(1.0 + _relay_sinr(params, g1, g2))
-    cd = 0.5 * np.log2(1.0 + _e2e_snr(Scheme.UPPER, params, g1, g2))
-    rd_lower = _pos(0.5 * np.log2(0.5 + _e2e_snr(Scheme.MF, params, g1, g2)))
-    rs_mf = _pos(rd_lower - rr)
-    snr_af = _e2e_snr(Scheme.AF, params, g1, g2)
-    u = _pos(cd - rr)
-    return (cd, u, se2, _pos(0.5 * np.log2(ps / se2)), rd_lower, rr, rs_mf, snr_af,
-            _pos(0.5 * np.log2(1.0 + snr_af) - rr), u - rs_mf)
+    return RateReport(params, real)
 
 
 @dataclass(frozen=True)

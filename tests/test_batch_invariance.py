@@ -16,6 +16,7 @@ from mfrelay import (ChannelRealization, RateConfig, Scheme, SystemParams, besse
                      p_conn_cutset_lower, p_conn_mf, p_secrecy, p_secrecy_threshold, rate_report,
                      thresholds, tradeoff_residual)
 from mfrelay.channel import _SLICE, _slices
+from mfrelay.rates import _FIELDS, RateReport
 
 
 def _log_uniform(lo, hi):
@@ -40,7 +41,10 @@ def _records(ps, pd, sigma2, eps1, eps2, rd, frac, g1, g2):
 
 
 def _fields(result):
-    """The float fields of a result record, or the result itself."""
+    """The float fields of a result record, each report field read by name,
+    or the result itself."""
+    if isinstance(result, RateReport):
+        return {name: getattr(result, name) for name in _FIELDS}
     return vars(result) if hasattr(result, "__dataclass_fields__") else {"value": result}
 
 
@@ -88,7 +92,7 @@ def test_closed_forms_are_batch_invariant(points):
         assert type(p_conn_cutset_lower(p, c.rd)) is float
         probs = outage_probs(p, c)
         assert type(probs.p_total_lower) is float and type(probs.p_total_upper) is float
-        assert all(type(v) is float for v in vars(rate_report(p, g)).values())
+        assert all(type(v) is float for v in _fields(rate_report(p, g)).values())
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,13 +1,17 @@
+import collections
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfrelay import rates
-from mfrelay.channel import ChannelRealization, SystemParams, rng_stream, sample_realization
-from mfrelay.rates import Scheme, _e2e_snr, _relay_sinr, df_comparison, rate_report
+from mfrelay import channel, rates
+from mfrelay.channel import (_BLOCK, _SLICE, ChannelRealization, SystemParams, rng_stream,
+                             sample_realization)
+from mfrelay.rates import _FIELDS, Scheme, _e2e_snr, _relay_sinr, df_comparison, rate_report
 
 
 def params(ps=10.0, pd=10.0, sigma2=1.0):
@@ -203,24 +207,102 @@ class TestCrossSchemeInvariants:
         assert rep.gap == pytest.approx(rep.upper_bound_u - rep.rs_mf)
 
 
+# the terms each field's kernel combines
+_TERMS = {"cd_upper": {"cd"}, "upper_bound_u": {"cd", "rr"}, "sigma_e2": {"se2"},
+          "rd_mf_exact": {"se2"}, "rd_mf_lower": {"rd_lower"}, "rr": {"rr"},
+          "rs_mf": {"rd_lower", "rr"}, "snr_af": {"snr_af"}, "rs_af": {"snr_af", "rr"},
+          "gap": {"cd", "rd_lower", "rr"}}
+
+
+def _written_out(ps, pd, sigma2, g1, g2):
+    """Every report field as its whole-array formula, in the kernels' order
+    of operations."""
+    def pos(x):
+        return np.maximum(x, 0.0)  # in the kernels' order, which sets the sign of a zero
+
+    rr = 0.5 * np.log2(1.0 + ps * g1 / (pd * g2 + sigma2))
+    cd = 0.5 * np.log2(1.0 + np.minimum(g1, g2) * (ps / sigma2))
+    rd_lower = pos(0.5 * np.log2(0.5 + ps / sigma2 * (g1 * g2 / (g1 + g2 + 5e-324))))
+    se2 = np.minimum(ps, ps * sigma2 / (g1 * ps + sigma2) + ps * sigma2 / (g2 * ps + sigma2))
+    snr_af = ps * ps * g1 * g2 / (sigma2 * (ps * g1 + ps * g2 + pd * g2 + sigma2))
+    return {"cd_upper": cd, "upper_bound_u": pos(cd - rr), "sigma_e2": se2,
+            "rd_mf_exact": pos(0.5 * np.log2(ps / se2)), "rd_mf_lower": rd_lower, "rr": rr,
+            "rs_mf": pos(rd_lower - rr), "snr_af": snr_af,
+            "rs_af": pos(0.5 * np.log2(1.0 + snr_af) - rr),
+            "gap": pos(cd - rr) - pos(rd_lower - rr)}
+
+
 class TestOneRateBuilder:
     def test_report_forms_each_term_once(self, monkeypatch):
-        counts = {}
-        e2e_snr, relay_sinr = rates._e2e_snr, rates._relay_sinr
+        counts = collections.Counter()
+        for term in ("rr", "cd", "rd_lower", "se2", "snr_af"):
+            def counted(*args, term=term, kernel=getattr(rates, f"_{term}")):
+                counts[term] += 1
+                return kernel(*args)
+            monkeypatch.setattr(rates, f"_{term}", counted)
+        draws = random_draws(11, n=50)
+        assert set(_TERMS) == set(_FIELDS)
+        for field in _FIELDS:
+            # a read forms each term its field needs once, and no other term
+            rep = rate_report(*draws)
+            counts.clear()
+            getattr(rep, field)
+            assert counts == dict.fromkeys(_TERMS[field], 1), field
+            # a second read forms nothing
+            getattr(rep, field)
+            assert counts == dict.fromkeys(_TERMS[field], 1), field
 
-        def counted_e2e_snr(scheme, *args):
-            counts[scheme] = counts.get(scheme, 0) + 1
-            return e2e_snr(scheme, *args)
+    def test_a_field_never_read_is_never_formed(self, monkeypatch):
+        calls = []
+        map_slices = rates._map_slices
+        monkeypatch.setattr(rates, "_map_slices", lambda *a: calls.append(a) or map_slices(*a))
+        rep = rate_report(*random_draws(12, n=_SLICE + 1))
+        assert calls == [] and vars(rep) == {}
+        gap = rep.gap
+        assert len(calls) == 1 and vars(rep) == {"gap": gap}
+        assert rep.gap is gap and len(calls) == 1
 
-        def counted_relay_sinr(*args):
-            counts["relay"] = counts.get("relay", 0) + 1
-            return relay_sinr(*args)
+    def test_shapes_that_do_not_broadcast_are_refused_at_the_call(self, monkeypatch):
+        monkeypatch.setattr(rates, "_map_slices", mock.Mock(side_effect=AssertionError))
+        p = SystemParams(ps=np.full(3, 10.0), pd=1.0, sigma2=1.0)
+        with pytest.raises(ValueError, match="broadcast"):
+            rate_report(p, gains(np.ones(4), np.ones(4)))
+        with pytest.raises(ValueError, match="broadcast"):
+            rate_report(params(), gains(np.ones(3), np.ones(4)))
 
-        monkeypatch.setattr(rates, "_e2e_snr", counted_e2e_snr)
-        monkeypatch.setattr(rates, "_relay_sinr", counted_relay_sinr)
-        # one report, each term once
-        rate_report(*random_draws(11, n=50))
-        assert counts == {Scheme.UPPER: 1, Scheme.MF: 1, Scheme.AF: 1, "relay": 1}
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_field_equals_its_written_out_formula(self, workers):
+        # 2^17 + 3 points: two blocks of slices, dead hops and overflowing
+        # products (ps*ps, g1*g2) at the ends
+        p, real = random_draws(13, n=_BLOCK + 3)
+        ps, pd, sigma2 = (np.array(v) for v in (p.ps, p.pd, p.sigma2))
+        g1, g2 = real.g1.copy(), real.g2.copy()
+        g1[:2], g2[1:3] = 0.0, 0.0
+        ps[-2:], pd[-1], sigma2[-2:], g1[-3:], g2[-3:] = 1e300, 1e300, 1e-300, 1e300, 1e-300
+        with np.errstate(all="ignore"), mock.patch.object(channel, "_WORKERS", workers):
+            rep = rate_report(SystemParams(ps=ps, pd=pd, sigma2=sigma2), gains(g1, g2))
+            want = _written_out(ps, pd, sigma2, g1, g2)
+            for field in _FIELDS:
+                assert getattr(rep, field).tobytes() == want[field].tobytes(), field
+        assert not np.all(np.isfinite(want["snr_af"]))  # an overflow point is in the set
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_field_read_holds_about_its_output(self, workers):
+        # the output row and slice-sized temporaries; all ten fields formed
+        # at once held 11.25 rows
+        n = 1 << 18
+        draws = random_draws(14, n=n)
+        with mock.patch.object(channel, "_WORKERS", workers):
+            rate_report(*draws).gap  # a first read leaves one-time setup out
+            for field in _FIELDS:
+                rep = rate_report(*draws)
+                tracemalloc.start()
+                try:
+                    getattr(rep, field)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 2 * n * 8, (field, peak / (n * 8))
 
 
 _WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
