@@ -200,39 +200,38 @@ def thresholds(config: RateConfig) -> Thresholds:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Instantaneous gains g_i = h_i^2 and signed amplitudes h_i.
+    """Instantaneous gains g_i and amplitude signs sign_i (each +1 or -1);
+    the amplitudes h_i = sign_i * sqrt(g_i) are formed on each read.
 
-    Fields may be scalars or equally-shaped arrays (a batch of draws).
+    Fields may be scalars or arrays that broadcast together (a batch of
+    draws); the rates and outages read the gains alone.
     """
 
     g1: float
     g2: float
-    h1: float
-    h2: float
+    sign1: float = 1.0
+    sign2: float = 1.0
 
     def __post_init__(self):
-        if not _all_finite(self.g1, self.g2, self.h1, self.h2):
+        if not _all_finite(self.g1, self.g2, self.sign1, self.sign2):
             raise ValueError("channel realization must be finite")
-        _check_gains(self.g1, self.g2)
-        for g, h in ((self.g1, self.h1), (self.g2, self.h2)):
-            # np.allclose's verdict, taken slice by slice
-            if not np.all(_map_slices(lambda h, g: np.isclose(np.asarray(h) ** 2, g, rtol=1e-9,
-                                                              atol=1e-12), h, g, dtype=bool)):
-                raise ValueError("amplitude/gain mismatch: need g = h^2")
+        if np.any(np.asarray(self.g1) < 0) or np.any(np.asarray(self.g2) < 0):
+            raise ValueError("gains must be nonnegative")
+        if not all(np.all((s == 1.0) | (s == -1.0)) for s in (self.sign1, self.sign2)):
+            raise ValueError("amplitude signs must be +1 or -1")
+        np.broadcast_shapes(*map(np.shape, (self.g1, self.g2, self.sign1, self.sign2)))
+
+    # the amplitudes sign * sqrt(g), formed on each read and never stored
+    h1 = property(lambda self: self.sign1 * np.sqrt(self.g1))
+    h2 = property(lambda self: self.sign2 * np.sqrt(self.g2))
 
     @classmethod
     def from_gains(cls, g1, g2, sign1=1.0, sign2=1.0):
-        g1 = np.asarray(g1, dtype=float) if np.ndim(g1) else float(g1)
-        g2 = np.asarray(g2, dtype=float) if np.ndim(g2) else float(g2)
-        _check_gains(g1, g2)  # before sqrt warns on a negative one
-        return cls(g1=g1, g2=g2, h1=sign1 * np.sqrt(g1), h2=sign2 * np.sqrt(g2))
-
-
-def _check_gains(g1, g2):
-    """The one refusal of a negative gain, by ``ChannelRealization`` and,
-    before its square root, by ``from_gains``."""
-    if np.any(np.asarray(g1) < 0) or np.any(np.asarray(g2) < 0):
-        raise ValueError("gains must be nonnegative")
+        """The record of the gains and signs as floats: a scalar as a Python
+        float, an array-like as a float array (a float64 array is held, not
+        copied)."""
+        return cls(*(np.asarray(v, dtype=float) if np.ndim(v) else float(v)
+                     for v in (g1, g2, sign1, sign2)))
 
 
 def _unchecked(cls, *values):

@@ -47,6 +47,10 @@ class LatticeConfig:
     def __post_init__(self):
         if np.size(self.ps) != 1 or not _all_finite(self.ps) or self.ps <= 0:
             raise ValueError(f"ps must be one positive finite power, not {self.ps!r}")
+        with np.errstate(over="ignore"):  # 12 ps overflows above about 1.498e307
+            if math.isinf(self.delta):
+                raise ValueError(f"ps must be at most DBL_MAX/12, so that the cell width "
+                                 f"sqrt(12 ps) is finite, not {self.ps!r}")
         for name in ("n_symbols", "seed"):
             if not _is_number(getattr(self, name), integral=True):
                 raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
@@ -254,12 +258,13 @@ def _residual_stage(draws, case, x_r, r, tmp):
 def _identity_drift(r, y, out, delta, tmp):
     """max |fold(r - y)| over a slice, computed in ``out``, slice-sized
     scratch, so that r and y keep their values for their sums.  The whole
-    modulo algebra collapses to y == fold(r); a drift beyond 1e-9*delta
-    is refused as a ValueError: the jamming then spans too many cells for a
-    double to place a symbol within its cell (pd far above ps does it)."""
+    modulo algebra collapses to y == fold(r); a drift beyond 1e-9*delta,
+    or a NaN one, is refused as a ValueError: the jamming then spans too
+    many cells for a double to place a symbol within its cell (pd far
+    above ps does it)."""
     np.subtract(r, y, out=out)
     drift = float(np.max(np.abs(_fold(out, delta, tmp), out=out)))
-    if drift > 1e-9 * delta:
+    if not drift <= 1e-9 * delta:
         raise ValueError(f"modulo-chain identity violated (drift {drift:.3e} > 1e-9*delta): "
                          "the jamming spans too many lattice cells for double precision "
                          "(pd far above ps)")
@@ -296,7 +301,7 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
 
     ``alpha``/``beta`` default to the MMSE values; passing 1.0 shows the
     penalty of forwarding without scaling.  ``params.pd``, the gains and
-    amplitudes of ``real``, and ``alpha``/``beta`` broadcast: arrays of
+    signs of ``real``, and ``alpha``/``beta`` broadcast: arrays of
     one shape run one chain per operating point, and the report's fields
     are arrays of that shape.  ``params.ps`` (which must equal ``cfg.ps``)
     and ``params.sigma2`` are scalars.  Every operating point runs on the
@@ -315,8 +320,9 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     alpha = np.asarray(a_opt if alpha is None else alpha, dtype=float)
     beta = np.asarray(b_opt if beta is None else beta, dtype=float)
     _check_scalings(alpha, beta)
-    shape = np.broadcast_shapes(*map(np.shape, (params.pd, real.h1, real.h2, alpha, beta)))
+    # each amplitude read forms its square root: read h1 and h2 once
     point = np.broadcast_arrays(np.sqrt(params.pd), real.h1, real.h2, beta, alpha)
+    shape = point[0].shape
     cases = [_Case(*map(float, values)) for values in zip(*(np.ravel(v) for v in point))]
     # a point reuses the relay output of the point before it when they share it
     relays = [k == 0 or case[:4] != cases[k - 1][:4] for k, case in enumerate(cases)]
@@ -379,8 +385,8 @@ def scan_scaling(params: SystemParams, real: ChannelRealization, cfg: LatticeCon
     and ``real`` describe one operating point, and the grids are 1-d.
     Returns an array of shape (len(alpha_grid), len(beta_grid)).
     """
-    if any(np.ndim(v) for v in (params.pd, real.h1, real.h2)):
-        raise ValueError("scan_scaling runs one operating point: scalar pd and gains")
+    if any(np.ndim(v) for v in (params.pd, real.g1, real.g2, real.sign1, real.sign2)):
+        raise ValueError("scan_scaling runs one operating point: scalar pd, gains and signs")
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
     if alpha_grid.ndim != 1 or beta_grid.ndim != 1:

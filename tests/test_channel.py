@@ -1,7 +1,9 @@
+import dataclasses
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -135,14 +137,63 @@ def test_param_validation():
         SystemParams(ps=np.inf, pd=0.0, sigma2=1.0)
     with pytest.raises(ValueError):
         RateConfig(rd=0.5, rs=0.6)
-    with pytest.raises(ValueError):
-        ChannelRealization(g1=1.0, g2=1.0, h1=2.0, h2=1.0)
+    # a sign is exactly +1 or -1: one within rounding of 1 is refused too
+    for sign in (0.0, 2.0, np.nan, 1.0 + 1e-12, np.array([1.0, 0.5, -1.0])):
+        for name in ("sign1", "sign2"):
+            with pytest.raises(ValueError, match="must be finite|signs must be"):
+                ChannelRealization(g1=1.0, g2=1.0, **{name: sign})
 
 
 def test_realization_from_gains_signs():
     real = ChannelRealization.from_gains(4.0, 9.0, sign1=-1.0)
     assert (real.h1, real.h2) == (-2.0, 3.0)
     assert (real.g1, real.g2) == (4.0, 9.0)
+    # the record holds gains and signs; ==, repr and astuple show the signs
+    assert dataclasses.astuple(real) == (4.0, 9.0, -1.0, 1.0)
+    assert repr(real) == "ChannelRealization(g1=4.0, g2=9.0, sign1=-1.0, sign2=1.0)"
+    assert real == ChannelRealization(4.0, 9.0, -1.0) != ChannelRealization(4.0, 9.0)
+
+
+def test_amplitudes_are_each_sign_times_the_root_of_its_gain():
+    g1, g2 = np.random.default_rng(8).exponential(1.0, (2, 1000))
+    sign = np.where(np.arange(1000) % 3, 1.0, -1.0)
+    for s1, s2 in ((1.0, 1.0), (-1.0, 1.0), (sign, -1.0), (sign, sign[::-1])):
+        real = ChannelRealization.from_gains(g1, g2, s1, s2)
+        assert real.h1.tobytes() == (s1 * np.sqrt(g1)).tobytes()
+        assert real.h2.tobytes() == (s2 * np.sqrt(g2)).tobytes()
+        one = ChannelRealization.from_gains(g1[3], g2[3], np.ravel(s1)[-1], np.ravel(s2)[-1])
+        assert np.float64(one.h1).tobytes() == (np.ravel(s1)[-1] * np.sqrt(g1[3])).tobytes()
+
+
+def test_from_gains_holds_float64_arrays_without_a_copy():
+    g1, g2 = np.linspace(0.0, 2.0, 5), np.ones(5)
+    real = ChannelRealization.from_gains(g1, g2, np.ones(5))
+    assert real.g1 is g1 and real.g2 is g2
+    assert ChannelRealization.from_gains([1, 2], 3).g1.dtype == np.float64
+
+
+def test_fields_that_do_not_broadcast_are_refused_at_construction():
+    # they used to pass here and fail only when a rate was formed
+    with pytest.raises(ValueError, match="broadcast"):
+        ChannelRealization.from_gains([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="broadcast"):
+        ChannelRealization.from_gains(1.0, 2.0, np.ones(3), np.ones(2))
+
+
+@pytest.mark.parametrize("sign, rows", [(1.0, 0.25), (None, 1.25)])
+def test_from_gains_allocates_a_fraction_of_a_row(sign, rows):
+    # its checks make boolean temporaries; no amplitude array is formed
+    n = 1 << 18
+    g1, g2 = np.random.default_rng(9).exponential(1.0, (2, n))
+    sign = np.where(np.arange(n) % 2, 1.0, -1.0) if sign is None else sign
+    ChannelRealization.from_gains(g1[:2], g2[:2], 1.0)  # one-time setup left out
+    tracemalloc.start()
+    try:
+        ChannelRealization.from_gains(g1, g2, sign)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * g1.nbytes
 
 
 @pytest.mark.parametrize("gains", [(-1.0, 1.0), (1.0, np.array([2.0, -0.5]))])
@@ -206,6 +257,7 @@ _RECORDS = {
     "SystemParams": lambda v: SystemParams(ps=v, pd=1.0, sigma2=1.0),
     "RateConfig": lambda v: RateConfig(rd=v, rs=0.0),
     "LatticeConfig": lambda v: LatticeConfig(ps=v, n_symbols=10),
+    "ChannelRealization": lambda v: ChannelRealization(g1=v, g2=1.0),
 }
 
 
@@ -489,7 +541,8 @@ class TestMapSlices:
         with mock.patch("concurrent.futures.ThreadPoolExecutor",
                         side_effect=ThreadPoolExecutor) as spy:
             _every_bulk_form(self.N)
-        assert spy.call_count == 8 + 2  # one per form, and from_gains checks h1 and h2
+        # one per form; from_gains starts none, since it forms no amplitude
+        assert spy.call_count == 8 + 0
 
     def test_outputs_take_the_broadcast_shape_and_the_kernel_bits(self):
         a, b = np.linspace(0.0, 1.0, 3)[:, None], np.linspace(1.0, 2.0, _BLOCK)[None, :]

@@ -209,6 +209,16 @@ class TestChain:
         assert proc.stderr.startswith("error: modulo-chain identity violated")
         assert proc.stdout == ""
 
+    def test_power_whose_cell_width_overflows_exits_2(self):
+        # 12 ps overflows: the run used to reach the non-finite cell check with nan powers
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfrelay", "chain", "--ps", "1.6e307", "--mc-samples", "10"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1  # no traceback
+        assert proc.stderr.startswith("error: ps must be at most DBL_MAX/12")
+        assert proc.stdout == ""
+
 
 class TestPlumbing:
     def test_readme_library_example_runs(self):

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -115,6 +116,22 @@ class TestLatticeConfig:
         got = LatticeConfig(ps=np.array([ps]), n_symbols=10).delta
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_power_whose_cell_width_overflows_is_refused_by_name(self):
+        # 12 ps overflows above about 1.498e307: delta used to be inf, with a warning
+        top = sys.float_info.max / 12.0  # moved to the largest ps whose 12 ps is finite
+        while math.isinf(12.0 * top):
+            top = math.nextafter(top, 0.0)
+        while math.isfinite(12.0 * math.nextafter(top, math.inf)):
+            top = math.nextafter(top, math.inf)
+        for ps in (math.nextafter(top, math.inf), 1.6e307, sys.float_info.max):
+            with pytest.raises(ValueError, match="ps must be at most DBL_MAX/12"):
+                LatticeConfig(ps=ps, n_symbols=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ps in (top, 1.4e307):
+                delta = LatticeConfig(ps=np.array([ps]), n_symbols=10).delta
+                assert delta == math.sqrt(12.0 * ps) < math.inf
 
     def test_negative_seed_refused_at_construction(self):
         # it used to pass here and fail only when the chain drew its blocks
@@ -327,9 +344,10 @@ class TestScalingDomain:
 
     def test_scan_refuses_a_batch_before_drawing(self, no_draws):
         params, _, cfg = setup()
-        real = ChannelRealization.from_gains([2.0, 3.0], 3.0)
-        with pytest.raises(ValueError, match="one operating point"):
-            scan_scaling(params, real, cfg, [0.5], [0.5])
+        for real in (ChannelRealization.from_gains([2.0, 3.0], 3.0),
+                     ChannelRealization.from_gains(3.0, 3.0, [1.0, -1.0])):
+            with pytest.raises(ValueError, match="one operating point"):
+                scan_scaling(params, real, cfg, [0.5], [0.5])
 
     @pytest.mark.parametrize("field", ["measured_relay_power", "measured_residual_var",
                                        "measured_folded_var", "analytic_sigma_e2"])
@@ -393,6 +411,20 @@ def test_stages_equal_the_chain_formulas(g1, g2, pd, alpha, beta, signs):
     assert drift == np.max(np.abs(mod_lattice(r - y, delta)))
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_identity_drift_that_is_not_within_its_bound_is_refused(row):
+    # a nan drift used to pass, since nan > bound is False
+    ry = np.zeros((2, 8))
+    ry[row, 5] = np.nan
+    with pytest.raises(ValueError, match="modulo-chain identity violated"):
+        latticesim._identity_drift(*ry, np.empty(8), 2.0, np.empty(8))
+    ry[row, 5] = 2e-9  # the bound itself passes, the double above it does not
+    assert latticesim._identity_drift(*ry, np.empty(8), 2.0, np.empty(8)) == 2e-9
+    ry[row, 5] = math.nextafter(2e-9, 1.0)
+    with pytest.raises(ValueError, match="modulo-chain identity violated"):
+        latticesim._identity_drift(*ry, np.empty(8), 2.0, np.empty(8))
+
+
 def _chain_grid():
     """run_chain's grid: gain pairs down, jamming powers (0 among them) across."""
     g1, g2 = (np.array(cli.CHAIN_GAIN_GRID)[:, [k]] for k in (0, 1))
@@ -407,14 +439,14 @@ def _fields(report):
 def _assert_batch_equals_scalar_calls(params, real, cfg, alpha=None, beta=None):
     batch = _fields(simulate_chain(params, real, cfg, alpha=alpha, beta=beta))
     shape = batch["alpha"].shape
-    pd, h1, h2, g1, g2, a, b = (np.broadcast_to(v, shape) for v in
-                                (params.pd, real.h1, real.h2, real.g1, real.g2,
+    pd, g1, g2, s1, s2, a, b = (np.broadcast_to(v, shape) for v in
+                                (params.pd, real.g1, real.g2, real.sign1, real.sign2,
                                  np.nan if alpha is None else alpha,
                                  np.nan if beta is None else beta))
     for idx in np.ndindex(shape):
         point = SystemParams(ps=params.ps, pd=float(pd[idx]), sigma2=params.sigma2)
         one = ChannelRealization(g1=float(g1[idx]), g2=float(g2[idx]),
-                                 h1=float(h1[idx]), h2=float(h2[idx]))
+                                 sign1=float(s1[idx]), sign2=float(s2[idx]))
         scalar = simulate_chain(point, one, cfg, alpha=None if alpha is None else a[idx],
                                 beta=None if beta is None else b[idx])
         for name, values in batch.items():
