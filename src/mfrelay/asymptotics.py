@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, RateConfig, SystemParams, _pd_at_rho
-from .numerics import _scalar, slope_fit
+from .channel import ChannelRealization, RateConfig, SystemParams, _pd_at_rho, _scalar
+from .numerics import slope_fit
 from .outage import p_conn_af, p_conn_cutset_lower, p_conn_mf, p_secrecy
 from .rates import Scheme, rate_report
 

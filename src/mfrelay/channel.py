@@ -15,7 +15,7 @@ import numbers
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -51,6 +51,12 @@ def _direct_or_logs(inside, direct, logs, *values):
     if isinstance(direct, tuple):
         return tuple(np.where(inside, d, o)[()] for d, o in zip(direct, out))
     return np.where(inside, direct, out)[()]
+
+
+def _scalar(out):
+    """The one scalar-result rule: a 0-d result is a Python float, and an
+    array stays an array."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _all_finite(*vals) -> bool:
@@ -227,17 +233,23 @@ class ChannelRealization:
 
     @classmethod
     def from_gains(cls, g1, g2, sign1=1.0, sign2=1.0):
-        """The record of the gains and signs as floats: a scalar as a Python
-        float, an array-like as a float array (a float64 array is held, not
-        copied)."""
-        return cls(*(np.asarray(v, dtype=float) if np.ndim(v) else float(v)
-                     for v in (g1, g2, sign1, sign2)))
+        """The record of the gains and signs as floats: a real number as a
+        Python float, an int or float array-like as a float array (a float64
+        array is held, not copied).  Any other value (a str, a bool, None)
+        is passed on as it is, for the record to refuse."""
+        def as_float(v):
+            a = np.asarray(v)
+            if _is_number(v) or (a.dtype.kind in "iuf" and a.ndim == 0):
+                return float(v)
+            return np.asarray(a, dtype=float) if a.dtype.kind in "iuf" else v
+
+        return cls(*map(as_float, (g1, g2, sign1, sign2)))
 
 
 def _unchecked(cls, *values):
-    """A ``cls`` record of values, in field order, cut from one that passed
-    its checks (a kernel's slice of its arrays), built without running the
-    checks again; fields left out keep their defaults."""
+    """A ``cls`` record of values, in field order, taken from one that
+    passed its checks (a slice of its arrays, or some of its fields), built
+    without running the checks again; fields left out keep their defaults."""
     record = object.__new__(cls)
     vars(record).update(zip(cls.__dataclass_fields__, values))
     return record
@@ -335,44 +347,46 @@ def _map_blocks(fn, n: int, streams, height: int, rows: int = 1) -> list:
     return _on_pool(block, items, min(_WORKERS, rows * -(-n // _BLOCK)))
 
 
-def _map_slices(kernel, *args, outs: int = 1, dtype=float):
-    """kernel(*args) for an elementwise ``kernel`` of ``outs`` results and
-    args that broadcast to one shape: the one driver of the bulk closed
-    forms, whose callers check their inputs on the whole arrays first.
+def _map_slices(kernel, *args):
+    """kernel(*args) for an elementwise ``kernel`` of one result, through
+    ``_scalar``: the one driver of the bulk closed forms, whose callers
+    check their inputs on the whole arrays first.  Each arg is an array or
+    a record (a dataclass instance such as ``SystemParams``), and the
+    arrays and the records' fields broadcast to one shape.
 
     A call of at most _SLICE points runs kernel(*args) as it is, in the
-    calling thread, so a scalar call keeps its types.  A larger call
-    broadcasts each array arg once (a 0-d arg stays as it is),
-    preallocates ``outs`` arrays of the broadcast shape and ``dtype``, and
-    runs the kernel on slices of at most _SLICE points, each writing its
-    results into its part of them.  The slices run on ``_map_blocks``'
-    pool (``_on_pool``), with its worker count, min(_WORKERS, blocks):
-    within one _BLOCK they run in the calling thread.  So the outputs are
-    the only full-size arrays it makes, and an elementwise kernel gives
-    them the same bits for any slicing and any worker count.  A kernel
-    must call private functions only: perfbench's tracer times the public
-    ones on the calling thread.  Returns the output, or a tuple of ``outs``
-    of them.
+    calling thread.  A larger call broadcasts each array and field once (a
+    0-d one stays as it is), preallocates the output of the broadcast
+    shape and runs the kernel on slices of at most _SLICE points, each
+    writing its result into its part of it; a record reaches the kernel as
+    a record of its slice's fields, built by ``_unchecked``.  The slices
+    run on ``_map_blocks``' pool (``_on_pool``), with its worker count,
+    min(_WORKERS, blocks): within one _BLOCK they run in the calling
+    thread.  So the output is the only full-size array it makes, and an
+    elementwise kernel gives it the same bits for any slicing and any
+    worker count.  A kernel must call private functions only: perfbench's
+    tracer times the public ones on the calling thread.
     """
-    shape = np.broadcast_shapes(*map(np.shape, args))
+    groups = [vars(a).values() if is_dataclass(a) else (a,) for a in args]
+    shape = np.broadcast_shapes(*(np.shape(v) for group in groups for v in group))
     size = math.prod(shape)
     if size <= _SLICE:
-        return kernel(*args)
-    flat = [a if np.ndim(a) == 0 else np.broadcast_to(a, shape).reshape(-1) for a in args]
-    out = [np.empty(size, dtype) for _ in range(outs)]
+        return _scalar(kernel(*args))
+    flat = [[v if np.ndim(v) == 0 else np.broadcast_to(v, shape).reshape(-1) for v in group]
+            for group in groups]
+    out = np.empty(size)
 
     def run(s):
-        got = kernel(*(a if np.ndim(a) == 0 else a[s] for a in flat))
-        for view, value in zip(out, got if outs > 1 else (got,)):
-            view[s] = value
+        cuts = ([v if np.ndim(v) == 0 else v[s] for v in group] for group in flat)
+        out[s] = kernel(*(_unchecked(type(a), *cut) if is_dataclass(a) else cut[0]
+                          for a, cut in zip(args, cuts)))
 
     workers = min(_WORKERS, -(-size // _BLOCK))
     # a kernel holds about ten slice-sized temporaries: slices of at most an
     # eighth of a worker's share keep those in flight within the output's size
     width = min(_SLICE, -(-size // (8 * workers)))
     _on_pool(run, ((s,) for s in _slices(size, width)), workers)
-    out = tuple(o.reshape(shape) for o in out)
-    return out if outs > 1 else out[0]
+    return out.reshape(shape)
 
 
 def sample_realization(params: SystemParams, rng: np.random.Generator, size=None) -> ChannelRealization:

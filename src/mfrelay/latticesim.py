@@ -22,8 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (_SLICE, ChannelRealization, SystemParams, _ahead, _all_finite,
-                      _is_number, _map_blocks, _slices, rng_stream)
-from .numerics import _scalar
+                      _is_number, _map_blocks, _scalar, _slices, rng_stream)
 from .rates import rate_report
 
 _UNIFORMITY_BINS = 64

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _TINY, _map_slices
+from .channel import _TINY, _map_slices, _scalar
 
 _K1_SPLIT = 2.0  # the series serves x <= _K1_SPLIT, the Chebyshev fit x above it
 
@@ -184,13 +184,7 @@ def bessel_k1(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("bessel_k1 requires finite x > 0")
-    return _scalar(_map_slices(_k1, arr))
-
-
-def _scalar(out):
-    """The one scalar-result rule: a 0-d result is a Python float, and an
-    array stays an array."""
-    return float(out) if np.ndim(out) == 0 else out
+    return _map_slices(_k1, arr)
 
 
 def slope_fit(log_x, log_y):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import (_SLICE, _TINY, RateConfig, SystemParams, Thresholds, _check_rate,
                       _direct_or_logs, _gamma, _is_number, _map_blocks, _map_slices, _normal,
-                      _slices, _unchecked, rng_stream, sample_gains, thresholds)
-from .numerics import Interval, _k1_map, _scalar
+                      _scalar, _slices, _unchecked, rng_stream, sample_gains, thresholds)
+from .numerics import Interval, _k1_map
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
 
@@ -87,12 +87,12 @@ def p_conn_cutset_lower(params: SystemParams, rd: float):
     so the bound never reads above either scheme's outage.  Evaluated slice
     by slice (``_map_slices``).
     """
-    return _scalar(_map_slices(_cutset_lower, _check_rate(rd), *vars(params).values()))
+    return _map_slices(_cutset_lower, _check_rate(rd), params)
 
 
-def _cutset_lower(rd, *fields):
-    """``p_conn_cutset_lower``'s kernel, at rd and SystemParams fields."""
-    params, gamma_o = _unchecked(SystemParams, *fields), _gamma(rd)
+def _cutset_lower(rd, params):
+    """``p_conn_cutset_lower``'s kernel."""
+    gamma_o = _gamma(rd)
     a = np.minimum(*(_k1_arguments(params, gamma_o, af)[0] for af in (False, True)))
     return np.where(gamma_o > 0, -np.expm1(-a), 0.0)
 
@@ -133,20 +133,20 @@ def p_secrecy_threshold(params: SystemParams, gamma_s):
     gamma_s = np.asarray(gamma_s, dtype=float)
     if not np.all(gamma_s >= 0.0):
         raise ValueError("gamma_s must be a nonnegative threshold, not negative or nan")
-    return _scalar(_map_slices(_secrecy, gamma_s, *vars(params).values()))
+    return _map_slices(_secrecy, gamma_s, params)
 
 
-def _secrecy(gamma_s, *fields):
-    """``p_secrecy_threshold``'s kernel, at gamma_s and SystemParams fields."""
-    pref, u = _secrecy_terms(_unchecked(SystemParams, *fields), gamma_s)
+def _secrecy(gamma_s, params):
+    """``p_secrecy_threshold``'s kernel."""
+    pref, u = _secrecy_terms(params, gamma_s)
     return pref * np.exp(-u)
 
 
 def p_secrecy(params: SystemParams, config: RateConfig):
     """Secrecy outage probability for a rate pair (1 when rd = rs)."""
     _check_rate(config.rd - config.rs)
-    return _scalar(_map_slices(lambda rd, rs, *fields: _secrecy(_gamma(rd - rs), *fields),
-                               config.rd, config.rs, *vars(params).values()))
+    return _map_slices(lambda config, params: _secrecy(_gamma(config.rd - config.rs), params),
+                       config, params)
 
 
 _DIRECT = 2.0 ** 150  # the direct a and x of inputs in [1/_DIRECT, _DIRECT] stay normal
@@ -169,7 +169,7 @@ def _k1_outage(live, a, x):
     out = _k1_map(lambda x, k, a: -np.expm1(-a) + np.exp(-a) * k,
                   lambda x, k, a: 1.0 - x * k * np.exp(-a - x),
                   np.clip(np.where(live, x, 1.0), _TINY, _X_CAP), a)
-    return _scalar(np.where(live, out, 0.0))
+    return np.where(live, out, 0.0)
 
 
 def _k1_arguments(params: SystemParams, gamma, af: bool):
@@ -212,13 +212,13 @@ def p_conn_mf(params: SystemParams, rd: float):
     at rd = 0 by the zero-rate convention.  Evaluated slice by slice
     (``_map_slices``).
     """
-    return _scalar(_map_slices(_conn_mf, _check_rate(rd), params.ps, params.sigma2, params.eps1,
-                               params.eps2))
+    # pd = 0, so the output's shape does not take pd's
+    return _map_slices(_conn_mf, _check_rate(rd), _unchecked(
+        SystemParams, params.ps, 0.0, params.sigma2, params.eps1, params.eps2))
 
 
-def _conn_mf(rd, ps, sigma2, eps1, eps2):
-    """``p_conn_mf``'s kernel; it does not read pd, which it sets to 0."""
-    params = _unchecked(SystemParams, ps, 0.0, sigma2, eps1, eps2)
+def _conn_mf(rd, params):
+    """``p_conn_mf``'s kernel; MF's outage does not depend on pd."""
     return _k1_outage(rd > 0, *_k1_arguments(params, _gamma(rd) + 0.5, af=False))
 
 
@@ -229,14 +229,13 @@ def p_conn_af(params: SystemParams, rd: float):
     Returns 0 at rd = 0, where the closed form's 1/gamma_o is singular.
     Evaluated slice by slice (``_map_slices``).
     """
-    return _scalar(_map_slices(_conn_af, _check_rate(rd), *vars(params).values()))
+    return _map_slices(_conn_af, _check_rate(rd), params)
 
 
-def _conn_af(rd, *fields):
-    """``p_conn_af``'s kernel, at rd and SystemParams fields."""
+def _conn_af(rd, params):
+    """``p_conn_af``'s kernel."""
     gamma_o = _gamma(rd)
-    return _k1_outage(gamma_o > 0, *_k1_arguments(_unchecked(SystemParams, *fields), gamma_o,
-                                                  af=True))
+    return _k1_outage(gamma_o > 0, *_k1_arguments(params, gamma_o, af=True))
 
 
 def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:
@@ -260,14 +259,14 @@ def tradeoff_residual(params: SystemParams, config: RateConfig):
     """
     rd = _check_rate(config.rd)
     _check_rate(rd - config.rs)
-    return _scalar(_map_slices(_tradeoff, rd, config.rs, *vars(params).values()))
+    return _map_slices(_tradeoff, rd, config.rs, params)
 
 
-def _tradeoff(rd, rs, *fields):
-    """``tradeoff_residual``'s kernel, at rd, rs and SystemParams fields."""
-    params, gamma_s = _unchecked(SystemParams, *fields), _gamma(rd - rs)
+def _tradeoff(rd, rs, params):
+    """``tradeoff_residual``'s kernel."""
+    gamma_s = _gamma(rd - rs)
     _, u = _secrecy_terms(params, gamma_s)
-    po = _conn_mf(rd, params.ps, params.sigma2, params.eps1, params.eps2)
+    po = _conn_mf(rd, params)
     weight = (gamma_s / (_gamma(rd) + 0.5)) * (params.eps2 / (params.eps1 + params.eps2))
     return np.exp(-u) + weight * po - 1.0
 

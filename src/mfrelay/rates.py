@@ -1,7 +1,7 @@
 """Per-realization rate formulas: capacities, bounds, and the secrecy
-rates of the modulo-forward (MF), amplify-forward (AF), and lattice
-decode-forward (DF) relaying schemes.  The Monte Carlo outage events
-reuse the end-to-end and relay SNRs written here.
+rates of the modulo-forward (MF) and amplify-forward (AF) relaying
+schemes.  The Monte Carlo outage events reuse the end-to-end and relay
+SNRs written here.
 
 ``rate_report`` is the one place a rate quantity is formed and read:
 each term kernel (``_rr``, ``_cd``, ``_rd_lower``, ``_se2``, ``_snr_af``)
@@ -15,14 +15,12 @@ negative-rate clips return exactly 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemParams, _map_slices, _unchecked
-from .numerics import _scalar
+from .channel import ChannelRealization, SystemParams, _map_slices, _scalar, _unchecked
 
 
 class Scheme(Enum):
@@ -70,7 +68,7 @@ def _relay_sinr(params: SystemParams, g1, g2, out=None, tmp=None):
 
 
 # the term kernels: each writes one rate formula once, at a slice's params
-# (rebuilt unchecked) and gains, and the RateReport fields combine them
+# and gains, and the RateReport fields combine them
 
 
 def _rr(p, g1, g2):
@@ -104,14 +102,9 @@ def _snr_af(p, g1, g2):
 
 def _field(kernel):
     """A ``RateReport`` field: ``kernel(params, g1, g2)`` at the report's
-    arrays, run on ``_map_slices`` into the one array it makes when the
-    field is first read (so under that read's np.errstate), and then kept."""
-
-    def read(report):
-        return _scalar(_map_slices(lambda ps, pd, sigma2, g1, g2: kernel(
-            _unchecked(SystemParams, ps, pd, sigma2), g1, g2), *report._args))
-
-    return cached_property(read)
+    params and gains, run on ``_map_slices`` into the one array it makes when
+    the field is first read (so under that read's np.errstate), and then kept."""
+    return cached_property(lambda report: _map_slices(kernel, *report._args))
 
 
 class RateReport:
@@ -127,8 +120,10 @@ class RateReport:
     __slots__ = ("_args", "__dict__")  # so vars(report) holds only the fields formed
 
     def __init__(self, params: SystemParams, real: ChannelRealization):
-        self._args = (params.ps, params.pd, params.sigma2, real.g1, real.g2)
-        np.broadcast_shapes(*map(np.shape, self._args))
+        # params without eps, which no rate reads, so eps's shape is not the fields'
+        p = _unchecked(SystemParams, params.ps, params.pd, params.sigma2)
+        np.broadcast_shapes(*map(np.shape, (*vars(p).values(), real.g1, real.g2)))
+        self._args = (p, real.g1, real.g2)
 
     # each field's kernel, of a = (params, g1, g2), looks its terms up when it
     # runs, so a test can count the terms that one read forms
@@ -161,31 +156,3 @@ def rate_report(params: SystemParams, real: ChannelRealization) -> RateReport:
     """
     return RateReport(params, real)
 
-
-@dataclass(frozen=True)
-class DfComparison:
-    r_df: float
-    gap_mf_df: float
-
-
-def df_comparison(t) -> DfComparison:
-    """Lattice DF rate and the MF-over-DF improvement at receiver SNR t.
-
-    Assumes the symmetric setting (equal hop amplitudes, pd = ps).  The
-    piecewise gap is implemented as published; note it steps by exactly
-    1/2 bit at t = 3/2.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or not np.all(np.isfinite(t)):
-        raise ValueError("receiver SNR t must be finite and nonnegative")
-    r_df = _pos(0.5 * np.log2(0.5 + t) - 1.0)
-    gap = np.where(
-        t <= 1.0,
-        0.0,
-        np.where(
-            t <= 1.5,
-            0.5 * np.log2(1.0 + t) - 0.5,
-            0.5 * np.log2(2.0 + 2.0 / (1.0 + 2.0 * t)),
-        ),
-    )
-    return DfComparison(r_df=_scalar(r_df), gap_mf_df=_scalar(gap))

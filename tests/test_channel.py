@@ -172,6 +172,16 @@ def test_from_gains_holds_float64_arrays_without_a_copy():
     assert ChannelRealization.from_gains([1, 2], 3).g1.dtype == np.float64
 
 
+@pytest.mark.parametrize("value", ["4", True, None, np.array([True, False]), np.array(["1", "2"])])
+def test_from_gains_passes_what_is_not_a_number_on_to_be_refused(value):
+    # it used to turn "4" and bools into floats that the record would refuse
+    for args in ((value, 1.0), (1.0, value), (1.0, 1.0, value), (1.0, 1.0, 1.0, value)):
+        with pytest.raises(ValueError, match="channel realization must be finite"):
+            ChannelRealization.from_gains(*args)
+        with pytest.raises(ValueError, match="channel realization must be finite"):
+            ChannelRealization(*args)
+
+
 def test_fields_that_do_not_broadcast_are_refused_at_construction():
     # they used to pass here and fail only when a rate was formed
     with pytest.raises(ValueError, match="broadcast"):
@@ -523,10 +533,10 @@ class TestMapSlices:
         sys.setswitchinterval(1e-5)
         try:
             with mock.patch.object(channel, "_WORKERS", 8):
-                got = _map_slices(lambda x, c: (x * c, x + c), x, 3.0, outs=2)
+                got = _map_slices(lambda x, c: x * c, x, 3.0)
         finally:
             sys.setswitchinterval(interval)
-        assert got[0].tobytes() == (x * 3.0).tobytes() and got[1].tobytes() == (x + 3.0).tobytes()
+        assert got.tobytes() == (x * 3.0).tobytes()
 
     def test_a_call_within_one_block_starts_no_pool(self):
         with mock.patch("concurrent.futures.ThreadPoolExecutor", side_effect=AssertionError):
@@ -546,10 +556,42 @@ class TestMapSlices:
 
     def test_outputs_take_the_broadcast_shape_and_the_kernel_bits(self):
         a, b = np.linspace(0.0, 1.0, 3)[:, None], np.linspace(1.0, 2.0, _BLOCK)[None, :]
-        total, product = _map_slices(lambda a, b, c: (a + b, a * b * c), a, b, 2.0, outs=2)
+        total = _map_slices(lambda a, b: a + b, a, b)
+        product = _map_slices(lambda a, b, c: a * b * c, a, b, 2.0)
         assert total.shape == product.shape == (3, _BLOCK)
         assert total.tobytes() == (a + b).tobytes() and product.tobytes() == (a * b * 2.0).tobytes()
-        assert _map_slices(np.less, a, b, dtype=bool).tobytes() == (a < b).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_record_reaches_the_kernel_as_a_record_of_its_slices(self, workers):
+        rng = np.random.default_rng(4)
+        params = SystemParams(ps=rng.uniform(1.0, 2.0, (3, 1)), pd=rng.uniform(0.0, 1.0, _BLOCK),
+                              sigma2=2.0, eps1=rng.uniform(1.0, 2.0, (3, _BLOCK)),
+                              eps2=rng.uniform(1.0, 2.0, (1, _BLOCK)))
+        index = np.arange(3.0 * _BLOCK).reshape(3, _BLOCK)
+        seen = []
+
+        def kernel(p, index):
+            seen.append((index, p))
+            return (p.ps + p.pd * p.eps1) / p.sigma2 - p.eps2 * index
+
+        with mock.patch.object(channel, "_WORKERS", workers):
+            got = _map_slices(kernel, params, index)
+        cut = sorted(seen, key=lambda item: item[0][0])
+        assert all(type(p) is SystemParams and p.sigma2 == 2.0 and type(p.sigma2) is float
+                   and p.ps.shape == p.pd.shape == p.eps1.shape == p.eps2.shape == i.shape
+                   and i.size <= _SLICE for i, p in cut)
+        for name, value in vars(params).items():
+            if name != "sigma2":
+                whole = np.concatenate([getattr(p, name) for _, p in cut])
+                assert whole.tobytes() == np.broadcast_to(value, index.shape).tobytes(), name
+        assert got.shape == index.shape and got.tobytes() == kernel(params, index).tobytes()
+
+    def test_a_0d_call_returns_a_python_float(self):
+        got = _map_slices(lambda x, c: x * c, np.float64(2.0), np.array(3.0))
+        assert type(got) is float and got == 6.0
+        params = SystemParams(ps=np.float64(3.0), pd=0.0, sigma2=np.array(2.0))
+        got = _map_slices(lambda p: p.ps / p.sigma2, params)
+        assert type(got) is float and got == 1.5
 
     def test_a_failing_slice_raises_in_the_caller(self):
         def kernel(x):

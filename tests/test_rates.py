@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mfrelay import channel, rates
 from mfrelay.channel import (_BLOCK, _SLICE, ChannelRealization, SystemParams, rng_stream,
                              sample_realization)
-from mfrelay.rates import _FIELDS, Scheme, _e2e_snr, _relay_sinr, df_comparison, rate_report
+from mfrelay.rates import _FIELDS, Scheme, _e2e_snr, _relay_sinr, rate_report
 
 
 def params(ps=10.0, pd=10.0, sigma2=1.0):
@@ -135,27 +135,6 @@ class TestAfRates:
         rs = np.array([rate_report(params(pd=pd), real).rs_af for pd in pds])
         k = int(np.argmax(rs))
         assert 0 < k < len(pds) - 1 and rs[k] > rs[0] and rs[k] > rs[-1]
-
-
-class TestDfComparison:
-    def test_branch_values(self):
-        assert df_comparison(1.0).gap_mf_df == 0.0
-        assert df_comparison(0.3).gap_mf_df == 0.0
-        # left limit at t=3/2: 0.5*log2(2.5) - 0.5; right side: 0.5*log2(2.5)
-        assert df_comparison(1.5).gap_mf_df == pytest.approx(0.160964047443681174, rel=1e-12)
-        assert df_comparison(1.5 + 1e-9).gap_mf_df == pytest.approx(0.660964047443681174, rel=1e-6)
-
-    def test_large_t_limit(self):
-        assert df_comparison(1e9).gap_mf_df == pytest.approx(0.5, abs=1e-9)
-
-    def test_r_df(self):
-        assert df_comparison(0.0).r_df == 0.0
-        assert df_comparison(3.5).r_df == pytest.approx(0.0, abs=1e-12)
-        assert df_comparison(7.5).r_df == pytest.approx(0.5, rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            df_comparison(-0.1)
 
 
 class TestMfGap:
