@@ -328,7 +328,9 @@ def _map_blocks(fn, n: int, streams, height: int, rows: int = 1) -> list:
     """[fn(streams(row, index), buf) for each row in range(rows) and each
     (index, size) in _blocks(n)], in (row, index) order, where buf is a
     (height, size) view of a float buffer that belongs to the thread
-    running the block and is made once per call.
+    running the block and is made once per call: the rows a block draws
+    whole (the Monte Carlo g1, the chain's z and n_r).  What a block draws
+    part by part goes into its own slice-sized scratch.
 
     Every row's blocks run on one pool (``_on_pool``) of min(_WORKERS,
     blocks) threads; ``streams`` is called in the calling thread.  Callers
@@ -401,15 +403,6 @@ def sample_realization(params: SystemParams, rng: np.random.Generator, size=None
     return ChannelRealization.from_gains(g1, g2, s1, s2)
 
 
-def sample_gains(params: SystemParams, rng: np.random.Generator, size, out=None):
-    """Gains-only batch draw (signs are irrelevant to outage events).
-
-    With ``out``, a (2, size) float array, the gains are drawn into its
-    rows and returned as them, bitwise equal to the fresh draws.
-    """
-    if out is None:
-        return rng.exponential(params.eps1, size), rng.exponential(params.eps2, size)
-    for row, eps in zip(out, (params.eps1, params.eps2)):
-        rng.standard_exponential(out=row)
-        row *= eps
-    return out[0], out[1]
+def sample_gains(params: SystemParams, rng: np.random.Generator, size):
+    """Gains-only batch draw (signs are irrelevant to outage events)."""
+    return rng.exponential(params.eps1, size), rng.exponential(params.eps2, size)

@@ -160,15 +160,15 @@ def _uniformity_pvalue(stat: float) -> float:
 def _block_draws(rng, full, parts, delta, params):
     """Draw one block of (u, u1, z, n_r, n_d) and yield it part by part.
 
-    z and n_r are drawn whole into ``full``, 2 rows of the block's width:
-    they are ziggurat normals, whose use of the stream varies.  u, u1 and
-    n_d are drawn one _slices part at a time into ``parts``, 3 slice-sized
-    rows: u from rng, u1 from a copy of rng m raw outputs on (a uniform
-    uses one) and z, n_r, then n_d from a copy 2m on (``_ahead``).  So the
-    rows of each yielded part are bitwise that part of the draws in stream
-    order: rng.uniform(-delta/2, delta/2, m) for u and then u1,
-    rng.standard_normal(m) for z and sqrt(sigma2)*rng.standard_normal(m)
-    for n_r and then n_d.
+    z and n_r are drawn whole into ``full``, the thread's 2 block rows
+    from ``_map_blocks``: they are ziggurat normals, whose use of the
+    stream varies.  u, u1 and n_d are drawn one _slices part at a time into
+    ``parts``, 3 of the block's 7 slice rows: u from rng, u1 from a copy of
+    rng m raw outputs on (a uniform uses one) and z, n_r, then n_d from a
+    copy 2m on (``_ahead``).  So the rows of each yielded part are bitwise
+    that part of the draws in stream order: rng.uniform(-delta/2, delta/2,
+    m) for u and then u1, rng.standard_normal(m) for z and
+    sqrt(sigma2)*rng.standard_normal(m) for n_r and then n_d.
 
     z is the jamming x_d at unit power: a chain at jamming power pd uses
     sqrt(pd)*z.  None of the rows depends on pd or the scalings, so one set
@@ -254,15 +254,15 @@ def _residual_stage(draws, case, x_r, r, tmp):
     r += tmp
 
 
-def _identity_drift(r, y, out, delta, tmp):
-    """max |fold(r - y)| over a slice, computed in ``out``, slice-sized
-    scratch, so that r and y keep their values for their sums.  The whole
-    modulo algebra collapses to y == fold(r); a drift beyond 1e-9*delta,
-    or a NaN one, is refused as a ValueError: the jamming then spans too
-    many cells for a double to place a symbol within its cell (pd far
-    above ps does it)."""
-    np.subtract(r, y, out=out)
-    drift = float(np.max(np.abs(_fold(out, delta, tmp), out=out)))
+def _identity_drift(r, y, delta, tmp):
+    """max |fold(r - y)| over a slice, computed over y (``tmp`` is scratch
+    of its shape), so that r keeps its values for its sum; y's sum is taken
+    before.  The whole modulo algebra collapses to y == fold(r); a drift
+    beyond 1e-9*delta, or a NaN one, is refused as a ValueError: the
+    jamming then spans too many cells for a double to place a symbol within
+    its cell (pd far above ps does it)."""
+    np.subtract(r, y, out=y)
+    drift = float(np.max(np.abs(_fold(y, delta, tmp), out=y)))
     if not drift <= 1e-9 * delta:
         raise ValueError(f"modulo-chain identity violated (drift {drift:.3e} > 1e-9*delta): "
                          "the jamming spans too many lattice cells for double precision "
@@ -279,6 +279,18 @@ def _sum_of_squares(row, factor, out=None):
     out = np.multiply(row, factor, out=row if out is None else out)
     np.square(out, out=out)
     return np.sum(out)
+
+
+def _histogram(x, edges, tmp):
+    """np.histogram(x, bins=edges)[0], counted from a sorted copy of x in
+    ``tmp``, scratch of x's shape, by np.histogram's own rule: each bin
+    holds its left edge, the last also its right one, and a value outside
+    the edges (or NaN) is in no bin."""
+    np.copyto(tmp, x)
+    tmp.sort()
+    cuts = tmp.searchsorted(edges, "left")
+    cuts[-1] = tmp.searchsorted(edges[-1], "right")
+    return np.diff(cuts)
 
 
 def _check_chain(params, real, cfg):
@@ -312,7 +324,9 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     are reproducible for a given (config, seed).  A block holds only its
     z and n_r rows whole (``_block_draws``): u, u1 and n_d are drawn part
     by part, with the same bits, so a pool thread holds 2 block rows and
-    8 slice rows.
+    7 slice rows (the draws' 3, x_r, y, r and one scratch row, in which
+    the relay histogram sorts its copy of x_r).  A batch of no operating
+    points draws nothing and starts no pool.
     """
     _check_chain(params, real, cfg)
     a_opt, b_opt = mmse_scalings(params, real)
@@ -331,26 +345,29 @@ def simulate_chain(params: SystemParams, real: ChannelRealization, cfg: LatticeC
     edges = np.linspace(-delta / 2, delta / 2, _UNIFORMITY_BINS + 1)
 
     def block(rng, full):
-        rows = np.empty((8, min(full.shape[1], _SLICE)))  # u, u1, n_d, x_r, y, r, 2 scratch
+        rows = np.empty((7, min(full.shape[1], _SLICE)))  # u, u1, n_d, x_r, y, r, scratch
         squares = np.zeros((len(cases), 3))
         hists = np.zeros((len(cases), _UNIFORMITY_BINS), dtype=np.int64)
         drifts = np.zeros(len(cases))
         # every operating point on one part of the block
         for part in _block_draws(rng, full, rows[:3], delta, params):
-            x_r, y, r, out, tmp = rows[3:, :part[0].shape[0]]
+            x_r, y, r, tmp = rows[3:, :part[0].shape[0]]
             for k, case in enumerate(cases):
                 if relays[k]:  # else x_r holds the point before's, and so do counts and x_sq
                     _relay_stage(part, case, delta, x_r, tmp)
-                    counts = np.histogram(x_r, bins=edges)[0]
-                    x_sq = _sum_of_squares(x_r, factor, out=out)
+                    counts = _histogram(x_r, edges, tmp)
+                    x_sq = _sum_of_squares(x_r, factor, out=tmp)
                 _destination_stage(part, case, delta, x_r, y, tmp)
                 _residual_stage(part, case, x_r, r, tmp)
-                drifts[k] = max(drifts[k], _identity_drift(r, y, out, delta, tmp))
-                squares[k] += x_sq, _sum_of_squares(y, factor), _sum_of_squares(r, factor)
+                y_sq = _sum_of_squares(y, factor, out=tmp)
+                drifts[k] = max(drifts[k], _identity_drift(r, y, delta, tmp))
+                squares[k] += x_sq, y_sq, _sum_of_squares(r, factor)
                 hists[k] += counts
         return squares, hists, drifts
 
-    results = _map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 2)
+    # an empty batch draws nothing: one block's results of no points stand in
+    results = (_map_blocks(block, n, lambda row, index: rng_stream(cfg.seed, index), 2) if cases
+               else [(np.zeros((0, 3)), np.zeros((0, _UNIFORMITY_BINS)), np.zeros(0))])
     squares, hists, drifts = zip(*results)
     squares, hist, drift = sum(squares), sum(hists), np.max(drifts, axis=0)
     powers = np.ldexp(squares / n, 2 * scale)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import (_SLICE, _TINY, RateConfig, SystemParams, Thresholds, _check_rate,
                       _direct_or_logs, _gamma, _is_number, _map_blocks, _map_slices, _normal,
-                      _scalar, _slices, _unchecked, rng_stream, sample_gains, thresholds)
+                      _scalar, _slices, _unchecked, rng_stream, thresholds)
 from .numerics import Interval, _k1_map
 from .rates import Scheme, _e2e_snr, _relay_sinr
 
@@ -302,7 +302,10 @@ def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme | tuple, 
     Every point's blocks run on one pool (``_map_blocks``), each block
     drawn once: every scheme's connection event and the secrecy event are
     evaluated on it, so the schemes are compared on the same fading and
-    the joint estimate reuses each realization for both events.
+    the joint estimate reuses each realization for both events.  A block
+    draws g1 whole into its thread's one block row, then g2 one 2^15-draw
+    part at a time into slice scratch, just before that part's events:
+    g2 is the block's last draw, so its parts are bitwise the whole draw's.
     """
     if not _is_number(n, integral=True) or n < 1:
         raise ValueError(f"mc_outage needs an integer n >= 1 samples, not {n!r}")
@@ -313,17 +316,21 @@ def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme | tuple, 
 
     def block(key, buf):
         (p, th), rng = key
-        g1, g2 = sample_gains(p, rng, buf.shape[1], out=buf)
+        g1 = buf[0]  # drawn whole: the stream then holds g2 next, part by part
+        rng.standard_exponential(out=g1)
+        g1 *= p.eps1
         width = min(g1.size, _SLICE)
-        scratch, flags = np.empty((2, width)), np.empty((2, width), dtype=bool)
+        scratch, flags = np.empty((3, width)), np.empty((2, width), dtype=bool)
         hits = np.zeros((len(schemes), 3), dtype=np.int64)
         with np.errstate(over="ignore"):  # an SNR of inf compares as its limit does
             for s in _slices(g1.size):
-                (snr, tmp), (sec, conn) = scratch[:, :g1[s].size], flags[:, :g1[s].size]
-                np.greater(_relay_sinr(p, g1[s], g2[s], snr, tmp), th.gamma_s, out=sec)
+                (g2, snr, tmp), (sec, conn) = scratch[:, :g1[s].size], flags[:, :g1[s].size]
+                rng.standard_exponential(out=g2)
+                g2 *= p.eps2
+                np.greater(_relay_sinr(p, g1[s], g2, snr, tmp), th.gamma_s, out=sec)
                 hits[:, 1] += np.count_nonzero(sec)
                 for k, scheme in enumerate(schemes):
-                    _conn_event(scheme, p, th, g1[s], g2[s], snr, tmp, conn)
+                    _conn_event(scheme, p, th, g1[s], g2, snr, tmp, conn)
                     hits[k, 0] += np.count_nonzero(conn)
                     hits[k, 2] += np.count_nonzero(np.logical_or(conn, sec, out=conn))
         return hits
@@ -331,7 +338,7 @@ def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme | tuple, 
     hits = np.zeros((0, len(schemes), 3), dtype=np.int64)
     if points:  # an empty sweep starts no pool
         results = _map_blocks(block, n, lambda row, index: (
-            points[row], rng_stream(seed, (streams[row], index))), 2, len(points))
+            points[row], rng_stream(seed, (streams[row], index))), 1, len(points))
         hits = np.reshape(results, (len(points), -1, len(schemes), 3)).sum(axis=1)
     hits = np.moveaxis(hits.reshape(shape + (len(schemes), 3)), (-2, -1), (0, 1))
     out = tuple(tuple(MCEstimate.from_counts(h, n) for h in events) for events in hits)

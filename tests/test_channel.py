@@ -346,16 +346,6 @@ def test_blocks_partition_draws(n):
     assert _BLOCK == 2 ** 17
 
 
-@pytest.mark.parametrize("m", [_BLOCK, 12345])
-def test_gains_drawn_into_a_buffer_equal_fresh_draws(m):
-    params = SystemParams(ps=10, pd=10, sigma2=1, eps1=1.7, eps2=0.3)
-    buf = np.empty((2, _BLOCK))
-    got = sample_gains(params, rng_stream(8, 2), m, out=buf[:, :m])
-    want = sample_gains(params, rng_stream(8, 2), m)
-    for g, w in zip(got, want):
-        assert g.base is buf and g.tobytes() == w.tobytes()
-
-
 @pytest.mark.parametrize("residue", range(4))
 @settings(max_examples=8, deadline=None)
 @given(steps=st.integers(0, _BLOCK), drawn=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),

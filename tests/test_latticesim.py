@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfrelay import channel, cli, latticesim
-from mfrelay.channel import _BLOCK, ChannelRealization, SystemParams, rng_stream
+from mfrelay.channel import _BLOCK, _SLICE, ChannelRealization, SystemParams, rng_stream
 from mfrelay.latticesim import (ChainReport, LatticeConfig, _uniformity_pvalue,
                                 mmse_scalings, mod_lattice,
                                 residual_variance_bound, scan_scaling,
@@ -407,7 +407,7 @@ def test_stages_equal_the_chain_formulas(g1, g2, pd, alpha, beta, signs):
     latticesim._residual_stage(draws, case, got[0], got[2], tmp)
     for have, want in zip(got, (x_r, y, r)):
         assert have.tobytes() == want.tobytes()
-    drift = latticesim._identity_drift(got[2], got[1], tmp.copy(), delta, tmp)
+    drift = latticesim._identity_drift(got[2], got[1].copy(), delta, tmp)
     assert drift == np.max(np.abs(mod_lattice(r - y, delta)))
 
 
@@ -417,12 +417,29 @@ def test_identity_drift_that_is_not_within_its_bound_is_refused(row):
     ry = np.zeros((2, 8))
     ry[row, 5] = np.nan
     with pytest.raises(ValueError, match="modulo-chain identity violated"):
-        latticesim._identity_drift(*ry, np.empty(8), 2.0, np.empty(8))
+        latticesim._identity_drift(ry[0], ry[1].copy(), 2.0, np.empty(8))  # y is written over
     ry[row, 5] = 2e-9  # the bound itself passes, the double above it does not
-    assert latticesim._identity_drift(*ry, np.empty(8), 2.0, np.empty(8)) == 2e-9
+    assert latticesim._identity_drift(ry[0], ry[1].copy(), 2.0, np.empty(8)) == 2e-9
     ry[row, 5] = math.nextafter(2e-9, 1.0)
     with pytest.raises(ValueError, match="modulo-chain identity violated"):
-        latticesim._identity_drift(*ry, np.empty(8), 2.0, np.empty(8))
+        latticesim._identity_drift(ry[0], ry[1].copy(), 2.0, np.empty(8))
+
+
+@pytest.mark.parametrize("m", [3, 1000, 2 ** 15 - 3])
+def test_histogram_counts_as_np_histogram_does(m):
+    # every edge (both ends among them), the doubles just outside the range,
+    # +-0 and values beyond the cell, among uniform draws, in a ragged part
+    delta = LatticeConfig(ps=1.0, n_symbols=1).delta
+    edges = np.linspace(-delta / 2, delta / 2, latticesim._UNIFORMITY_BINS + 1)
+    marks = np.concatenate([edges, np.nextafter(edges[[0, -1]], [-np.inf, np.inf]),
+                            [-0.0, 0.0, -delta, delta]])
+    rng = np.random.default_rng(m)
+    x = rng.permutation(np.concatenate([np.resize(marks, m // 2),
+                                        rng.uniform(-delta / 2, delta / 2, m - m // 2)]))
+    before = x.tobytes()
+    got = latticesim._histogram(x, edges, np.empty(m))
+    assert got.tolist() == np.histogram(x, bins=edges)[0].tolist()
+    assert x.tobytes() == before  # the chain's relay output keeps its values
 
 
 def _chain_grid():
@@ -580,18 +597,35 @@ def test_chain_allocates_about_its_draws():
 
 def test_chain_holds_two_block_rows_per_thread():
     # z and n_r are a block's only full rows: u, u1 and n_d are drawn part by
-    # part into slice rows, with x_r, y, r and the stage scratch
+    # part into slice rows, with x_r, y, r and one scratch row, which also
+    # holds the sorted copy the relay histogram counts
     pd, real = _chain_grid()
     params = SystemParams(ps=1.0, pd=pd, sigma2=1.0)
     with mock.patch.object(channel, "_WORKERS", 1):
         simulate_chain(params, real, LatticeConfig(ps=1.0, n_symbols=1))
         tracemalloc.start()
         try:
-            simulate_chain(params, real, LatticeConfig(ps=1.0, n_symbols=3 * _BLOCK + 1))
+            simulate_chain(params, real, LatticeConfig(ps=1.0, n_symbols=_BLOCK))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak <= 4.5 * _BLOCK * 8  # 2 block rows and 8 slice rows, with room for the rest
+    # 2 block rows and 7 slice rows, with room for the rest
+    assert peak <= 8 * (2 * _BLOCK + 7 * _SLICE) + 2 * _SLICE
+
+
+@pytest.mark.parametrize("grid", ["pd", "alpha"])
+def test_empty_batch_draws_nothing(monkeypatch, grid):
+    # it used to draw every block of n_symbols for no operating point
+    refuse = mock.Mock(side_effect=AssertionError)
+    monkeypatch.setattr(latticesim, "rng_stream", refuse)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", refuse)
+    _, real, cfg = setup(n=4 * 10 ** 6)
+    if grid == "pd":
+        report = simulate_chain(SystemParams(ps=1.0, pd=np.array([]), sigma2=1.0), real, cfg)
+        assert all(np.shape(v) == (0,) for v in vars(report).values())
+    else:
+        out = scan_scaling(SystemParams(ps=1.0, pd=10.0, sigma2=1.0), real, cfg, [], [0.5, 0.6])
+        assert out.shape == (0, 2)
 
 
 def test_chain_makes_one_rng_stream_call_per_block(monkeypatch):

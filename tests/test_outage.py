@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mfrelay import channel
+from mfrelay import channel, outage
 from mfrelay.asymptotics import Scheme
-from mfrelay.channel import (_BLOCK, ChannelRealization, RateConfig, SystemParams, rng_stream,
-                             sample_gains, thresholds)
+from mfrelay.channel import (_BLOCK, _SLICE, ChannelRealization, RateConfig, SystemParams,
+                             rng_stream, sample_gains, thresholds)
 from mfrelay.numerics import Interval
 from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _k1_arguments, _k1_outage,
                             _secrecy_terms, mc_outage, outage_probs, p_conn_af,
@@ -439,6 +440,38 @@ class TestMonteCarlo:
                     ref[k] += int(np.count_nonzero(event))
             assert estimates == tuple(MCEstimate.from_counts(h, n) for h in ref)
             assert mc_outage(p, rc, scheme, n, seed, stream) == estimates
+
+    @pytest.mark.parametrize("m", [_BLOCK, 12345])
+    def test_block_gains_equal_fresh_draws(self, monkeypatch, m):
+        # a block draws g1 whole into its buffer row and g2 part by part into
+        # slice scratch: the parts the events read are sample_gains' draws
+        p = params(eps1=1.7, eps2=0.3)
+        seen, relay_sinr = [], outage._relay_sinr
+
+        def record(p, g1, g2, *scratch):
+            seen.append((g1.copy(), g2.copy()))
+            return relay_sinr(p, g1, g2, *scratch)
+
+        monkeypatch.setattr(outage, "_relay_sinr", record)
+        monkeypatch.setattr(channel, "_WORKERS", 1)
+        mc_outage(p, RateConfig(rd=1.0, rs=0.5), Scheme.MF, m, 8, 2)
+        assert [g1.size for g1, _ in seen] == [min(_SLICE, m - k) for k in range(0, m, _SLICE)]
+        for got, want in zip(zip(*seen), sample_gains(p, rng_stream(8, (2, 0)), m)):
+            assert np.concatenate(got).tobytes() == want.tobytes()
+
+    def test_block_holds_one_block_row(self):
+        # g1 is a block's one whole row; g2, the SNR and its scratch are 3
+        # float slice rows, beside the 2 bool rows of the events
+        p, rc, schemes = params(), RateConfig(rd=1.0, rs=0.5), (Scheme.MF, Scheme.AF)
+        with mock.patch.object(channel, "_WORKERS", 1):
+            mc_outage(p, rc, schemes, 1, 1)  # one-time setup left out
+            tracemalloc.start()
+            try:
+                mc_outage(p, rc, schemes, _BLOCK, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 8 * _BLOCK + (3 * 8 + 2) * _SLICE + 2 * _SLICE  # with room for the rest
 
     def test_extreme_jamming_raises_no_warning(self):
         # pd*g2 overflows to inf, which both events compare exactly
