@@ -88,4 +88,4 @@ def estimate_gsdg(scheme: Scheme, rho, snr_grid=DEFAULT_SNR_GRID,
     p_t = np.maximum(conn(params, config.rd), p_secrecy(params, config))
     if np.any(p_t <= 0.0):
         raise ValueError("total outage proxy underflowed to 0 on the grid")
-    return -slope_fit(np.log(grid), np.log(p_t))
+    return 0.0 - slope_fit(np.log(grid), np.log(p_t))  # a flat fit reads +0.0, not -0.0

@@ -193,14 +193,15 @@ def slope_fit(log_x, log_y):
     ``log_x`` is a strictly increasing 1-d grid of at least 2 points and
     the last axis of ``log_y`` runs along it; each leading index of log_y
     is a fit of its own, and a 1-d log_y gives a float.  Used to read off
-    high-SNR exponents.  Each fit takes its own ``np.dot``, so a row gets
-    the same bits alone or inside an array.
+    high-SNR exponents.  Each fit is one numpy sum along the last axis, with
+    no BLAS, so a row gets the same bits alone or inside an array, on any
+    CPU core type.
     """
     xs, ys = np.asarray(log_x, dtype=float), np.asarray(log_y, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or ys.ndim == 0 or ys.shape[-1] != xs.size:
         raise ValueError("slope_fit needs a 1-d log_x of >= 2 points matching log_y's last axis")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("slope_fit requires strictly increasing log_x")
+    if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+        raise ValueError("slope_fit requires a finite, strictly increasing log_x")
     xc = xs - xs.mean()
-    yc = (ys - ys.mean(axis=-1, keepdims=True)).reshape(-1, xs.size)
-    return _scalar(np.reshape([np.dot(y, xc) for y in yc], ys.shape[:-1]) / np.dot(xc, xc))
+    yc = ys - ys.mean(axis=-1, keepdims=True)
+    return _scalar(np.sum(yc * xc, axis=-1) / np.sum(xc * xc))

@@ -53,7 +53,7 @@ class MCEstimate:
         center = (p + z2n / 2) / (1.0 + z2n)
         half = 1.96 * np.sqrt(var + z2n / (4 * n)) / (1.0 + z2n)
         # the clip keeps p_hat inside where rounding would move an end past it
-        return cls(p_hat=_scalar(p), n=n, std_err=_scalar(np.sqrt(var)),
+        return cls(p_hat=_scalar(p), n=int(n), std_err=_scalar(np.sqrt(var)),
                    ci95=Interval(_scalar(np.clip(center - half, 0.0, p)),
                                  _scalar(np.clip(center + half, p, 1.0))))
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -79,6 +82,14 @@ class TestNumericEstimators:
         est = estimate_gsdg(Scheme.MF, 3.0, config=RateConfig(rd=2.0, rs=1.0))
         assert est == pytest.approx(1.0, abs=0.1)
 
+    def test_gsdg_of_a_flat_fit_is_positive_zero(self):
+        # negating a zero slope gave -0.0
+        config = RateConfig(rd=30.0, rs=0.5)
+        flat = estimate_gsdg(Scheme.MF, 1.5, config=config)
+        assert flat == 0.0 and not np.signbit(flat)
+        out = estimate_gsdg(Scheme.MF, [1.5, 1.5], config=config)
+        assert np.array_equal(out, [0.0, 0.0]) and not np.any(np.signbit(out))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             estimate_gsdof(Scheme.MF, 1.0, snr_grid=[10.0, 100.0])  # min below 1e4
@@ -111,7 +122,7 @@ def _gsdg_per_snr(scheme, rho, config):
     for snr in DEFAULT_SNR_GRID:
         params = SystemParams(ps=snr, pd=snr ** rho, sigma2=1.0)
         ys.append(np.log(max(conn(params, config.rd), p_secrecy(params, config))))
-    return -slope_fit(np.log(DEFAULT_SNR_GRID), ys)
+    return 0.0 - slope_fit(np.log(DEFAULT_SNR_GRID), ys)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.UPPER, Scheme.MF, Scheme.AF])
@@ -136,3 +147,28 @@ def test_overflowing_rho_is_refused_by_name_without_a_warning():
                 estimate(Scheme.MF, 26.0)
             with pytest.raises(ValueError, match="rho is too large"):
                 estimate(Scheme.MF, [1.0, 26.0])
+
+
+_DIGEST = """
+import hashlib
+import numpy as np
+from mfrelay import Scheme, estimate_gsdg, estimate_gsdof
+rho = np.linspace(0.0, 3.0, 200)
+out = [estimate_gsdof(s, rho) for s in Scheme] + [estimate_gsdg(s, rho[rho > 1.0]) for s in Scheme]
+print(hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest())
+"""
+
+
+def test_estimator_bits_do_not_depend_on_the_openblas_core_type():
+    # OpenBLAS picks its kernels, and so their last bits, per CPU core type;
+    # OPENBLAS_CORETYPE forces one in each child.  The fits make no BLAS call,
+    # so every child prints the same digest.
+    digests = set()
+    for core in (None, "SkylakeX", "Haswell", "Sandybridge", "Katmai"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, "-c", _DIGEST], capture_output=True, text=True,
+                              env=env, check=True, timeout=120)
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests

@@ -104,6 +104,17 @@ def test_slope_fit_argument_errors():
         slope_fit([0.0, 0.0], [1.0, 2.0])  # not strictly increasing
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_slope_fit_refuses_a_log_x_that_is_not_finite(bad, at):
+    # a nan passed the increasing check (nan <= 0 is False) and an inf at an
+    # end was increasing; each fitted to nan
+    xs = [1.0, 2.0, 3.0]
+    xs[at] = bad
+    with pytest.raises(ValueError, match="log_x"):
+        slope_fit(xs, [1.0, 2.0, 3.0])
+
+
 def test_slope_fit_rows_equal_1d_fits():
     # each row of a 2-d log_y is its own fit, with the bits of a 1-d call
     rng = np.random.default_rng(11)
@@ -113,7 +124,12 @@ def test_slope_fit_rows_equal_1d_fits():
     alone = np.array([slope_fit(xs, y) for y in ys])
     assert rows.shape == (40,) and all(type(slope_fit(xs, y)) is float for y in ys[:3])
     assert np.array_equal(rows.view(np.uint64), alone.view(np.uint64))
-    assert slope_fit(xs, ys.reshape(5, 8, 10)).shape == (5, 8)
+    cube = slope_fit(xs, ys.reshape(5, 8, 10))
+    assert cube.shape == (5, 8)
+    assert np.array_equal(cube.reshape(-1).view(np.uint64), alone.view(np.uint64))
+    many = rng.normal(size=(10 ** 5, 10)) * rng.uniform(1e-3, 1e3, size=(10 ** 5, 1))
+    alone = np.array([slope_fit(xs, y) for y in many])
+    assert np.array_equal(slope_fit(xs, many).view(np.uint64), alone.view(np.uint64))
 
 
 def test_slope_fit_refuses_a_mismatched_last_axis():

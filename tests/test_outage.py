@@ -569,6 +569,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="hits must lie in"):
             MCEstimate.from_counts(hits, n)
 
+    @pytest.mark.parametrize("n", [10.0, np.int64(10)])
+    def test_n_is_stored_as_an_int(self, n):
+        est = MCEstimate.from_counts(3, n)
+        assert type(est.n) is int and est.n == 10
+        assert est == MCEstimate.from_counts(3, 10)
+
     def test_estimate_fields(self):
         est = MCEstimate.from_counts(250, 1000)
         assert est.p_hat == 0.25
