@@ -1,6 +1,7 @@
 """Experiment runner emitting machine-readable CSV tables.
 
-Subcommands reproduce the library's reference figures and run arbitrary
+One parser reads the experiment to run and then its flags.  The
+experiments reproduce the library's reference figures and run arbitrary
 sweeps:
 
   fig2   secrecy rates versus jamming power (ps tied to sqrt(pd))
@@ -11,13 +12,14 @@ sweeps:
   chain  modulo signal-chain validation grid
 
 Configuration comes from JSON (--config) with per-experiment defaults;
-flags take the values JSON keys take and override them.  A flag or key
-the experiment would ignore (one it does not read, its own axis, or pd
-with rho) or of the wrong type is refused with one error line.  Output is
-CSV with '#' metadata lines and 12-significant-digit cells; identical
-(config, seed) pairs produce byte-identical files.  Exit codes: 0 ok, 2
-invalid config (a library ValueError or a non-finite cell during the run
-too), 3 I/O failure.
+flags take the values JSON keys take and override them.  Every
+experiment parses every flag.  An unknown flag, a flag or key the
+experiment would ignore (one it does not read, its own axis, or pd with
+rho) and a value of the wrong type are refused with one error line.
+Output is CSV with '#' metadata lines and 12-significant-digit cells;
+identical (config, seed) pairs produce byte-identical files.  Exit
+codes: 0 ok, 2 invalid command line or config (a library ValueError or
+a non-finite cell during the run too), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -55,30 +57,26 @@ _DEFAULTS = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 def load_config(experiment: str, config_path: str | None, overrides: dict) -> dict:
     if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
+        raise ValueError(f"unknown experiment {experiment!r}")
     given = {}
     if config_path is not None:
         try:
             with open(config_path) as fh:
                 given = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+            raise ValueError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            raise ValueError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(given, dict):
-            raise ConfigError("config JSON must be an object")
+            raise ValueError("config JSON must be an object")
         unknown = set(given) - set(_DEFAULTS) - {"experiment"}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         file_experiment = given.pop("experiment", experiment)
         if file_experiment != experiment:
-            raise ConfigError(f"config file is for {file_experiment!r}, not {experiment!r}")
+            raise ValueError(f"config file is for {file_experiment!r}, not {experiment!r}")
     given.update({k: v for k, v in overrides.items() if v is not None})
     cfg = {**_DEFAULTS, **_TABLE[experiment].defaults, "experiment": experiment, **given}
     _validate(cfg, given)
@@ -97,37 +95,34 @@ def _validate(cfg: dict, given: dict):
             ok = _is_number(value, integral=key in _INTEGRAL)
             kind = "an integer" if key in _INTEGRAL else "a finite number"
         if not ok:
-            raise ConfigError(f"{key} must be {kind}, not {value!r}")
+            raise ValueError(f"{key} must be {kind}, not {value!r}")
         # 0 MC samples means no MC columns, but the chain needs a symbol
         least = 1 if key == "mc_samples" and cfg["experiment"] == "chain" else _MINIMUM.get(key)
         if least is not None and value < least:
-            raise ConfigError(f"{key} must be >= {least}")
+            raise ValueError(f"{key} must be >= {least}")
         if key in _MAXIMUM and value > _MAXIMUM[key]:
-            raise ConfigError(f"{key} must be <= {_MAXIMUM[key]}")
+            raise ValueError(f"{key} must be <= {_MAXIMUM[key]}")
     experiment, axis = cfg["experiment"], cfg["axis"]
     spec = _TABLE[experiment]
     if spec.axes and axis not in spec.axes:
-        raise ConfigError(f"{experiment} runs along {' or '.join(spec.axes)}, not {axis}")
+        raise ValueError(f"{experiment} runs along {' or '.join(spec.axes)}, not {axis}")
     reads = {"seed", "out", *spec.reads, *(("axis",) + _RANGE if spec.axes else ())} - {axis}
     ignored = sorted(set(given) - reads)
     if ignored:
         along = f" along {axis}" if spec.axes else ""
-        raise ConfigError(f"{experiment}{along} ignores {', '.join(ignored)}; "
-                          f"it reads {', '.join(sorted(reads))}")
+        raise ValueError(f"{experiment}{along} ignores {', '.join(ignored)}; "
+                         f"it reads {', '.join(sorted(reads))}")
     if "rho" in given and (axis == "pd" or "pd" in given):
-        raise ConfigError("rho and pd cannot both be set: rho derives pd = snr^rho * sigma2")
-    try:
-        SystemParams(**{k: float(cfg[k]) for k in _SYSTEM_KEYS})
-        # an rs axis stands in for the rs key: its largest row must not pass rd
-        RateConfig(rd=float(cfg["rd"]), rs=float(cfg["axis_max" if axis == "rs" else "rs"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("rho and pd cannot both be set: rho derives pd = snr^rho * sigma2")
+    SystemParams(**{k: float(cfg[k]) for k in _SYSTEM_KEYS})
+    # an rs axis stands in for the rs key: its largest row must not pass rd
+    RateConfig(rd=float(cfg["rd"]), rs=float(cfg["axis_max" if axis == "rs" else "rs"]))
     if axis is not None:
         lo, hi = float(cfg["axis_min"]), float(cfg["axis_max"])
         if lo > hi:
-            raise ConfigError("axis_min must not exceed axis_max")
+            raise ValueError("axis_min must not exceed axis_max")
         if cfg["axis_scale"] == "log" and lo <= 0:
-            raise ConfigError("log-scaled axis needs positive bounds")
+            raise ValueError("log-scaled axis needs positive bounds")
 
 
 def _axis_values(cfg: dict) -> np.ndarray:
@@ -280,21 +275,12 @@ def format_table(cfg: dict, header, table: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_output(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-
-
 class _Parser(argparse.ArgumentParser):
-    """Refuses a command line as load_config refuses a config: one error
-    line and exit 2.  Subparsers are made of the same class."""
+    """Refuses a command line as load_config refuses a config: with a
+    ValueError, which main prints as one error line before it returns 2."""
 
     def error(self, message):
-        print("error:", " ".join(message.split()), file=sys.stderr)
-        sys.exit(2)
+        raise ValueError(" ".join(message.split()))
 
 
 def integer(text: str):
@@ -309,27 +295,31 @@ def integer(text: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mfrelay", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        for key in ("seed", "mc_samples", *PARAM_KEYS, "axis", *_RANGE):
-            kind = integer if key in _INTEGRAL else None if key in _CHOICES else float
-            p.add_argument("--" + key.replace("_", "-"), type=kind)
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", help="JSON config file; flags override its values")
+    parser.add_argument("--out", help="output CSV path (default: stdout)")
+    for key in ("seed", "mc_samples", *PARAM_KEYS, "axis", *_RANGE):
+        kind = integer if key in _INTEGRAL else None if key in _CHOICES else float
+        parser.add_argument("--" + key.replace("_", "-"), type=kind)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k not in ("experiment", "config")}
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {k: v for k, v in vars(args).items() if k not in ("experiment", "config")}
         cfg = load_config(args.experiment, args.config, overrides)
         with np.errstate(all="ignore"):  # stderr is for error lines; cells are checked finite
             header, table = _TABLE[args.experiment].run(cfg)
-        write_output(format_table(cfg, header, table), cfg.get("out"))
-    except (ConfigError, ValueError) as exc:
-        # a library ValueError means the config reached outside a model's domain
+        text = format_table(cfg, header, table)
+        if cfg["out"] is None:
+            sys.stdout.write(text)
+        else:
+            with open(cfg["out"], "w", newline="") as fh:
+                fh.write(text)
+    except ValueError as exc:
+        # a refused command line or config, or a library ValueError: the
+        # config reached outside a model's domain
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -114,6 +114,8 @@ def mod_lattice(x, delta):
     if not (_is_number(delta) and delta > 0.0):
         raise ValueError("delta must be positive and finite")
     x = np.array(x, dtype=float)  # a copy for the fold to overwrite
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     return _scalar(_fold(x, delta, np.empty_like(x)))
 
 

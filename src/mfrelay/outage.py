@@ -22,7 +22,7 @@ from .channel import (_SLICE, _TINY, RateConfig, SystemParams, Thresholds, _chec
                       _direct_or_logs, _gamma, _is_number, _map_blocks, _map_slices, _normal,
                       _scalar, _slices, _unchecked, rng_stream, thresholds)
 from .numerics import Interval, _k1_map
-from .rates import Scheme, _e2e_snr, _relay_sinr
+from .rates import Scheme, _check_scheme, _e2e_snr, _relay_sinr
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,8 @@ def _rows(record, shape):
 def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme | tuple, n: int,
               seed: int, stream=0):
     """Monte Carlo (connection, secrecy, joint) outage estimates of a
-    ``Scheme``, or one such triple per scheme of a tuple of them.
+    ``Scheme``, or one such triple per scheme of a tuple of them; any
+    other value, an empty tuple included, is refused before any draw.
 
     Broadcasts over the fields of ``params`` and ``config`` and over
     ``stream`` as the closed forms do: each ``MCEstimate`` holds Python
@@ -307,9 +308,12 @@ def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme | tuple, 
     part at a time into slice scratch, just before that part's events:
     g2 is the block's last draw, so its parts are bitwise the whole draw's.
     """
+    schemes = scheme if isinstance(scheme, tuple) else (scheme,)
+    for member in schemes or (scheme,):  # an empty tuple is refused as itself
+        _check_scheme(member)
     if not _is_number(n, integral=True) or n < 1:
         raise ValueError(f"mc_outage needs an integer n >= 1 samples, not {n!r}")
-    n, schemes = int(n), scheme if isinstance(scheme, tuple) else (scheme,)
+    n = int(n)
     shape = np.broadcast(*vars(params).values(), *vars(config).values(), stream).shape
     points = list(zip(_rows(params, shape), map(thresholds, _rows(config, shape))))
     streams = np.broadcast_to(stream, shape).ravel().tolist()

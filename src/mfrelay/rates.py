@@ -29,6 +29,13 @@ class Scheme(Enum):
     AF = "af"
 
 
+def _check_scheme(scheme):
+    """Refuse a value that is not a Scheme: a dispatch would read it as
+    the scheme of its last branch."""
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"scheme must be a Scheme, not {scheme!r}")
+
+
 def _pos(x):
     """[x]^+ clip, preserving scalarness."""
     return np.maximum(x, 0.0)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -103,6 +104,30 @@ class TestNumericEstimators:
         # one point has no slope, and a 2-d grid is not an SNR axis
         with pytest.raises(ValueError, match="snr_grid must be a 1-d grid with >= 2 points"):
             estimate_gsdof(Scheme.MF, 1.0, snr_grid=grid)
+
+    def test_gsdof_refuses_an_array_realization(self):
+        # one as long as the grid would broadcast along it: a realization per snr
+        g = np.linspace(0.5, 2.0, len(DEFAULT_SNR_GRID))
+        for real in (ChannelRealization.from_gains(g, g[::-1]),
+                     ChannelRealization.from_gains(1.0, 1.0, sign1=np.array([1.0, -1.0]))):
+            with pytest.raises(ValueError, match="estimate_gsdof runs one realization: "
+                                                 "scalar gains and signs"):
+                estimate_gsdof(Scheme.MF, 1.0, real=real)
+
+    def test_gsdg_refuses_an_array_rate_pair(self):
+        rd = np.linspace(0.5, 3.0, len(DEFAULT_SNR_GRID))
+        for config in (RateConfig(rd, rd / 2), RateConfig(2.0, np.array([0.5, 1.0]))):
+            with pytest.raises(ValueError, match="estimate_gsdg runs one rate pair: scalar rd and rs"):
+                estimate_gsdg(Scheme.MF, 1.5, config=config)
+
+
+@pytest.mark.parametrize("fn", [gsdof_closed_form, gsdg_closed_form, estimate_gsdof,
+                                estimate_gsdg])
+@pytest.mark.parametrize("scheme", ["mf", None])
+def test_a_value_that_is_not_a_scheme_is_refused(fn, scheme):
+    # each dispatch's last branch used to read it as that branch's scheme
+    with pytest.raises(ValueError, match=re.escape(f"scheme must be a Scheme, not {scheme!r}")):
+        fn(scheme, 1.5)
 
 
 def _gsdof_per_snr(scheme, rho, real):

@@ -57,6 +57,15 @@ class TestModLattice:
                 with pytest.raises(ValueError, match="delta must be positive and finite"):
                     mod_lattice(1.0, delta)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("wrap", [float, lambda v: np.array([0.5, v, 1.0])],
+                             ids=["scalar", "array"])
+    def test_x_that_is_not_finite_is_refused(self, bad, wrap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not a NaN with a RuntimeWarning
+            with pytest.raises(ValueError, match="x must be finite"):
+                mod_lattice(wrap(bad), 1.0)
+
     @settings(max_examples=300, deadline=None)
     @given(delta=st.floats(min_value=1e-6, max_value=1e6),
            units=st.lists(st.one_of(st.floats(min_value=-1e15, max_value=1e15),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -384,6 +385,16 @@ class TestTradeoffResidual:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("scheme, named", [
+        ("mf", "'mf'"), (None, "None"), ((), "()"), ((Scheme.MF, "af"), "'af'"),
+        ((Scheme.MF, None), "None")])
+    def test_a_value_that_is_not_a_scheme_is_refused(self, scheme, named):
+        # "af" used to get the cut-set event, and () failed after drawing every block
+        with mock.patch.object(outage, "_map_blocks") as map_blocks:
+            with pytest.raises(ValueError, match=re.escape(f"scheme must be a Scheme, not {named}")):
+                mc_outage(params(), RateConfig(rd=1.0, rs=0.5), scheme, 1000, 1)
+        map_blocks.assert_not_called()
+
     def test_cutset_matches_closed_form(self):
         p = params()
         conn, _, _ = mc_outage(p, RateConfig(rd=1.0, rs=0.5), Scheme.UPPER, 10 ** 6, 11)
