@@ -167,7 +167,10 @@ class Thresholds:
 
     gamma_o = 2^(2 rd) - 1 (connection), gamma_1 = gamma_o + 1/2 (the
     threshold of MF's 1/2-offset achievable rate), and
-    gamma_s = 2^(2 (rd - rs)) - 1 (secrecy).
+    gamma_s = 2^(2 (rd - rs)) - 1 (secrecy).  gamma_1 (the CSV column)
+    reads 1/2 at rd = 0, where MF's clipped rate is never below rd and its
+    connection event is empty: the outages read their thresholds from
+    ``rates._threshold``, which is 0 there.
     """
 
     gamma_o: float
@@ -349,6 +352,18 @@ def _map_blocks(fn, n: int, streams, height: int, rows: int = 1) -> list:
     return _on_pool(block, items, min(_WORKERS, rows * -(-n // _BLOCK)))
 
 
+def _cutter(v, shape):
+    """``_map_slices``' cut of an array v that broadcasts to ``shape``: a
+    function of a slice s of the flat broadcast shape, giving v's points
+    there without forming v at the whole shape."""
+    if np.ndim(v) == 0:
+        return lambda s: v
+    full = np.broadcast_to(v, shape)
+    if full.flags.c_contiguous:  # v itself, laid out at the shape: a view
+        return full.reshape(-1).__getitem__
+    return lambda s: full.flat[s]  # a new iterator per slice, so threads share none
+
+
 def _map_slices(kernel, *args):
     """kernel(*args) for an elementwise ``kernel`` of one result, through
     ``_scalar``: the one driver of the bulk closed forms, whose callers
@@ -357,12 +372,15 @@ def _map_slices(kernel, *args):
     arrays and the records' fields broadcast to one shape.
 
     A call of at most _SLICE points runs kernel(*args) as it is, in the
-    calling thread.  A larger call broadcasts each array and field once (a
-    0-d one stays as it is), preallocates the output of the broadcast
-    shape and runs the kernel on slices of at most _SLICE points, each
-    writing its result into its part of it; a record reaches the kernel as
-    a record of its slice's fields, built by ``_unchecked``.  The slices
-    run on ``_map_blocks``' pool (``_on_pool``), with its worker count,
+    calling thread.  A larger call preallocates the output of the broadcast
+    shape and runs the kernel on slices of at most _SLICE points of it in
+    C order, each writing its result into its part of it; a record reaches
+    the kernel as a record of its slice's fields, built by ``_unchecked``.
+    Each array and field is sorted once, when the call starts: a 0-d one
+    reaches every slice as it is, one laid out in C order at the broadcast
+    shape as a view of the slice, and any other (one that broadcasts, or
+    a strided one) is gathered one slice at a time.  The slices run on
+    ``_map_blocks``' pool (``_on_pool``), with its worker count,
     min(_WORKERS, blocks): within one _BLOCK they run in the calling
     thread.  So the output is the only full-size array it makes, and an
     elementwise kernel gives it the same bits for any slicing and any
@@ -374,12 +392,11 @@ def _map_slices(kernel, *args):
     size = math.prod(shape)
     if size <= _SLICE:
         return _scalar(kernel(*args))
-    flat = [[v if np.ndim(v) == 0 else np.broadcast_to(v, shape).reshape(-1) for v in group]
-            for group in groups]
+    cutters = [[_cutter(v, shape) for v in group] for group in groups]
     out = np.empty(size)
 
     def run(s):
-        cuts = ([v if np.ndim(v) == 0 else v[s] for v in group] for group in flat)
+        cuts = ([cut(s) for cut in group] for group in cutters)
         out[s] = kernel(*(_unchecked(type(a), *cut) if is_dataclass(a) else cut[0]
                           for a, cut in zip(args, cuts)))
 

@@ -110,12 +110,16 @@ def _fold(x, delta, tmp):
 
 def mod_lattice(x, delta):
     """Reduce x modulo delta*Z into [-delta/2, delta/2); the +delta/2
-    boundary maps to -delta/2."""
+    boundary maps to -delta/2.  An x whose quotient x/delta overflows a
+    double has no cell to fold into and is refused."""
     if not (_is_number(delta) and delta > 0.0):
         raise ValueError("delta must be positive and finite")
     x = np.array(x, dtype=float)  # a copy for the fold to overwrite
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(x / delta)):
+            raise ValueError("x / delta must be finite")
     return _scalar(_fold(x, delta, np.empty_like(x)))
 
 

@@ -7,9 +7,15 @@ whose exponent gives the secure diversity gain) are documented with each
 closed form and checked by the tests against it; ``asymptotics`` holds
 their exponents.
 
-Zero-rate conventions: rd = 0 makes every closed-form connection outage 0
-(continuity of the thresholds), and rd = rs makes the secrecy outage 1.
-A negative or nan rate or threshold is refused with a ValueError.
+Zero-rate conventions: rd = 0 makes every connection outage 0, in the
+closed forms and the Monte Carlo alike: both read each scheme's threshold
+from ``rates._threshold``, and a threshold of 0 gives an outage of 0.
+For AF and the cut-set it is gamma_o, which goes to 0 with rd.  MF's does
+not: any rd > 0 needs snr >= gamma_1 > 1/2, but MF's rate
+(1/2)log2(1/2 + snr) is clipped at 0, so it is never below rd = 0, where
+its threshold is 0 and its outage drops to 0.  rd = rs makes the secrecy
+outage 1.  A negative or nan rate or threshold is refused with a
+ValueError.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_SLICE, _TINY, RateConfig, SystemParams, Thresholds, _check_rate,
-                      _direct_or_logs, _gamma, _is_number, _map_blocks, _map_slices, _normal,
-                      _scalar, _slices, _unchecked, rng_stream, thresholds)
+from .channel import (_SLICE, _TINY, RateConfig, SystemParams, _check_rate, _direct_or_logs,
+                      _gamma, _is_number, _map_blocks, _map_slices, _normal, _scalar, _slices,
+                      _unchecked, rng_stream, thresholds)
 from .numerics import Interval, _k1_map
-from .rates import Scheme, _check_scheme, _e2e_snr, _relay_sinr
+from .rates import Scheme, _check_scheme, _e2e_snr, _relay_sinr, _threshold
 
 
 @dataclass(frozen=True)
@@ -87,14 +93,7 @@ def p_conn_cutset_lower(params: SystemParams, rd: float):
     so the bound never reads above either scheme's outage.  Evaluated slice
     by slice (``_map_slices``).
     """
-    return _map_slices(_cutset_lower, _check_rate(rd), params)
-
-
-def _cutset_lower(rd, params):
-    """``p_conn_cutset_lower``'s kernel."""
-    gamma_o = _gamma(rd)
-    a = np.minimum(*(_k1_arguments(params, gamma_o, af)[0] for af in (False, True)))
-    return np.where(gamma_o > 0, -np.expm1(-a), 0.0)
+    return _map_slices(lambda rd, params: _conn(rd, params, Scheme.UPPER), _check_rate(rd), params)
 
 
 def _secrecy_terms(params: SystemParams, gamma_s):
@@ -156,7 +155,7 @@ _X_CAP = 1e300
 
 def _k1_outage(live, a, x):
     """The MF and AF connection outage 1 - exp(-a)*x*K1(x) where ``live``;
-    0 elsewhere (the zero-rate convention).  Its first order at high SNR,
+    0 elsewhere (a threshold of 0).  Its first order at high SNR,
     where a and x go to 0, is a.
 
     The form has no cancellation: where x <= 2 it is
@@ -205,21 +204,28 @@ def _k1_arguments(params: SystemParams, gamma, af: bool):
     return _direct_or_logs(direct, (a, x), logs, ps, pd, sigma2, eps1, eps2, gamma)
 
 
+def _conn(rd, params: SystemParams, scheme: Scheme):
+    """The closed-form connection outage of a scheme at its threshold
+    gamma = ``_threshold(scheme, rd)``, 0 where gamma is 0: the kernel of
+    ``p_conn_mf``, ``p_conn_af`` and ``p_conn_cutset_lower``.  The cut-set
+    bound is 1 - exp(-a) with the smaller of MF's and AF's a."""
+    gamma = _threshold(scheme, rd)
+    if scheme is Scheme.UPPER:
+        a = np.minimum(*(_k1_arguments(params, gamma, af)[0] for af in (False, True)))
+        return np.where(gamma > 0, -np.expm1(-a), 0.0)
+    return _k1_outage(gamma > 0, *_k1_arguments(params, gamma, af=scheme is Scheme.AF))
+
+
 def p_conn_mf(params: SystemParams, rd: float):
     """Connection outage of the modulo-forward achievable rate (independent
     of pd), from gamma_1 = gamma_o + 1/2 and K1.  At high SNR it falls as
     its first order (1/eps1 + 1/eps2) * gamma_1 * sigma2 / ps.  Returns 0
-    at rd = 0 by the zero-rate convention.  Evaluated slice by slice
-    (``_map_slices``).
+    at rd = 0, where MF's clipped rate is never below rd.  Evaluated slice
+    by slice (``_map_slices``).
     """
     # pd = 0, so the output's shape does not take pd's
-    return _map_slices(_conn_mf, _check_rate(rd), _unchecked(
+    return _map_slices(lambda rd, params: _conn(rd, params, Scheme.MF), _check_rate(rd), _unchecked(
         SystemParams, params.ps, 0.0, params.sigma2, params.eps1, params.eps2))
-
-
-def _conn_mf(rd, params):
-    """``p_conn_mf``'s kernel; MF's outage does not depend on pd."""
-    return _k1_outage(rd > 0, *_k1_arguments(params, _gamma(rd) + 0.5, af=False))
 
 
 def p_conn_af(params: SystemParams, rd: float):
@@ -229,13 +235,7 @@ def p_conn_af(params: SystemParams, rd: float):
     Returns 0 at rd = 0, where the closed form's 1/gamma_o is singular.
     Evaluated slice by slice (``_map_slices``).
     """
-    return _map_slices(_conn_af, _check_rate(rd), params)
-
-
-def _conn_af(rd, params):
-    """``p_conn_af``'s kernel."""
-    gamma_o = _gamma(rd)
-    return _k1_outage(gamma_o > 0, *_k1_arguments(params, gamma_o, af=True))
+    return _map_slices(lambda rd, params: _conn(rd, params, Scheme.AF), _check_rate(rd), params)
 
 
 def outage_probs(params: SystemParams, config: RateConfig) -> OutageProbs:
@@ -266,18 +266,9 @@ def _tradeoff(rd, rs, params):
     """``tradeoff_residual``'s kernel."""
     gamma_s = _gamma(rd - rs)
     _, u = _secrecy_terms(params, gamma_s)
-    po = _conn_mf(rd, params)
+    po = _conn(rd, params, Scheme.MF)
     weight = (gamma_s / (_gamma(rd) + 0.5)) * (params.eps2 / (params.eps1 + params.eps2))
     return np.exp(-u) + weight * po - 1.0
-
-
-def _conn_event(scheme: Scheme, params: SystemParams, th: Thresholds, g1, g2,
-                snr=None, tmp=None, out=None):
-    """Connection outage: the scheme's rate below rd, i.e. its end-to-end
-    SNR below gamma_1 (MF) or gamma_o (AF, cut-set).  ``snr`` and ``tmp``
-    are ``_e2e_snr``'s scratch and ``out`` a bool array for the event."""
-    gamma = th.gamma_1 if scheme is Scheme.MF else th.gamma_o
-    return np.less(_e2e_snr(scheme, params, g1, g2, snr, tmp), gamma, out=out)
 
 
 def _rows(record, shape):
@@ -301,8 +292,9 @@ def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme | tuple, 
     how blocks are farmed out to workers; ``stream`` namespaces
     independent runs under one seed (e.g. one stream per sweep row).
     Every point's blocks run on one pool (``_map_blocks``), each block
-    drawn once: every scheme's connection event and the secrecy event are
-    evaluated on it, so the schemes are compared on the same fading and
+    drawn once: every scheme's connection event (its ``_e2e_snr`` below
+    ``rates._threshold``, the closed forms' threshold) and the secrecy event
+    are evaluated on it, so the schemes are compared on the same fading and
     the joint estimate reuses each realization for both events.  A block
     draws g1 whole into its thread's one block row, then g2 one 2^15-draw
     part at a time into slice scratch, just before that part's events:
@@ -314,12 +306,14 @@ def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme | tuple, 
     if not _is_number(n, integral=True) or n < 1:
         raise ValueError(f"mc_outage needs an integer n >= 1 samples, not {n!r}")
     n = int(n)
+    thresholds(config)  # refuses a rate with no threshold, before any draw
     shape = np.broadcast(*vars(params).values(), *vars(config).values(), stream).shape
-    points = list(zip(_rows(params, shape), map(thresholds, _rows(config, shape))))
+    points = list(zip(_rows(params, shape), _rows(config, shape)))
     streams = np.broadcast_to(stream, shape).ravel().tolist()
 
     def block(key, buf):
-        (p, th), rng = key
+        (p, rc), rng = key
+        gammas, gamma_s = [_threshold(s, rc.rd) for s in schemes], _gamma(rc.rd - rc.rs)
         g1 = buf[0]  # drawn whole: the stream then holds g2 next, part by part
         rng.standard_exponential(out=g1)
         g1 *= p.eps1
@@ -331,10 +325,11 @@ def mc_outage(params: SystemParams, config: RateConfig, scheme: Scheme | tuple, 
                 (g2, snr, tmp), (sec, conn) = scratch[:, :g1[s].size], flags[:, :g1[s].size]
                 rng.standard_exponential(out=g2)
                 g2 *= p.eps2
-                np.greater(_relay_sinr(p, g1[s], g2, snr, tmp), th.gamma_s, out=sec)
+                np.greater(_relay_sinr(p, g1[s], g2, snr, tmp), gamma_s, out=sec)
                 hits[:, 1] += np.count_nonzero(sec)
-                for k, scheme in enumerate(schemes):
-                    _conn_event(scheme, p, th, g1[s], g2, snr, tmp, conn)
+                for k, (scheme, gamma) in enumerate(zip(schemes, gammas)):
+                    # the connection event: the scheme's rate below rd
+                    np.less(_e2e_snr(scheme, p, g1[s], g2, snr, tmp), gamma, out=conn)
                     hits[k, 0] += np.count_nonzero(conn)
                     hits[k, 2] += np.count_nonzero(np.logical_or(conn, sec, out=conn))
         return hits

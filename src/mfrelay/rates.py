@@ -1,7 +1,8 @@
 """Per-realization rate formulas: capacities, bounds, and the secrecy
 rates of the modulo-forward (MF) and amplify-forward (AF) relaying
-schemes.  The Monte Carlo outage events reuse the end-to-end and relay
-SNRs written here.
+schemes.  The outage closed forms and the Monte Carlo events read the
+connection threshold written here, and the events reuse the end-to-end
+and relay SNRs.
 
 ``rate_report`` is the one place a rate quantity is formed and read:
 each term kernel (``_rr``, ``_cd``, ``_rd_lower``, ``_se2``, ``_snr_af``)
@@ -20,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemParams, _map_slices, _scalar, _unchecked
+from .channel import ChannelRealization, SystemParams, _gamma, _map_slices, _scalar, _unchecked
 
 
 class Scheme(Enum):
@@ -65,6 +66,16 @@ def _e2e_snr(scheme: Scheme, params: SystemParams, g1, g2, out=None, tmp=None):
     else:  # cut-set
         snr = np.multiply(np.minimum(g1, g2, out=out), params.snr, out=out)
     return _scalar(snr)
+
+
+def _threshold(scheme: Scheme, rd):
+    """The connection threshold of a rate rd that passed ``_check_rate``:
+    the scheme's rate is below rd exactly where its ``_e2e_snr`` is below
+    it.  That is gamma_o = 2^(2 rd) - 1, and for MF gamma_o + 1/2 where
+    rd > 0 and 0 at rd = 0: MF's rate (1/2)log2(1/2 + snr) is clipped at
+    0, so it is never below rd = 0.  A threshold of 0 makes the outage 0."""
+    gamma_o = _gamma(rd)
+    return gamma_o + 0.5 * (rd > 0) if scheme is Scheme.MF else gamma_o
 
 
 def _relay_sinr(params: SystemParams, g1, g2, out=None, tmp=None):

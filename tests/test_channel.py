@@ -551,6 +551,22 @@ class TestMapSlices:
         assert total.shape == product.shape == (3, _BLOCK)
         assert total.tobytes() == (a + b).tobytes() and product.tobytes() == (a * b * 2.0).tobytes()
 
+    def test_a_field_that_broadcasts_is_gathered_one_slice_at_a_time(self):
+        # a column of ps and a row of pd, gathered slice by slice: neither is formed whole
+        v = np.linspace(1.0, 100.0, 2000)
+        params = SystemParams(ps=v[:, None], pd=v[None, :], sigma2=1.0)
+        with mock.patch.object(channel, "_WORKERS", 1):
+            tracemalloc.start()
+            try:
+                out = p_conn_af(params, 1.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert out.shape == (2000, 2000) and peak <= 1.25 * out.nbytes
+        # a strided field is gathered the same way, to the same bits
+        x = np.arange(2.0 * self.N)
+        assert _map_slices(lambda x: x * 3.0, x[::2]).tobytes() == (x[::2] * 3.0).tobytes()
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_record_reaches_the_kernel_as_a_record_of_its_slices(self, workers):
         rng = np.random.default_rng(4)

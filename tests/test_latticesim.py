@@ -66,6 +66,16 @@ class TestModLattice:
             with pytest.raises(ValueError, match="x must be finite"):
                 mod_lattice(wrap(bad), 1.0)
 
+    @pytest.mark.parametrize("x, delta", [(1e300, 1e-10), (-1e300, 1e-10), (1.0, 1e-320)])
+    @pytest.mark.parametrize("wrap", [float, lambda v: np.array([0.5, v, 1.0])],
+                             ids=["scalar", "array"])
+    def test_x_whose_quotient_overflows_is_refused(self, x, delta, wrap):
+        # refused, not -inf (outside [-delta/2, delta/2)) with an overflow RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x / delta must be finite"):
+                mod_lattice(wrap(x), delta)
+
     @settings(max_examples=300, deadline=None)
     @given(delta=st.floats(min_value=1e-6, max_value=1e6),
            units=st.lists(st.one_of(st.floats(min_value=-1e15, max_value=1e15),

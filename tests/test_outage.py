@@ -13,11 +13,10 @@ from mfrelay.asymptotics import Scheme
 from mfrelay.channel import (_BLOCK, _SLICE, ChannelRealization, RateConfig, SystemParams,
                              rng_stream, sample_gains, thresholds)
 from mfrelay.numerics import Interval
-from mfrelay.outage import (MCEstimate, OutageProbs, _conn_event, _k1_arguments, _k1_outage,
-                            _secrecy_terms, mc_outage, outage_probs, p_conn_af,
-                            p_conn_cutset_lower, p_conn_mf, p_secrecy, p_secrecy_threshold,
-                            tradeoff_residual)
-from mfrelay.rates import _relay_sinr, rate_report
+from mfrelay.outage import (MCEstimate, OutageProbs, _k1_arguments, _k1_outage, _secrecy_terms,
+                            mc_outage, outage_probs, p_conn_af, p_conn_cutset_lower, p_conn_mf,
+                            p_secrecy, p_secrecy_threshold, tradeoff_residual)
+from mfrelay.rates import _e2e_snr, _relay_sinr, _threshold, rate_report
 
 
 def params(ps=10.0, pd=10.0, sigma2=1.0, eps1=1.0, eps2=1.0):
@@ -400,6 +399,9 @@ class TestMonteCarlo:
         conn, _, _ = mc_outage(p, RateConfig(rd=1.0, rs=0.5), Scheme.UPPER, 10 ** 6, 11)
         cf = p_conn_cutset_lower(p, 1.0)
         assert abs(conn.p_hat - cf) <= 3 * conn.std_err
+        # rd = 0: no rate is below it, in the draws as in the closed form
+        conn, _, _ = mc_outage(p, RateConfig(rd=0.0, rs=0.0), Scheme.UPPER, 10 ** 5, 11)
+        assert conn.p_hat == p_conn_cutset_lower(p, 0.0) == 0.0
 
     def test_mf_and_af_match_closed_forms(self):
         p = params()
@@ -409,6 +411,11 @@ class TestMonteCarlo:
         assert abs(conn_mf.p_hat - p_conn_mf(p, 1.0)) <= 3 * conn_mf.std_err
         assert abs(conn_af.p_hat - p_conn_af(p, 1.0)) <= 3 * conn_af.std_err
         assert abs(sec.p_hat - p_secrecy(p, rc)) <= 3 * sec.std_err
+        # rd = 0: MF's rate is clipped at 0, so neither scheme's is below it
+        (conn_mf, _, _), (conn_af, _, _) = mc_outage(p, RateConfig(rd=0.0, rs=0.0),
+                                                     (Scheme.MF, Scheme.AF), 10 ** 5, 12)
+        assert conn_mf.p_hat == p_conn_mf(p, 0.0) == 0.0
+        assert conn_af.p_hat == p_conn_af(p, 0.0) == 0.0
 
     def test_secrecy_estimate_is_scheme_independent(self):
         p = params()
@@ -445,7 +452,7 @@ class TestMonteCarlo:
             ref = [0, 0, 0]
             for block, m in enumerate((1 << 17, 5)):
                 g1, g2 = sample_gains(p, rng_stream(seed, (stream, block)), m)
-                conn = _conn_event(scheme, p, th, g1, g2)
+                conn = _e2e_snr(scheme, p, g1, g2) < _threshold(scheme, rc.rd)
                 sec = p.ps * g1 / (p.pd * g2 + p.sigma2) > th.gamma_s
                 for k, event in enumerate((conn, sec, conn | sec)):
                     ref[k] += int(np.count_nonzero(event))
@@ -639,9 +646,13 @@ def test_events_are_rates_below_rd(ps, pd, sigma2, g1, g2, rd, rs_frac):
     rep = rate_report(p, real)
     rates = {Scheme.MF: rep.rd_mf_lower, Scheme.AF: 0.5 * np.log2(1.0 + rep.snr_af),
              Scheme.UPPER: rep.cd_upper}
+    for scheme in rates:
+        # rd = 0: no rate is below it, so every event is empty (the ties
+        # assumed away below drop MF's points with snr < 1/2 there)
+        assert not _e2e_snr(scheme, p, g1, g2) < _threshold(scheme, 0.0)
     for scheme, rate in rates.items():
         assume(abs(rate - rd) > 1e-9)
-        assert bool(_conn_event(scheme, p, th, g1, g2)) == (rate < rd)
+        assert bool(_e2e_snr(scheme, p, g1, g2) < _threshold(scheme, rc.rd)) == (rate < rd)
     rr = rep.rr
     assume(abs(rr - (rc.rd - rc.rs)) > 1e-9)
     assert bool(_relay_sinr(p, g1, g2) > th.gamma_s) == (rr > rc.rd - rc.rs)
